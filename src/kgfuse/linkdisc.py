@@ -12,8 +12,10 @@ from __future__ import annotations
 import configparser
 import csv
 import io
+import itertools
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Optional
@@ -39,6 +41,8 @@ class LinkConfig:
     compare_properties: tuple[tuple[str, str], ...]
     accept_threshold: float
     review_threshold: float
+    # Accepted for older callers and configs; it has no effect, because
+    # candidate pruning is always exact and on whenever review > 0.
     use_blocking: bool = False
 
     def __post_init__(self):
@@ -91,27 +95,41 @@ def _typed_instances(g: Graph, class_iri: str) -> list[str]:
     )
 
 
-def _property_values(g: Graph, instance: str, prop: str) -> list[str]:
-    return sorted(
-        t.o.value for t in g.match(iri(instance), iri(prop), None) if t.o.kind == LITERAL
-    )
+# A profile maps each compared property to its literal values, in sorted
+# order and each with its token set, so that a value is read and tokenized
+# once per instance rather than once per scored pair.
+Profile = Mapping[str, tuple[tuple[str, frozenset[str]], ...]]
+
+# Float rounding can put a computed cosine at or above the threshold where
+# the exact quotient is a hair below it.  Filter bounds use t² shrunk by this
+# relative margin, so rounding can only add candidates, never drop one.
+_ROUNDING_MARGIN = 1e-9
+
+
+def _profile(g: Graph, instance: str, props: set[str]) -> Profile:
+    values: dict[str, list[str]] = {}
+    for t in g.match(iri(instance), None, None):
+        if t.p.value in props and t.o.kind == LITERAL:
+            values.setdefault(t.p.value, []).append(t.o.value)
+    return {
+        prop: tuple((v, tokenize_name(v)) for v in sorted(vals))
+        for prop, vals in values.items()
+    }
 
 
 def _score_pair(
-    ga: Graph, gb: Graph, source: str, target: str, cfg: LinkConfig
+    source: Profile, target: Profile, cfg: LinkConfig
 ) -> tuple[float, tuple[PairEvidence, ...]]:
     best = 0.0
     evidence = []
     for sprop, tprop in cfg.compare_properties:
-        svalues = _property_values(ga, source, sprop)
-        tvalues = _property_values(gb, target, tprop)
+        svalues = source.get(sprop)
+        tvalues = target.get(tprop)
         if not svalues or not tvalues:
             continue  # missing values contribute 0
         pair_best: Optional[PairEvidence] = None
-        for sval in svalues:
-            stoks = tokenize_name(sval)
-            for tval in tvalues:
-                ttoks = tokenize_name(tval)
+        for sval, stoks in svalues:
+            for tval, ttoks in tvalues:
                 score = cosine(stoks, ttoks)
                 if pair_best is None or score > pair_best.score:
                     pair_best = PairEvidence(sprop, tprop, sval, tval, stoks, ttoks, score)
@@ -120,46 +138,85 @@ def _score_pair(
     return best, tuple(evidence)
 
 
-def _blocked_pairs(
-    ga: Graph, gb: Graph, sources: list[str], targets: list[str], cfg: LinkConfig
-) -> list[tuple[str, str]]:
-    """Token-index candidate cut; exact for any positive review threshold,
-    because a positive cosine needs at least one shared token."""
-    index: dict[str, set[str]] = {}
-    for target in targets:
-        for _, tprop in cfg.compare_properties:
-            for value in _property_values(gb, target, tprop):
-                for token in tokenize_name(value):
-                    index.setdefault(token, set()).add(target)
+def _prefix_filtered_pairs(
+    sources: list[Profile], targets: list[Profile], cfg: LinkConfig
+) -> list[tuple[int, int]]:
+    """Every (source, target) index pair with some compared value pair at
+    cosine >= review, plus possibly a few more; review must be positive.
+
+    AllPairs (Bayardo et al., WWW 2007) with PPJoin's ordering and size
+    filters (Xiao et al., WWW 2008).  cos(x, y) >= t implies
+    t²|x| <= |y| <= |x|/t² and |x ∩ y| >= ⌈t²|x|⌉, so once tokens are put
+    in one global order, two such sets share a token among the first
+    |x| - ⌈t²|x|⌉ + 1 tokens of each.  Only those prefixes are indexed and
+    probed; the index is keyed by target property, so paired mode only
+    meets its configured pairs.
+    """
+    t2 = cfg.review_threshold ** 2 * (1.0 - _ROUNDING_MARGIN)
+    freq = Counter(
+        token
+        for profile in (*sources, *targets)
+        for values in profile.values()
+        for _, tokens in values
+        for token in tokens
+    )
+    rank = {token: i for i, token in enumerate(sorted(freq, key=lambda k: (freq[k], k)))}
+
+    def prefix(tokens: frozenset[str]) -> list[str]:
+        ordered = sorted(tokens, key=rank.__getitem__)
+        return ordered[: len(ordered) - max(1, math.ceil(t2 * len(ordered))) + 1]
+
+    index: dict[str, dict[str, list[tuple[int, int]]]] = {}
+    for j, profile in enumerate(targets):
+        for tprop, values in profile.items():
+            postings = index.setdefault(tprop, {})
+            for _, tokens in values:
+                for token in prefix(tokens):
+                    postings.setdefault(token, []).append((len(tokens), j))
+    partners: dict[str, list[str]] = {}
+    for sprop, tprop in cfg.compare_properties:
+        partners.setdefault(sprop, []).append(tprop)
     pairs = []
-    for source in sources:
-        hits: set[str] = set()
-        for sprop, _ in cfg.compare_properties:
-            for value in _property_values(ga, source, sprop):
-                for token in tokenize_name(value):
-                    hits |= index.get(token, set())
-        pairs.extend((source, target) for target in sorted(hits))
+    for i, profile in enumerate(sources):
+        hits: set[int] = set()
+        for sprop, values in profile.items():
+            for _, tokens in values:
+                size = len(tokens)
+                probe = prefix(tokens)
+                for tprop in partners[sprop]:
+                    postings = index.get(tprop, {})
+                    for token in probe:
+                        for tsize, j in postings.get(token, ()):
+                            if t2 * size <= tsize and t2 * tsize <= size:
+                                hits.add(j)
+        pairs.extend((i, j) for j in hits)
     return pairs
 
 
 def find_links(ga: Graph, gb: Graph, cfg: LinkConfig) -> list[LinkCandidate]:
     """Score typed instance pairs; keep those at or above the review threshold.
 
-    Output is sorted by descending score, then by the IRI pair.
+    A positive review threshold scores only the prefix-filtered candidates,
+    which is exact; review 0 scores every pair.  Output is sorted by
+    descending score, then by the IRI pair.
     """
     sources = _typed_instances(ga, cfg.source_class)
     targets = _typed_instances(gb, cfg.target_class)
-    if cfg.use_blocking and cfg.review_threshold > 0.0:
-        pairs = _blocked_pairs(ga, gb, sources, targets, cfg)
+    sprops = {s for s, _ in cfg.compare_properties}
+    tprops = {t for _, t in cfg.compare_properties}
+    sprofiles = [_profile(ga, s, sprops) for s in sources]
+    tprofiles = [_profile(gb, t, tprops) for t in targets]
+    if cfg.review_threshold > 0.0:
+        pairs: Iterable[tuple[int, int]] = _prefix_filtered_pairs(sprofiles, tprofiles, cfg)
     else:
-        pairs = [(s, t) for s in sources for t in targets]
+        pairs = itertools.product(range(len(sources)), range(len(targets)))
     candidates = []
-    for source, target in pairs:
-        score, evidence = _score_pair(ga, gb, source, target, cfg)
+    for i, j in pairs:
+        score, evidence = _score_pair(sprofiles[i], tprofiles[j], cfg)
         if score < cfg.review_threshold:
             continue
         status = ACCEPTED if score >= cfg.accept_threshold else REVIEW
-        candidates.append(LinkCandidate(source, target, score, evidence, status))
+        candidates.append(LinkCandidate(sources[i], targets[j], score, evidence, status))
     candidates.sort(key=lambda c: (-c.score, c.source, c.target))
     return candidates
 
@@ -219,7 +276,7 @@ def _expand(value: str, prefixes: Mapping[str, str]) -> str:
 
 def load_link_config(path: str | Path, prefixes: Mapping[str, str] | None = None) -> LinkConfig:
     """INI-style config: [classes], [properties] with cross/paired mode,
-    [thresholds], optional [options] blocking flag."""
+    [thresholds]; an [options] blocking flag is accepted and ignored."""
     prefixes = dict(DEFAULT_PREFIXES if prefixes is None else prefixes)
     parser = configparser.ConfigParser()
     read = parser.read(path)
@@ -250,12 +307,10 @@ def load_link_config(path: str | Path, prefixes: Mapping[str, str] | None = None
         pairs = tuple(zip(source_props, target_props))
     else:
         raise LinkConfigError(f"unknown property mode: {mode!r}")
-    blocking = parser.getboolean("options", "blocking", fallback=False)
     return LinkConfig(
         source_class=source_class,
         target_class=target_class,
         compare_properties=pairs,
         accept_threshold=accept,
         review_threshold=review,
-        use_blocking=blocking,
     )

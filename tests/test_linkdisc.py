@@ -2,12 +2,13 @@
 
 The oracle re-implements tokenizing and scoring inline (plain splits and
 set arithmetic) and enumerates every instance pair, so candidate
-generation, thresholds, blocking, and ordering are all checked against an
-independent path.
+generation (the prefix filter), thresholds, and ordering are all checked
+against an independent path.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -282,6 +283,97 @@ def test_emitted_scores_stay_within_review_band():
         assert 0.5 <= c.score <= 1.0
 
 
+# --- prefix filter: exact at the threshold and against the oracle ------------------
+
+def _single_pair(source_name: str, target_name: str, review: float):
+    ga = Graph()
+    gb = Graph()
+    ga.add(Triple(iri("urn:a:1"), iri(RDF_TYPE), iri("urn:a:Person")))
+    ga.add(Triple(iri("urn:a:1"), iri(RDFS_LABEL), literal(source_name)))
+    gb.add(Triple(iri("urn:b:1"), iri(RDF_TYPE), iri("urn:b:Person")))
+    gb.add(Triple(iri("urn:b:1"), iri(RDFS_LABEL), literal(target_name)))
+    cfg = LinkConfig(
+        source_class="urn:a:Person",
+        target_class="urn:b:Person",
+        compare_properties=((RDFS_LABEL, RDFS_LABEL),),
+        accept_threshold=1.0,
+        review_threshold=review,
+    )
+    return find_links(ga, gb, cfg)
+
+
+def test_pair_scoring_exactly_the_review_threshold_is_emitted():
+    # 1 shared token of 1 and 4: cosine 1/sqrt(4) == 0.5, the size filter's edge
+    candidates = _single_pair("Anna", "Anna Maria Sophie Luise", 0.5)
+    assert [(c.source, c.target, c.score) for c in candidates] == [("urn:a:1", "urn:b:1", 0.5)]
+
+
+def test_paper_pair_survives_review_at_its_own_score():
+    cfg = dataclasses.replace(PERSON_CONFIG, accept_threshold=1.0, review_threshold=PAPER_SCORE)
+    candidates = find_links(fixtures.persons_leipzig(), fixtures.persons_helmstedt(), cfg)
+    assert [(c.source, c.target, repr(c.score)) for c in candidates] == [
+        (LEIPZIG_NS + "heinrichmatthiasheinrichs", HELMSTEDT_NS + "13084", "0.8164965809277261")
+    ]
+
+
+NAME_TOKENS = ["anna", "maria", "hans", "georg", "meyer", "vogel", "x"]
+SEPARATORS = [" ", "-", ", ", ".", " - "]
+
+
+@st.composite
+def _name_value(draw):
+    """A name of 0-4 pool tokens joined by separators; 0 tokens gives a
+    separator-only value with an empty token set."""
+    tokens = draw(st.lists(st.sampled_from(NAME_TOKENS), max_size=4))
+    if not tokens:
+        return draw(st.sampled_from(SEPARATORS))
+    seps = draw(st.lists(st.sampled_from(SEPARATORS), min_size=len(tokens), max_size=len(tokens)))
+    return "".join(sep + tok.title() for sep, tok in zip(seps, tokens)).lstrip(" ")
+
+
+@st.composite
+def _catalogue(draw, ns: str, props: tuple[str, ...]):
+    g = Graph()
+    for i in range(draw(st.integers(0, 5))):
+        inst = iri(f"{ns}{i}")
+        g.add(Triple(inst, iri(RDF_TYPE), iri(ns + "Person")))
+        for prop in props:
+            for value in draw(st.lists(_name_value(), max_size=3)):
+                g.add(Triple(inst, iri(prop), literal(value)))
+    return g
+
+
+# exact cosines that land on or next to a threshold, plus arbitrary ones
+REVIEWS = st.one_of(
+    st.sampled_from([1.0, 0.5, 1 / math.sqrt(2), 1 / math.sqrt(3), 2 / math.sqrt(6), 2 / 3, 0.75]),
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_prefix_filter_matches_oracle_and_exhaustive_report(data):
+    n_props = data.draw(st.integers(1, 3))
+    props_a = tuple(f"urn:a:p{k}" for k in range(n_props))
+    props_b = tuple(f"urn:b:p{k}" for k in range(n_props))
+    ga = data.draw(_catalogue("urn:a:", props_a))
+    gb = data.draw(_catalogue("urn:b:", props_b))
+    if data.draw(st.booleans()):
+        pairs = tuple((s, t) for s in props_a for t in props_b)  # cross
+    else:
+        pairs = tuple(zip(props_a, props_b))  # paired
+    review = data.draw(REVIEWS)
+    accept = data.draw(st.floats(min_value=review, max_value=1.0))
+    cfg = LinkConfig("urn:a:Person", "urn:b:Person", pairs, accept, review)
+
+    found = find_links(ga, gb, cfg)
+    assert [(c.source, c.target, c.score, c.status) for c in found] == _oracle_links(ga, gb, cfg)
+
+    exhaustive = find_links(ga, gb, dataclasses.replace(cfg, review_threshold=0.0))
+    kept = [c for c in exhaustive if c.score >= review]
+    assert emit_review_report(found) == emit_review_report(kept)
+
+
 # --- report and sameAs ----------------------------------------------------------------
 
 def test_empty_candidates_give_header_only_csv():
@@ -362,3 +454,10 @@ review = 0.4
         (RDFS_LABEL, RDFS_LABEL),
         ("urn:a:surname", "urn:b:surname"),
     )
+
+
+def test_config_with_blocking_option_still_loads(tmp_path):
+    plain = fixtures.fixture_path("link_person_names.cfg").read_text()
+    cfg_file = tmp_path / "link.cfg"
+    cfg_file.write_text(plain + "\n[options]\nblocking = true\n")
+    assert load_link_config(cfg_file) == load_link_config(fixtures.fixture_path("link_person_names.cfg"))

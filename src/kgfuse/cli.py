@@ -26,7 +26,7 @@ from .enrich import (
 )
 from .fusion import FusionError
 from .linkdisc import LinkConfigError
-from .prefixes import DEFAULT_PREFIXES, load_prefix_file
+from .prefixes import DEFAULT_PREFIXES, PrefixFileError, load_prefix_file
 from .rdf import Graph, RdfError, parse_turtle, serialize_canonical
 from .sparql import SparqlError, evaluate, parse_query
 from .versioning import ChangeStore, StoreError, format_log
@@ -126,6 +126,13 @@ def cmd_query(args) -> int:
         raise UsageError(f"query file does not exist: {args.query}")
     ast = parse_query(query_path.read_text(encoding="utf-8"), prefixes=_load_prefixes(args.prefixes))
     table = evaluate(ast, graphs)
+    if args.explain:
+        for i, step in enumerate(table.plan, 1):
+            print(
+                f"plan {i}: {step.pattern} .  estimate {step.estimate}  "
+                f"solutions {step.solutions}",
+                file=sys.stderr,
+            )
     rendered = table.to_csv() if args.format == "csv" else table.to_text()
     if args.out:
         _write_text(args.out, rendered)
@@ -347,6 +354,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prefixes", help="prefix file overriding the built-in defaults")
     p.add_argument("--format", choices=("table", "csv"), default="table")
     p.add_argument("--out", help="write the result here instead of stdout")
+    p.add_argument(
+        "--explain",
+        action="store_true",
+        help="print the join order with estimated and actual cardinalities to stderr",
+    )
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("link", help="discover same-person candidates between two graphs")
@@ -417,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _DOMAIN_ERRORS = (RdfError, SparqlError, FusionError, GndError, StoreError)
-_CONFIG_ERRORS = (UsageError, LinkConfigError, EndpointConfigError)
+_CONFIG_ERRORS = (UsageError, LinkConfigError, EndpointConfigError, PrefixFileError)
 
 
 def run(argv: list[str] | None = None) -> int:

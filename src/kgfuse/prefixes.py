@@ -53,6 +53,10 @@ DEFAULT_PREFIXES: dict[str, str] = {
 }
 
 
+class PrefixFileError(ValueError):
+    """A prefix file line that is not `prefix namespace`."""
+
+
 def load_prefix_file(path: str | Path) -> dict[str, str]:
     """Read a prefix file: one `prefix<TAB or spaces>namespace` per line.
 
@@ -66,7 +70,7 @@ def load_prefix_file(path: str | Path) -> dict[str, str]:
             continue
         parts = line.split(None, 1)
         if len(parts) != 2:
-            raise ValueError(f"{path}:{lineno}: expected 'prefix namespace', got {line!r}")
+            raise PrefixFileError(f"{path}:{lineno}: expected 'prefix namespace', got {line!r}")
         prefix, namespace = parts
         prefixes[prefix.rstrip(":")] = namespace.strip()
     return prefixes

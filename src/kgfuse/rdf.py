@@ -86,18 +86,6 @@ class Term:
         else:
             raise RdfError(f"unknown term kind: {self.kind!r}")
 
-    @property
-    def is_iri(self) -> bool:
-        return self.kind == IRI
-
-    @property
-    def is_blank(self) -> bool:
-        return self.kind == BLANK
-
-    @property
-    def is_literal(self) -> bool:
-        return self.kind == LITERAL
-
     def __repr__(self):
         return f"Term({ntriples_term(self)})"
 
@@ -269,16 +257,35 @@ class Graph:
             found = self._triples
         return sorted(found, key=ntriples_line)
 
+    def count(
+        self,
+        s: Term | None = None,
+        p: Term | None = None,
+        o: Term | None = None,
+    ) -> int:
+        """Number of triples `match(s, p, o)` would return, read off the index sizes."""
+        if s is not None and p is not None and o is not None:
+            return int(o in self._spo.get(s, {}).get(p, ()))
+        if s is not None and p is not None:
+            return len(self._spo.get(s, {}).get(p, ()))
+        if p is not None and o is not None:
+            return len(self._pos.get(p, {}).get(o, ()))
+        if s is not None and o is not None:
+            return len(self._osp.get(o, {}).get(s, ()))
+        if s is not None:
+            return sum(map(len, self._spo.get(s, {}).values()))
+        if p is not None:
+            return sum(map(len, self._pos.get(p, {}).values()))
+        if o is not None:
+            return sum(map(len, self._osp.get(o, {}).values()))
+        return len(self._triples)
+
     def subjects(self, p: Term | None = None, o: Term | None = None) -> list[Term]:
         seen = sorted({t.s for t in self.match(None, p, o)}, key=ntriples_term)
         return seen
 
     def objects(self, s: Term | None = None, p: Term | None = None) -> list[Term]:
         return sorted({t.o for t in self.match(s, p, None)}, key=ntriples_term)
-
-    def value(self, s: Term, p: Term) -> Term | None:
-        hits = self.match(s, p, None)
-        return hits[0].o if hits else None
 
     def copy(self, name: str | None = None) -> "Graph":
         g = Graph(name if name is not None else self.name, self._triples)
@@ -379,6 +386,9 @@ _STRING_ESCAPES = {
 }
 
 
+_HEX_ESCAPES = {"u": re.compile(r"[0-9A-Fa-f]{4}"), "U": re.compile(r"[0-9A-Fa-f]{8}")}
+
+
 @dataclass
 class _Token:
     type: str
@@ -402,12 +412,17 @@ def _unescape(raw: str, line: int, column: int) -> str:
         if esc in _STRING_ESCAPES:
             out.append(_STRING_ESCAPES[esc])
             i += 2
-        elif esc == "u":
-            out.append(chr(int(raw[i + 2 : i + 6], 16)))
-            i += 6
-        elif esc == "U":
-            out.append(chr(int(raw[i + 2 : i + 10], 16)))
-            i += 10
+        elif esc in _HEX_ESCAPES:
+            m = _HEX_ESCAPES[esc].match(raw, i + 2)
+            if not m:
+                raise TurtleSyntaxError(f"malformed \\{esc} escape", line, column, raw)
+            code = int(m.group(), 16)
+            if 0xD800 <= code <= 0xDFFF or code > 0x10FFFF:
+                raise TurtleSyntaxError(
+                    f"\\{esc}{m.group()} is not a Unicode scalar value", line, column, raw
+                )
+            out.append(chr(code))
+            i = m.end()
         else:
             raise TurtleSyntaxError(f"unsupported escape \\{esc}", line, column, raw)
     return "".join(out)

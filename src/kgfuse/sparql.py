@@ -5,9 +5,12 @@ block of dot-separated triple patterns, `bind (year(?v) as ?x)` after the
 patterns, GROUP BY, ORDER BY asc()/desc(), LIMIT, and PREFIX declarations.
 Everything else raises `UnsupportedFeatureError` naming the construct.
 
-Evaluation uses bag semantics before grouping and left-to-right pattern
-joins, probing the graph through its indexes.  Ordering falls back to the
-canonical serialization of the whole row, so output is byte-deterministic.
+Evaluation uses bag semantics before grouping.  A greedy planner orders the
+triple patterns once per query from index cardinalities (`Graph.count`), so
+the order they are written in does not matter; each pattern is then joined
+by probing the graph through its indexes, and `year()` binds run last.
+Ordering falls back to the canonical serialization of the whole row, so
+output is byte-deterministic whatever the join order.
 """
 
 from __future__ import annotations
@@ -74,6 +77,11 @@ class TriplePattern:
     def variables(self) -> list[str]:
         return [x.name for x in (self.s, self.p, self.o) if isinstance(x, Var)]
 
+    def __str__(self):
+        return " ".join(
+            str(x) if isinstance(x, Var) else ntriples_term(x) for x in (self.s, self.p, self.o)
+        )
+
 
 @dataclass(frozen=True)
 class YearBind:
@@ -103,10 +111,21 @@ class QueryAST:
         return [p.alias if isinstance(p, CountAgg) else p.name for p in self.projection]
 
 
+@dataclass(frozen=True)
+class PlanStep:
+    """One pattern of the join order: its constants-only index count and the
+    number of solutions after joining it."""
+
+    pattern: TriplePattern
+    estimate: int
+    solutions: int
+
+
 @dataclass
 class ResultTable:
     header: list[str]
     rows: list[tuple[Optional[Term], ...]]
+    plan: list[PlanStep] = field(default_factory=list, compare=False)
 
     def to_csv(self) -> str:
         """RFC 4180 output; IRIs and literal lexical forms are written bare."""
@@ -592,15 +611,42 @@ def _join_pattern(g: Graph, pattern: TriplePattern, mu: dict[str, Term]) -> list
     return out
 
 
-def _solutions(q: QueryAST, g: Graph) -> list[dict[str, Term]]:
+def _plan(patterns: list[TriplePattern], g: Graph) -> list[tuple[TriplePattern, int]]:
+    """Greedy join order from index cardinalities (Stocker et al., WWW 2008).
+
+    The next pattern is the one that shares a variable with those already
+    bound (a disconnected one only when none is left), then the one with the
+    most bound positions, then the smallest count of its constants alone,
+    then the one written first.  Returns each pattern with that count.
+    """
+    estimates = [
+        g.count(*(None if isinstance(x, Var) else x for x in (pt.s, pt.p, pt.o)))
+        for pt in patterns
+    ]
+    bound: set[str] = set()
+
+    def rank(i: int):
+        pattern = patterns[i]
+        positions = (pattern.s, pattern.p, pattern.o)
+        n_bound = sum(1 for x in positions if not isinstance(x, Var) or x.name in bound)
+        return (bound.isdisjoint(pattern.variables()), -n_bound, estimates[i], i)
+
+    remaining = list(range(len(patterns)))
+    order = []
+    while remaining:
+        best = min(remaining, key=rank)
+        remaining.remove(best)
+        bound.update(patterns[best].variables())
+        order.append((patterns[best], estimates[best]))
+    return order
+
+
+def _solutions(q: QueryAST, g: Graph) -> tuple[list[dict[str, Term]], list[PlanStep]]:
     solutions: list[dict[str, Term]] = [{}]
-    for pattern in q.patterns:
-        nxt: list[dict[str, Term]] = []
-        for mu in solutions:
-            nxt.extend(_join_pattern(g, pattern, mu))
-        solutions = nxt
-        if not solutions:
-            return []
+    plan = []
+    for pattern, estimate in _plan(q.patterns, g):
+        solutions = [ext for mu in solutions for ext in _join_pattern(g, pattern, mu)]
+        plan.append(PlanStep(pattern, estimate, len(solutions)))
     for bind in q.binds:
         kept = []
         for mu in solutions:
@@ -611,7 +657,7 @@ def _solutions(q: QueryAST, g: Graph) -> list[dict[str, Term]]:
             mu[bind.target] = literal(str(year), datatype=XSD_INTEGER)
             kept.append(mu)
         solutions = kept
-    return solutions
+    return solutions, plan
 
 
 def evaluate(q: QueryAST, graphs: Union[Graph, Iterable[Graph]]) -> ResultTable:
@@ -626,7 +672,7 @@ def evaluate(q: QueryAST, graphs: Union[Graph, Iterable[Graph]]) -> ResultTable:
             g = graph_list[0]
         else:
             g = Graph.union(graph_list)
-    solutions = _solutions(q, g)
+    solutions, plan = _solutions(q, g)
     has_aggregate = any(isinstance(p, CountAgg) for p in q.projection)
     records: list[tuple[tuple[Optional[Term], ...], dict[str, Term]]] = []
     if q.group_by or has_aggregate:
@@ -673,7 +719,7 @@ def evaluate(q: QueryAST, graphs: Union[Graph, Iterable[Graph]]) -> ResultTable:
     rows = [row for row, _ in enriched]
     if q.limit is not None:
         rows = rows[: q.limit]
-    return ResultTable(header, rows)
+    return ResultTable(header, rows, plan)
 
 
 # ---------------------------------------------------------------------------

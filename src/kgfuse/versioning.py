@@ -65,9 +65,6 @@ class ChangeSet:
     def apply(self, state: frozenset[Triple]) -> frozenset[Triple]:
         return (state - self.removed) | self.added
 
-    def invert(self) -> "ChangeSet":
-        return ChangeSet(self.removed, self.added, self.graph_name)
-
 
 @dataclass(frozen=True)
 class LogEntry:

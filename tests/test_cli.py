@@ -105,6 +105,66 @@ def test_query_bad_query_is_domain_error(workdir, capsys):
     assert "OPTIONAL" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fmt", ["table", "csv"])
+def test_query_explain_prints_plan_and_leaves_output_unchanged(workdir, capsys, fmt):
+    base = [
+        "query",
+        "--graphs",
+        str(workdir / "documents.ttl"),
+        "--query",
+        str(workdir / "qualification_by_faculty_year.rq"),
+        "--format",
+        fmt,
+    ]
+    assert run(base) == 0
+    plain = capsys.readouterr()
+    assert run(base + ["--explain"]) == 0
+    explained = capsys.readouterr()
+    assert explained.out == plain.out
+    assert plain.err == ""
+    plan = explained.err.splitlines()
+    assert len(plan) == 5
+    assert all(line.startswith(f"plan {i}: ") for i, line in enumerate(plan, 1))
+    assert all("estimate " in line and "solutions " in line for line in plan)
+
+    assert run(base + ["--out", str(workdir / "plain.out")]) == 0
+    assert run(base + ["--out", str(workdir / "explained.out"), "--explain"]) == 0
+    assert (workdir / "plain.out").read_bytes() == (workdir / "explained.out").read_bytes()
+
+
+def test_query_bad_unicode_escape_is_domain_error(workdir, capsys):
+    graph = workdir / "bad.ttl"
+    graph.write_text('<urn:s:1> <urn:p:1> "\\uZZZZ" .\n')
+    query = workdir / "star.rq"
+    query.write_text("select * where {?s ?p ?o}")
+    assert run(["query", "--graphs", str(graph), "--query", str(query)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_malformed_prefix_file_is_config_error(workdir, capsys):
+    prefixes = workdir / "bad.prefixes"
+    prefixes.write_text("pcp: http://purl.org/pcp-on-web/ontology#\nlonely\n")
+    query = workdir / "star.rq"
+    query.write_text("select * where {?s ?p ?o}")
+    code = run(
+        ["query", "--graphs", str(workdir / "documents.ttl"), "--query", str(query),
+         "--prefixes", str(prefixes)]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"config error: {prefixes}:2: expected 'prefix namespace', got 'lonely'\n"
+    )
+    code = run(
+        ["link", "--config", str(workdir / "link_person_names.cfg"),
+         "--left", str(workdir / "leipzig_persons.ttl"),
+         "--right", str(workdir / "helmstedt_persons.ttl"),
+         "--out", str(workdir / "report.csv"), "--prefixes", str(prefixes)]
+    )
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"config error: {prefixes}:2: ")
+
+
 def test_link_writes_report_with_printed_score(workdir, capsys):
     report = workdir / "report.csv"
     code = run(

@@ -6,6 +6,7 @@ round-trip is checked against every bundled fixture graph.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -194,6 +195,31 @@ def test_escapes_round_trip():
     assert parse_turtle(serialize_canonical(g)) == g
 
 
+@pytest.mark.parametrize(
+    "escape",
+    [
+        r"\uZZZZ",  # not hex
+        r"\u41",  # too short
+        r"\u+041",  # int() would accept the sign
+        r"\U0041",  # too short for \U
+        r"\uD800",  # surrogate
+        r"\uDFFF",
+        r"\U00110000",  # above U+10FFFF
+    ],
+)
+def test_bad_unicode_escapes_are_syntax_errors(escape):
+    doc = f'<urn:s:1> <urn:p:1> "a{escape}b" .'
+    with pytest.raises(TurtleSyntaxError):
+        parse_turtle(doc)
+    with pytest.raises(TurtleSyntaxError):
+        parse_ntriples(doc)
+
+
+def test_unicode_escapes_decode():
+    g = parse_turtle(r'<urn:s:1> <urn:p:1> "\u00e9\U0001F600\uFFFF\U0010FFFF" .')
+    assert next(iter(g)).o == literal("\u00e9\U0001F600\uFFFF\U0010FFFF")
+
+
 def test_roundtrip_over_fixture_corpus():
     for name, g in fixtures.corpus().items():
         got = parse_turtle(serialize_canonical(g))
@@ -270,6 +296,18 @@ def test_match_equals_linear_scan_on_random_graphs():
             p = rng.choice(candidates)
             o = rng.choice(candidates)
             assert g.match(s, p, o) == scan_match(g, s, p, o)
+
+
+def test_count_equals_match_length_on_random_graphs():
+    rng = random.Random(2008)
+    for _ in range(50):
+        g = _random_graph(rng)
+        candidates = [None] + sorted(
+            {x for t in g.triples for x in (t.s, t.p, t.o)} | {literal("absent")},
+            key=lambda term: (term.kind, term.value),
+        )
+        for s, p, o in itertools.product(candidates, repeat=3):
+            assert g.count(s, p, o) == len(g.match(s, p, o))
 
 
 @settings(max_examples=200)

@@ -10,6 +10,7 @@ theology/1601=2, philosophy/1602=3, theology/1602=1.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 import re
@@ -18,7 +19,14 @@ from collections import Counter
 import pytest
 
 from kgfuse import fixtures
-from kgfuse.prefixes import DEFAULT_PREFIXES, PCP_DATA_NS, PCP_NS, RDF_TYPE, XSD_INTEGER
+from kgfuse.prefixes import (
+    DEFAULT_PREFIXES,
+    PCP_DATA_NS,
+    PCP_NS,
+    RDF_TYPE,
+    RDFS_LABEL,
+    XSD_INTEGER,
+)
 from kgfuse.rdf import Graph, Triple, blank, iri, literal, parse_turtle
 from kgfuse.sparql import (
     CountAgg,
@@ -312,6 +320,87 @@ def test_numeric_order_beats_lexical():
     ast = parse_query("select ?s ?v where {?s <urn:p:v> ?v} order by asc(?v)")
     table = evaluate(ast, g)
     assert [row[1].value for row in table.rows] == ["999", "1700"]
+
+
+# --- join planning -------------------------------------------------------------
+
+def _random_bgp(rng: random.Random) -> str:
+    """2-4 patterns over ?a ?b ?c mixed with constants of `_random_graph`."""
+    variables = ["?a", "?b", "?c"]
+    subjects = ["<urn:s:0>", "<urn:s:3>"]
+    predicates = ["<urn:p:0>", "<urn:p:1>", "<urn:p:2>"]
+    objects = ['"1"', '"x"@de', "<urn:s:1>", '"1600-05-02"']
+    patterns = []
+    for _ in range(rng.randint(2, 4)):
+        s = rng.choice(subjects) if rng.random() < 0.15 else rng.choice(variables)
+        p = rng.choice(variables) if rng.random() < 0.2 else rng.choice(predicates)
+        o = rng.choice(objects) if rng.random() < 0.3 else rng.choice(variables)
+        patterns.append(f"{s} {p} {o}")
+    return "select * where {" + " . ".join(patterns) + "}"
+
+
+def test_pattern_order_does_not_change_rows():
+    rng = random.Random(2008)
+    for round_no in range(150):
+        g = _random_graph(rng)
+        ast = parse_query(_random_bgp(rng))
+        expected_rows, _ = naive_evaluate(ast, g)
+        rows = evaluate(ast, g).rows
+        assert Counter(rows) == expected_rows, (round_no, ast)
+        for perm in itertools.permutations(ast.patterns):
+            permuted = dataclasses.replace(ast, patterns=list(perm))
+            assert evaluate(permuted, g).rows == rows, (round_no, perm)
+
+
+def _persons_graph(n: int) -> Graph:
+    g = Graph()
+    for i in range(n):
+        person = iri(f"{PCP_DATA_NS}person{i}")
+        g.add(Triple(person, iri(RDF_TYPE), iri(PCP_NS + "Person")))
+        g.add(Triple(person, iri(PCP_NS + "faculty"), iri(f"{PCP_DATA_NS}faculty{i % 3}")))
+        g.add(Triple(person, iri(PCP_NS + "birthDate"), literal(f"{1550 + i % 50}-01-01")))
+        g.add(Triple(person, iri(RDFS_LABEL), literal(f"Person {i}")))
+    return g
+
+
+LOOKUP_QUERY = """\
+select ?person ?faculty ?born
+where {
+    ?person a pcp:Person .
+    ?person pcp:faculty ?faculty .
+    ?person pcp:birthDate ?born .
+    ?person rdfs:label "Person 7" .
+} order by asc(?person)
+"""
+
+
+def test_lookup_match_calls_do_not_grow_with_the_graph(monkeypatch):
+    ast = parse_query(LOOKUP_QUERY, prefixes=DEFAULT_PREFIXES)
+    calls = []
+    match = Graph.match
+
+    def counting_match(self, *args, **kwargs):
+        calls.append(args)
+        return match(self, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "match", counting_match)
+    counts = []
+    for n in (50, 500):
+        g = _persons_graph(n)
+        calls.clear()
+        table = evaluate(ast, g)
+        assert [row[0] for row in table.rows] == [iri(f"{PCP_DATA_NS}person7")]
+        counts.append(len(calls))
+    # the label pattern first, then one probe per remaining pattern
+    assert counts == [4, 4]
+
+
+def test_plan_reports_estimates_and_solutions_per_pattern():
+    ast = parse_query(LOOKUP_QUERY, prefixes=DEFAULT_PREFIXES)
+    plan = evaluate(ast, _persons_graph(50)).plan
+    assert [step.pattern for step in plan] == [ast.patterns[i] for i in (3, 0, 1, 2)]
+    assert [step.estimate for step in plan] == [1, 50, 50, 50]
+    assert [step.solutions for step in plan] == [1, 1, 1, 1]
 
 
 # --- templates -------------------------------------------------------------------

@@ -72,11 +72,19 @@ class PipelineConfig:
             raise UsageError("; ".join(problems))
 
 
+def _read_text(path: str | Path, error: type[Exception]) -> str:
+    """The file's text; a file that is not UTF-8 raises `error` naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise error(f"{path}: not UTF-8: {err}") from None
+
+
 def _read_graph(path: str) -> Graph:
     p = Path(path)
     if not p.exists():
         raise UsageError(f"graph file does not exist: {path}")
-    return parse_turtle(p.read_text(encoding="utf-8"))
+    return parse_turtle(_read_text(p, RdfError))
 
 
 def _read_graphs(spec: str) -> list[tuple[str, Graph]]:
@@ -98,7 +106,10 @@ def _load_prefixes(path: str | None) -> dict[str, str]:
 
 
 def _write_text(path: str, text: str) -> None:
-    Path(path).write_text(text, encoding="utf-8", newline="")
+    try:
+        Path(path).write_text(text, encoding="utf-8", newline="")
+    except OSError as err:
+        raise UsageError(f"cannot write {path}: {err.strerror}") from None
 
 
 def _maybe_commit(args, graph: Graph, fallback_name: str) -> None:
@@ -124,7 +135,7 @@ def cmd_query(args) -> int:
     query_path = Path(args.query)
     if not query_path.exists():
         raise UsageError(f"query file does not exist: {args.query}")
-    ast = parse_query(query_path.read_text(encoding="utf-8"), prefixes=_load_prefixes(args.prefixes))
+    ast = parse_query(_read_text(query_path, SparqlError), prefixes=_load_prefixes(args.prefixes))
     table = evaluate(ast, graphs)
     if args.explain:
         for i, step in enumerate(table.plan, 1):
@@ -257,7 +268,7 @@ def cmd_lint(args) -> int:
 
 def cmd_enrich(args) -> int:
     try:
-        gnd_lines = Path(args.gnds).read_text(encoding="utf-8").splitlines()
+        gnd_lines = _read_text(args.gnds, UsageError).splitlines()
     except FileNotFoundError:
         raise UsageError(f"GND list file does not exist: {args.gnds}") from None
     gnds = []
@@ -281,7 +292,7 @@ def cmd_enrich(args) -> int:
         from .sparql import QueryTemplate
 
         overrides["lookup_template"] = QueryTemplate.from_text(
-            template_path.read_text(encoding="utf-8")
+            _read_text(template_path, UsageError)
         )
     endpoint = builtin_endpoint(args.endpoint, **overrides)
     if args.fixtures:

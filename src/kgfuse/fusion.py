@@ -323,8 +323,12 @@ def lint_report_csv(issues: Iterable[LintIssue]) -> str:
 
 def load_renames(path: str | Path) -> dict[str, str]:
     """Rename file: `old-local-name<TAB>new-local-name`, `#` comments."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise FusionError(f"{path}: not UTF-8: {err}") from None
     renames: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.rstrip()
         if not line or line.lstrip().startswith("#"):
             continue

@@ -279,7 +279,11 @@ def load_link_config(path: str | Path, prefixes: Mapping[str, str] | None = None
     [thresholds]; an [options] blocking flag is accepted and ignored."""
     prefixes = dict(DEFAULT_PREFIXES if prefixes is None else prefixes)
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as err:
+        # configparser messages span lines; the CLI reports errors on one
+        raise LinkConfigError(" ".join(f"{path}: {err}".split())) from None
     if not read:
         raise LinkConfigError(f"cannot read link config: {path}")
     try:

@@ -63,8 +63,12 @@ def load_prefix_file(path: str | Path) -> dict[str, str]:
     Blank lines and `#` comments are skipped.  Returned map replaces the
     defaults entirely.
     """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise PrefixFileError(f"{path}: not UTF-8: {err}") from None
     prefixes: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

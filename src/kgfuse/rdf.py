@@ -1,5 +1,8 @@
 """RDF data model, Turtle parsing, canonical N-Triples output, pattern matching.
 
+The lexer and the term grammar here (IRIs, prefixed names, literals) also
+serve the query parser in `sparql`.
+
 The graph keeps three nested-dict indexes (SPO, POS, OSP) so every
 single-bound pattern is answered without a full scan.  Everything here is
 deliberately syntactic: literals compare by exact lexical form, which keeps
@@ -14,7 +17,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 from urllib.parse import urljoin
 
-from .prefixes import RDF_LANGSTRING, XSD_BOOLEAN, XSD_DECIMAL, XSD_INTEGER, XSD_STRING
+from .prefixes import RDF_LANGSTRING, RDF_TYPE, XSD_BOOLEAN, XSD_DECIMAL, XSD_INTEGER, XSD_STRING
 
 IRI = "iri"
 BLANK = "blank"
@@ -351,28 +354,50 @@ def serialize_canonical(g: Graph) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Turtle subset parser
+# Lexer and term parsing shared by Turtle and the query language
 # ---------------------------------------------------------------------------
 
-_TOKEN_SPEC = [
-    ("WS", re.compile(r"[ \t\r\n]+")),
-    ("COMMENT", re.compile(r"#[^\n]*")),
-    ("PREFIX_DIR", re.compile(r"@prefix\b")),
-    ("BASE_DIR", re.compile(r"@base\b")),
-    ("IRIREF", re.compile(r"<([^<>\"{}|^`\\\x00-\x20]*)>")),
-    ("BLANK", re.compile(r"_:([A-Za-z0-9][A-Za-z0-9_\-.]*)")),
-    ("STRING", re.compile(r'"((?:[^"\\\n\r]|\\.)*)"')),
-    ("DTYPE_SEP", re.compile(r"\^\^")),
-    ("LANGTAG", re.compile(r"@[A-Za-z]+(?:-[A-Za-z0-9]+)*")),
-    ("DECIMAL", re.compile(r"[+-]?\d+\.\d+")),
-    ("INTEGER", re.compile(r"[+-]?\d+")),
-    # Prefixed name; the local part may contain dots but not end in one.
-    ("PNAME", re.compile(r"(?:[A-Za-z][A-Za-z0-9_\-]*)?:(?:[A-Za-z0-9_](?:[A-Za-z0-9_\-.]*[A-Za-z0-9_\-])?)?")),
-    ("KEYWORD", re.compile(r"[A-Za-z]+")),
-    ("SEMI", re.compile(r";")),
-    ("COMMA", re.compile(r",")),
-    ("DOT", re.compile(r"\.")),
-]
+# Term patterns, each with one group around what the term keeps; both the
+# lexer and the N-Triples line pattern are built from them.
+_IRIREF = r"<([^<>\"{}|^`\\\x00-\x20]*)>"
+_BLANK = r"_:([A-Za-z0-9][A-Za-z0-9_\-.]*)"
+_STRING = r'"((?:[^"\\\n\r]|\\.)*)"'
+_LANGTAG = r"@([A-Za-z]+(?:-[A-Za-z0-9]+)*)"
+_DTYPE_SEP = r"\^\^"
+
+# The first alternative that matches wins: DECIMAL must precede INTEGER,
+# PNAME precede KEYWORD, and the directives precede LANGTAG.
+_LEXER_RE = re.compile(
+    "|".join(
+        f"(?P<{name}>{pattern})"
+        for name, pattern in (
+            ("WS", r"[ \t\r\n]+"),
+            ("COMMENT", r"#[^\n]*"),
+            ("PREFIX_DIR", r"@prefix\b"),
+            ("BASE_DIR", r"@base\b"),
+            ("IRIREF", _IRIREF),
+            ("BLANK", _BLANK),
+            ("VAR", r"\?[A-Za-z_][A-Za-z0-9_]*"),
+            ("STRING", _STRING),
+            ("DTYPE_SEP", _DTYPE_SEP),
+            ("LANGTAG", _LANGTAG),
+            ("DECIMAL", r"[+-]?\d+\.\d+"),
+            ("INTEGER", r"[+-]?\d+"),
+            # Prefixed name; the local part may contain dots but not end in one.
+            ("PNAME", r"(?:[A-Za-z][A-Za-z0-9_\-]*)?:(?:[A-Za-z0-9_](?:[A-Za-z0-9_\-.]*[A-Za-z0-9_\-])?)?"),
+            ("KEYWORD", r"[A-Za-z][A-Za-z0-9_]*"),
+            ("LBRACE", r"\{"),
+            ("RBRACE", r"\}"),
+            ("LPAREN", r"\("),
+            ("RPAREN", r"\)"),
+            ("STAR", r"\*"),
+            ("DOT", r"\."),
+            ("SEMI", r";"),
+            ("COMMA", r","),
+            ("UNKNOWN", r"(?s:.)"),
+        )
+    )
+)
 
 _STRING_ESCAPES = {
     "t": "\t",
@@ -396,8 +421,14 @@ class _Token:
     line: int
     column: int
 
+    @property
+    def keyword(self) -> str:
+        """The lower-cased value of a KEYWORD token, else ''."""
+        return self.value.lower() if self.type == "KEYWORD" else ""
 
-def _unescape(raw: str, line: int, column: int) -> str:
+
+def _unescape(raw: str, line: int, column: int, error: type[Exception]) -> str:
+    """Decode the escapes of a string body; a bad one raises `error`."""
     out = []
     i = 0
     while i < len(raw):
@@ -407,7 +438,7 @@ def _unescape(raw: str, line: int, column: int) -> str:
             i += 1
             continue
         if i + 1 >= len(raw):
-            raise TurtleSyntaxError("dangling escape in string", line, column, raw)
+            raise error("dangling escape in string", line, column, raw)
         esc = raw[i + 1]
         if esc in _STRING_ESCAPES:
             out.append(_STRING_ESCAPES[esc])
@@ -415,53 +446,58 @@ def _unescape(raw: str, line: int, column: int) -> str:
         elif esc in _HEX_ESCAPES:
             m = _HEX_ESCAPES[esc].match(raw, i + 2)
             if not m:
-                raise TurtleSyntaxError(f"malformed \\{esc} escape", line, column, raw)
+                raise error(f"malformed \\{esc} escape", line, column, raw)
             code = int(m.group(), 16)
             if 0xD800 <= code <= 0xDFFF or code > 0x10FFFF:
-                raise TurtleSyntaxError(
+                raise error(
                     f"\\{esc}{m.group()} is not a Unicode scalar value", line, column, raw
                 )
             out.append(chr(code))
             i = m.end()
         else:
-            raise TurtleSyntaxError(f"unsupported escape \\{esc}", line, column, raw)
+            raise error(f"unsupported escape \\{esc}", line, column, raw)
     return "".join(out)
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _lex(text: str) -> list[_Token]:
+    """Tokens of a Turtle document or a query, without white space and comments.
+
+    Never raises: a character no other alternative matches becomes a
+    one-character UNKNOWN token, and each parser rejects the tokens it does
+    not accept where it meets them, so the query parser can still name an
+    unsupported keyword that comes first (the FILTER of `FILTER(?o > 3)`).
+    """
     tokens: list[_Token] = []
-    pos = 0
     line = 1
     line_start = 0
-    n = len(text)
-    while pos < n:
-        for name, pattern in _TOKEN_SPEC:
-            m = pattern.match(text, pos)
-            if not m:
-                continue
-            value = m.group(0)
-            if name not in ("WS", "COMMENT"):
-                tokens.append(_Token(name, value, line, pos - line_start + 1))
+    for m in _LEXER_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "WS":
+            value = m.group()
             newlines = value.count("\n")
             if newlines:
                 line += newlines
-                line_start = pos + value.rindex("\n") + 1
-            pos = m.end()
-            break
-        else:
-            raise TurtleSyntaxError(
-                "unexpected character", line, pos - line_start + 1, text[pos : pos + 10]
-            )
-    tokens.append(_Token("EOF", "", line, pos - line_start + 1))
+                line_start = m.start() + value.rindex("\n") + 1
+        elif kind != "COMMENT":
+            tokens.append(_Token(kind, m.group(), line, m.start() - line_start + 1))
+    tokens.append(_Token("EOF", "", line, len(text) - line_start + 1))
     return tokens
 
 
-class _TurtleParser:
-    def __init__(self, text: str, base: str | None):
-        self.tokens = _tokenize(text)
+class _TermParser:
+    """Token stream, IRIs and literals, shared by the Turtle and query parsers.
+
+    Subclasses set `error`, the syntax error class they raise.  A relative
+    IRI is resolved against `base`, and is an error when there is none.
+    """
+
+    error: type[Exception]
+
+    def __init__(self, text: str, prefixes: dict[str, str], base: str | None):
+        self.tokens = _lex(text)
         self.pos = 0
+        self.prefixes = prefixes
         self.base = base
-        self.graph = Graph()
 
     def _peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -471,14 +507,80 @@ class _TurtleParser:
         self.pos += 1
         return tok
 
-    def _expect(self, type_: str) -> _Token:
+    def _fail(self, message: str, tok: _Token):
+        raise self.error(message, tok.line, tok.column, tok.value)
+
+    def _expect(self, type_: str, message: str | None = None) -> _Token:
         tok = self._next()
         if tok.type != type_:
-            raise TurtleSyntaxError(f"expected {type_}", tok.line, tok.column, tok.value)
+            self._fail(message or f"expected {type_}", tok)
         return tok
 
+    def _resolve(self, tok: _Token) -> str:
+        value = tok.value[1:-1]
+        if _SCHEME_RE.match(value):
+            return value
+        if self.base is None:
+            raise RelativeIriError(value, tok.line, tok.column)
+        return urljoin(self.base, value)
+
+    def _pname_to_iri(self, tok: _Token) -> str:
+        prefix, _, local = tok.value.partition(":")
+        if prefix not in self.prefixes:
+            self._fail(f"undeclared prefix {prefix!r}", tok)
+        return self.prefixes[prefix] + local
+
+    def _iri(self, tok: _Token) -> str | None:
+        """The IRI of an IRIREF or prefixed-name token, else None."""
+        if tok.type == "IRIREF":
+            return self._resolve(tok)
+        if tok.type == "PNAME":
+            return self._pname_to_iri(tok)
+        return None
+
+    def _literal(self, tok: _Token) -> Term | None:
+        """The literal `tok` starts, with its language tag or datatype, else None."""
+        if tok.type == "STRING":
+            lexical = _unescape(tok.value[1:-1], tok.line, tok.column, self.error)
+            nxt = self._peek()
+            if nxt.type == "LANGTAG":
+                self._next()
+                return literal(lexical, language=nxt.value[1:])
+            if nxt.type == "DTYPE_SEP":
+                self._next()
+                dt_tok = self._next()
+                datatype = self._iri(dt_tok)
+                if datatype is None:
+                    self._fail("expected datatype IRI after ^^", dt_tok)
+                return literal(lexical, datatype=datatype)
+            return literal(lexical)
+        if tok.type == "INTEGER":
+            return literal(tok.value, datatype=XSD_INTEGER)
+        if tok.type == "DECIMAL":
+            return literal(tok.value, datatype=XSD_DECIMAL)
+        return None
+
+
+# ---------------------------------------------------------------------------
+# Turtle subset parser
+# ---------------------------------------------------------------------------
+
+# Tokens Turtle has no use for (the query language's, and UNKNOWN): each
+# starts with a character that is stray in a Turtle document.
+_NOT_TURTLE = frozenset({"VAR", "LBRACE", "RBRACE", "LPAREN", "RPAREN", "STAR", "UNKNOWN"})
+
+
+class _TurtleParser(_TermParser):
+    error = TurtleSyntaxError
+
+    def __init__(self, text: str, base: str | None):
+        self.graph = Graph()
+        super().__init__(text, self.graph.prefixes, base)
+
     def _fail(self, message: str, tok: _Token):
-        raise TurtleSyntaxError(message, tok.line, tok.column, tok.value)
+        if tok.type in _NOT_TURTLE:
+            message = "unexpected character"
+        super()._fail(message, tok)
 
     def parse(self) -> Graph:
         while self._peek().type != "EOF":
@@ -506,67 +608,34 @@ class _TurtleParser:
         self.base = self._resolve(iriref)
         self._expect("DOT")
 
-    def _resolve(self, tok: _Token) -> str:
-        value = tok.value[1:-1]
-        if _SCHEME_RE.match(value):
-            return value
-        if self.base is None:
-            raise RelativeIriError(value, tok.line, tok.column)
-        return urljoin(self.base, value)
-
-    def _pname_to_iri(self, tok: _Token) -> str:
-        prefix, _, local = tok.value.partition(":")
-        if prefix not in self.graph.prefixes:
-            self._fail(f"undeclared prefix {prefix!r}", tok)
-        return self.graph.prefixes[prefix] + local
-
     def _subject(self) -> Term:
         tok = self._next()
-        if tok.type == "IRIREF":
-            return iri(self._resolve(tok))
-        if tok.type == "PNAME":
-            return iri(self._pname_to_iri(tok))
         if tok.type == "BLANK":
             return blank(tok.value[2:])
-        self._fail("expected subject (IRI, prefixed name, or blank node)", tok)
+        value = self._iri(tok)
+        if value is None:
+            self._fail("expected subject (IRI, prefixed name, or blank node)", tok)
+        return iri(value)
 
     def _predicate(self) -> Term:
         tok = self._next()
         if tok.type == "KEYWORD" and tok.value == "a":
-            return iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
-        if tok.type == "IRIREF":
-            return iri(self._resolve(tok))
-        if tok.type == "PNAME":
-            return iri(self._pname_to_iri(tok))
-        self._fail("expected predicate (IRI, prefixed name, or 'a')", tok)
+            return iri(RDF_TYPE)
+        value = self._iri(tok)
+        if value is None:
+            self._fail("expected predicate (IRI, prefixed name, or 'a')", tok)
+        return iri(value)
 
     def _object(self) -> Term:
         tok = self._next()
-        if tok.type == "IRIREF":
-            return iri(self._resolve(tok))
-        if tok.type == "PNAME":
-            return iri(self._pname_to_iri(tok))
         if tok.type == "BLANK":
             return blank(tok.value[2:])
-        if tok.type == "STRING":
-            lexical = _unescape(tok.value[1:-1], tok.line, tok.column)
-            nxt = self._peek()
-            if nxt.type == "LANGTAG":
-                self._next()
-                return literal(lexical, language=nxt.value[1:])
-            if nxt.type == "DTYPE_SEP":
-                self._next()
-                dt_tok = self._next()
-                if dt_tok.type == "IRIREF":
-                    return literal(lexical, datatype=self._resolve(dt_tok))
-                if dt_tok.type == "PNAME":
-                    return literal(lexical, datatype=self._pname_to_iri(dt_tok))
-                self._fail("expected datatype IRI after ^^", dt_tok)
-            return literal(lexical)
-        if tok.type == "INTEGER":
-            return literal(tok.value, datatype=XSD_INTEGER)
-        if tok.type == "DECIMAL":
-            return literal(tok.value, datatype=XSD_DECIMAL)
+        value = self._iri(tok)
+        if value is not None:
+            return iri(value)
+        term = self._literal(tok)
+        if term is not None:
+            return term
         if tok.type == "KEYWORD" and tok.value in ("true", "false"):
             return literal(tok.value, datatype=XSD_BOOLEAN)
         self._fail("expected object term", tok)
@@ -606,15 +675,9 @@ def parse_turtle(text: str, base: str | None = None) -> Graph:
 
 # Fast path for one-triple-per-line documents as emitted by
 # serialize_canonical; the changeset store reads these in bulk.
-_NT_IRI = r"<([^<>\"{}|^`\\\x00-\x20]*)>"
-_NT_BLANK = r"_:([A-Za-z0-9][A-Za-z0-9_\-.]*)"
-_NT_LITERAL = (
-    r'"((?:[^"\\\n\r]|\\.)*)"'
-    r"(?:@([A-Za-z]+(?:-[A-Za-z0-9]+)*)|\^\^<([^<>\"{}|^`\\\x00-\x20]*)>)?"
-)
 _NT_LINE_RE = re.compile(
-    rf"^(?:{_NT_IRI}|{_NT_BLANK})[ \t]+{_NT_IRI}[ \t]+"
-    rf"(?:{_NT_IRI}|{_NT_BLANK}|{_NT_LITERAL})[ \t]*\.$"
+    rf"^(?:{_IRIREF}|{_BLANK})[ \t]+{_IRIREF}[ \t]+"
+    rf"(?:{_IRIREF}|{_BLANK}|{_STRING}(?:{_LANGTAG}|{_DTYPE_SEP}{_IRIREF})?)[ \t]*\.$"
 )
 
 
@@ -635,6 +698,8 @@ def parse_ntriples(text: str) -> Graph:
         elif o_blank is not None:
             obj = blank(o_blank)
         else:
-            obj = literal(_unescape(o_lit, lineno, 1), language=o_lang, datatype=o_dtype)
+            obj = literal(
+                _unescape(o_lit, lineno, 1, TurtleSyntaxError), language=o_lang, datatype=o_dtype
+            )
         g.add(Triple(subject, iri(p_iri), obj))
     return g

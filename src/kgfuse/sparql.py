@@ -23,9 +23,8 @@ from decimal import Decimal
 from functools import cmp_to_key
 from typing import Iterable, Mapping, Optional, Union
 
-from .prefixes import RDF_TYPE, XSD_BOOLEAN, XSD_DECIMAL, XSD_INTEGER
-from .rdf import BLANK, IRI, LITERAL, Graph, Term, iri, literal, ntriples_term
-from .rdf import _unescape as _unescape_string
+from .prefixes import RDF_TYPE, XSD_BOOLEAN, XSD_INTEGER
+from .rdf import BLANK, IRI, LITERAL, Graph, Term, _TermParser, _Token, iri, literal, ntriples_term
 
 
 class SparqlError(ValueError):
@@ -166,97 +165,20 @@ _UNSUPPORTED = {
     "insert", "delete", "offset", "exists", "not",
 }
 
-_SUPPORTED_KEYWORDS = {
-    "select", "where", "prefix", "bind", "as", "count", "year", "group",
-    "by", "order", "asc", "desc", "limit", "a", "true", "false",
-}
 
-_Q_TOKEN_SPEC = [
-    ("WS", re.compile(r"[ \t\r\n]+")),
-    ("COMMENT", re.compile(r"#[^\n]*")),
-    ("IRIREF", re.compile(r"<([^<>\"{}|^`\\\x00-\x20]*)>")),
-    ("VAR", re.compile(r"\?([A-Za-z_][A-Za-z0-9_]*)")),
-    ("STRING", re.compile(r'"((?:[^"\\\n\r]|\\.)*)"')),
-    ("DTYPE_SEP", re.compile(r"\^\^")),
-    ("LANGTAG", re.compile(r"@[A-Za-z]+(?:-[A-Za-z0-9]+)*")),
-    ("DECIMAL", re.compile(r"[+-]?\d+\.\d+")),
-    ("INTEGER", re.compile(r"[+-]?\d+")),
-    ("PNAME", re.compile(r"(?:[A-Za-z][A-Za-z0-9_\-]*)?:(?:[A-Za-z0-9_](?:[A-Za-z0-9_\-.]*[A-Za-z0-9_\-])?)?")),
-    ("KEYWORD", re.compile(r"[A-Za-z][A-Za-z0-9_]*")),
-    ("LBRACE", re.compile(r"\{")),
-    ("RBRACE", re.compile(r"\}")),
-    ("LPAREN", re.compile(r"\(")),
-    ("RPAREN", re.compile(r"\)")),
-    ("STAR", re.compile(r"\*")),
-    ("DOT", re.compile(r"\.")),
-    ("SEMI", re.compile(r";")),
-    ("COMMA", re.compile(r",")),
-]
+class _QueryParser(_TermParser):
+    error = SparqlSyntaxError
 
-
-@dataclass
-class _Tok:
-    type: str
-    value: str
-    line: int
-    column: int
-
-    @property
-    def keyword(self) -> str:
-        return self.value.lower() if self.type == "KEYWORD" else ""
-
-
-def _q_tokenize(text: str) -> list[_Tok]:
-    tokens: list[_Tok] = []
-    pos, line, line_start = 0, 1, 0
-    while pos < len(text):
-        for name, pattern in _Q_TOKEN_SPEC:
-            m = pattern.match(text, pos)
-            if not m:
-                continue
-            value = m.group(0)
-            if name not in ("WS", "COMMENT"):
-                tokens.append(_Tok(name, value, line, pos - line_start + 1))
-            if "\n" in value:
-                line += value.count("\n")
-                line_start = pos + value.rindex("\n") + 1
-            pos = m.end()
-            break
-        else:
-            # defer the error so the parser can name an unsupported keyword
-            # appearing before a character we do not lex (e.g. FILTER's '>')
-            tokens.append(
-                _Tok("UNKNOWN", text[pos : pos + 10], line, pos - line_start + 1)
-            )
-            pos += 1
-    tokens.append(_Tok("EOF", "", line, pos - line_start + 1))
-    return tokens
-
-
-class _QueryParser:
     def __init__(self, text: str, prefixes: Mapping[str, str] | None):
-        self.tokens = _q_tokenize(text)
-        self.pos = 0
-        self.prefixes = dict(prefixes or {})
+        super().__init__(text, dict(prefixes or {}), None)
 
-    def _peek(self) -> _Tok:
-        return self.tokens[self.pos]
-
-    def _next(self) -> _Tok:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def _fail(self, message: str, tok: _Tok):
-        raise SparqlSyntaxError(message, tok.line, tok.column, tok.value)
-
-    def _check_supported(self, tok: _Tok):
+    def _check_supported(self, tok: _Token):
         if tok.type == "KEYWORD":
             kw = tok.keyword
             if kw in _UNSUPPORTED:
                 raise UnsupportedFeatureError(kw.upper(), tok.line, tok.column)
 
-    def _expect_keyword(self, word: str) -> _Tok:
+    def _expect_keyword(self, word: str) -> _Token:
         tok = self._next()
         self._check_supported(tok)
         if tok.keyword != word:
@@ -268,9 +190,7 @@ class _QueryParser:
         self._expect_keyword("select")
         projection, select_all = self._projection()
         self._expect_keyword("where")
-        tok = self._next()
-        if tok.type != "LBRACE":
-            self._fail("expected '{'", tok)
+        self._expect("LBRACE", "expected '{'")
         patterns, binds = self._group_block()
         group_by = self._group_by_clause()
         order_by = self._order_by_clause()
@@ -289,10 +209,8 @@ class _QueryParser:
             pname = self._next()
             if pname.type != "PNAME" or not pname.value.endswith(":"):
                 self._fail("expected prefix name ending in ':'", pname)
-            iriref = self._next()
-            if iriref.type != "IRIREF":
-                self._fail("expected namespace IRI", iriref)
-            self.prefixes[pname.value[:-1]] = iriref.value[1:-1]
+            iriref = self._expect("IRIREF", "expected namespace IRI")
+            self.prefixes[pname.value[:-1]] = self._resolve(iriref)
 
     def _projection(self) -> tuple[list[Union[Var, CountAgg]], bool]:
         items: list[Union[Var, CountAgg]] = []
@@ -318,22 +236,12 @@ class _QueryParser:
         self._check_supported(tok)
         if tok.keyword != "count":
             self._fail("only count() aggregates are supported", tok)
-        lp = self._next()
-        if lp.type != "LPAREN":
-            self._fail("expected '(' after count", lp)
-        var = self._next()
-        if var.type != "VAR":
-            self._fail("count() takes a variable", var)
-        rp = self._next()
-        if rp.type != "RPAREN":
-            self._fail("expected ')'", rp)
+        self._expect("LPAREN", "expected '(' after count")
+        var = self._expect("VAR", "count() takes a variable")
+        self._expect("RPAREN", "expected ')'")
         self._expect_keyword("as")
-        alias = self._next()
-        if alias.type != "VAR":
-            self._fail("expected alias variable", alias)
-        rp = self._next()
-        if rp.type != "RPAREN":
-            self._fail("expected ')' closing the aggregate", rp)
+        alias = self._expect("VAR", "expected alias variable")
+        self._expect("RPAREN", "expected ')' closing the aggregate")
         return CountAgg(var.value[1:], alias.value[1:])
 
     def _group_block(self) -> tuple[list[TriplePattern], list[YearBind]]:
@@ -368,71 +276,37 @@ class _QueryParser:
         return patterns, binds
 
     def _bind(self, seen: set[str]) -> YearBind:
-        lp = self._next()
-        if lp.type != "LPAREN":
-            self._fail("expected '(' after BIND", lp)
+        self._expect("LPAREN", "expected '(' after BIND")
         fn = self._next()
         self._check_supported(fn)
         if fn.keyword != "year":
             self._fail("only year() is supported in BIND", fn)
-        lp2 = self._next()
-        if lp2.type != "LPAREN":
-            self._fail("expected '(' after year", lp2)
-        src = self._next()
-        if src.type != "VAR":
-            self._fail("year() takes a variable", src)
-        rp = self._next()
-        if rp.type != "RPAREN":
-            self._fail("expected ')'", rp)
+        self._expect("LPAREN", "expected '(' after year")
+        src = self._expect("VAR", "year() takes a variable")
+        self._expect("RPAREN", "expected ')'")
         self._expect_keyword("as")
-        target = self._next()
-        if target.type != "VAR":
-            self._fail("expected target variable", target)
-        rp2 = self._next()
-        if rp2.type != "RPAREN":
-            self._fail("expected ')' closing BIND", rp2)
+        target = self._expect("VAR", "expected target variable")
+        self._expect("RPAREN", "expected ')' closing BIND")
         name = target.value[1:]
         if name in seen:
             self._fail(f"BIND target ?{name} is already bound", target)
         return YearBind(src.value[1:], name)
-
-    def _pname_to_iri(self, tok: _Tok) -> str:
-        prefix, _, local = tok.value.partition(":")
-        if prefix not in self.prefixes:
-            self._fail(f"undeclared prefix {prefix!r}", tok)
-        return self.prefixes[prefix] + local
 
     def _pattern_term(self, position: str) -> Union[Term, Var]:
         tok = self._next()
         self._check_supported(tok)
         if tok.type == "VAR":
             return Var(tok.value[1:])
-        if tok.type == "IRIREF":
-            return iri(tok.value[1:-1])
-        if tok.type == "PNAME":
-            return iri(self._pname_to_iri(tok))
-        if tok.keyword == "a" and position == "predicate":
+        value = self._iri(tok)
+        if value is not None:
+            return iri(value)
+        # `a` is case-sensitive (SPARQL 1.1, section 19.3), unlike keywords.
+        if position == "predicate" and tok.type == "KEYWORD" and tok.value == "a":
             return iri(RDF_TYPE)
         if position == "object":
-            if tok.type == "STRING":
-                lexical = _unescape_string(tok.value[1:-1], tok.line, tok.column)
-                nxt = self._peek()
-                if nxt.type == "LANGTAG":
-                    self._next()
-                    return literal(lexical, language=nxt.value[1:])
-                if nxt.type == "DTYPE_SEP":
-                    self._next()
-                    dt = self._next()
-                    if dt.type == "IRIREF":
-                        return literal(lexical, datatype=dt.value[1:-1])
-                    if dt.type == "PNAME":
-                        return literal(lexical, datatype=self._pname_to_iri(dt))
-                    self._fail("expected datatype IRI", dt)
-                return literal(lexical)
-            if tok.type == "INTEGER":
-                return literal(tok.value, datatype=XSD_INTEGER)
-            if tok.type == "DECIMAL":
-                return literal(tok.value, datatype=XSD_DECIMAL)
+            term = self._literal(tok)
+            if term is not None:
+                return term
             if tok.keyword in ("true", "false"):
                 return literal(tok.keyword, datatype=XSD_BOOLEAN)
         self._fail(f"expected {position} term", tok)
@@ -441,8 +315,6 @@ class _QueryParser:
         s = self._pattern_term("subject")
         p = self._pattern_term("predicate")
         o = self._pattern_term("object")
-        if isinstance(p, Term) and p.kind != IRI:
-            raise SparqlSyntaxError("pattern predicate must be an IRI or variable")
         return TriplePattern(s, p, o)
 
     def _group_by_clause(self) -> list[str]:
@@ -468,15 +340,9 @@ class _QueryParser:
             if tok.keyword in ("asc", "desc"):
                 self._next()
                 ascending = tok.keyword == "asc"
-                lp = self._next()
-                if lp.type != "LPAREN":
-                    self._fail("expected '('", lp)
-                var = self._next()
-                if var.type != "VAR":
-                    self._fail("expected variable", var)
-                rp = self._next()
-                if rp.type != "RPAREN":
-                    self._fail("expected ')'", rp)
+                self._expect("LPAREN", "expected '('")
+                var = self._expect("VAR", "expected variable")
+                self._expect("RPAREN", "expected ')'")
                 keys.append(OrderKey(var.value[1:], ascending))
             elif tok.type == "VAR":
                 self._next()

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgfuse import fixtures
 from kgfuse.cli import run
@@ -478,3 +484,125 @@ def test_enrich_template_without_placeholder_is_config_error(workdir, capsys):
     )
     assert code == 2
     assert "{gnd}" in capsys.readouterr().err
+
+
+def _latin1(path, text):
+    path.write_bytes(text.encode("latin-1"))
+    return path
+
+
+@pytest.mark.parametrize("bad", ["graph", "query"])
+def test_non_utf8_graph_or_query_is_a_one_line_domain_error(workdir, capsys, bad):
+    files = {"graph": workdir / "documents.ttl", "query": workdir / "star.rq"}
+    files["query"].write_text("select * where {?s ?p ?o}")
+    files["graph"] = _latin1(workdir / "latin1.ttl", '<urn:s:1> <urn:p:1> "Müller" .\n')
+    if bad == "query":
+        files["graph"] = workdir / "documents.ttl"
+        files["query"] = _latin1(workdir / "latin1.rq", 'select * where {?s ?p "Müller"}')
+    code = run(["query", "--graphs", str(files["graph"]), "--query", str(files["query"])])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {files[bad]}: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("flag", ["--prefixes", "--mapping", "--gnds", "--template", "--config"])
+def test_non_utf8_config_file_is_a_one_line_config_error(workdir, capsys, flag):
+    bad = _latin1(workdir / "latin1.txt", "Müller\tMüller\n")
+    gnds = workdir / "gnds.txt"
+    gnds.write_text("118755951\n")
+    left, right = str(workdir / "leipzig_persons.ttl"), str(workdir / "helmstedt_persons.ttl")
+    argv = {
+        "--prefixes": ["query", "--graphs", left, "--query",
+                       str(workdir / "qualification_by_faculty_year.rq")],
+        "--mapping": ["fuse", "--left", left, "--right", right, "--left-ns", LEIPZIG_NS,
+                      "--right-ns", HELMSTEDT_NS, "--target-ns", PCP_NS,
+                      "--out", str(workdir / "fused.nt")],
+        "--gnds": ["enrich", "--endpoint", "dnb", "--fixtures", str(workdir),
+                   "--out", str(workdir / "dnb.nt")],
+        "--template": ["enrich", "--endpoint", "wikidata", "--gnds", str(gnds),
+                       "--fixtures", str(workdir), "--out", str(workdir / "wd.nt")],
+        "--config": ["link", "--left", left, "--right", right, "--out", str(workdir / "r.csv")],
+    }[flag]
+    assert run(argv + [flag, str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {bad}: ") and len(err.splitlines()) == 1
+
+
+def test_malformed_link_config_is_a_one_line_config_error(workdir, capsys):
+    config = workdir / "bad.cfg"
+    config.write_text("no section header\n")
+    code = run(
+        ["link", "--config", str(config), "--left", str(workdir / "leipzig_persons.ttl"),
+         "--right", str(workdir / "helmstedt_persons.ttl"), "--out", str(workdir / "r.csv")]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {config}: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("flag", ["--out", "--sameas", "--report"])
+def test_output_into_a_missing_directory_is_a_config_error(workdir, capsys, flag):
+    target = workdir / "missing-dir" / "out.txt"
+    left, right = str(workdir / "leipzig_persons.ttl"), str(workdir / "helmstedt_persons.ttl")
+    recorded = workdir / "recorded"
+    RecordedTransport(recorded).record(
+        "https://d-nb.info/gnd/118755951/about/lds",
+        body='<https://d-nb.info/gnd/118755951> <http://www.w3.org/2000/01/rdf-schema#label> "H" .\n',
+    )
+    gnds = workdir / "gnds.txt"
+    gnds.write_text("118755951\n")
+    argv = {
+        "--out": ["query", "--graphs", str(workdir / "documents.ttl"), "--query",
+                  str(workdir / "qualification_by_faculty_year.rq")],
+        "--sameas": ["link", "--config", str(workdir / "link_person_names.cfg"), "--left", left,
+                     "--right", right, "--out", str(workdir / "r.csv")],
+        "--report": ["enrich", "--endpoint", "dnb", "--gnds", str(gnds), "--fixtures",
+                     str(recorded), "--delay", "1", "--out", str(workdir / "dnb.nt")],
+    }[flag]
+    assert run(argv + [flag, str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {target}: ")
+    assert len(err.splitlines()) == 1
+
+
+# Fragments of both grammars, so that generated files reach the parsers'
+# error paths; a file starts with a head that parses on its own.
+_HEADS = [
+    "",
+    '@prefix ex: <urn:x:> .\nex:s ex:p "o", 1 ; a ex:C .\n<urn:x:t> ex:p ex:s .\n',
+    "prefix ex: <urn:x:>\nselect * where {?s ?p ?o}\n",
+    "select ?p (count(?o) as ?n) where {?s ?p ?o} group by ?p order by desc(?n)\n",
+]
+_SOUP = [
+    "@base <urn:b:> .", '<urn:x:s> <urn:x:p> "o" .', "ex:s ex:p ex:o .", "?s ?p ?o .",
+    "}", "<urn:x:s>", "<rel>", "_:b", "?x", "?y", '"v"', '"\\u12"', '"a\\tb"', "@en", "^^",
+    "ex:", "ex:a", ":z", "1", "-2.5", "a", "A", "true", "FALSE", "@prefix", "@base",
+    "select", "SELECT", "where", "*", "{", "}", "(", ")", ".", ";", ",", "count", "as",
+    "bind", "year", "group", "by", "order", "asc", "desc", "limit", "filter",
+    "# note", "$", ">", "é", "Müller",
+]
+_SOUP_TEXT = st.tuples(
+    st.sampled_from(_HEADS),
+    st.just([])
+    | st.lists(st.tuples(st.sampled_from(_SOUP), st.sampled_from(["", " ", "\n"])), max_size=20),
+).map(lambda head_parts: head_parts[0] + "".join(tok + sep for tok, sep in head_parts[1]))
+_FILE_BYTES = st.one_of(
+    st.binary(max_size=100),
+    st.tuples(_SOUP_TEXT, st.sampled_from(["utf-8", "latin-1"])).map(
+        lambda text_enc: text_enc[0].encode(text_enc[1])
+    ),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph=_FILE_BYTES, query=_FILE_BYTES)
+def test_query_on_arbitrary_files_exits_cleanly(graph, query):
+    with tempfile.TemporaryDirectory() as d:
+        graph_path, query_path = Path(d, "g.ttl"), Path(d, "q.rq")
+        graph_path.write_bytes(graph)
+        query_path.write_bytes(query)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(["query", "--graphs", str(graph_path), "--query", str(query_path)])
+    assert code in (0, 1, 2)
+    assert len(err.getvalue().splitlines()) <= 1

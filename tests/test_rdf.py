@@ -147,6 +147,14 @@ def test_unsupported_syntax_rejected_loudly():
         parse_turtle("<urn:a:b> <urn:p:c> [ <urn:p:d> 1 ] .")
 
 
+@pytest.mark.parametrize("stray", ["$", "?x", "{", "}", "(", "*"])
+def test_stray_character_is_reported_at_its_position(stray):
+    with pytest.raises(TurtleSyntaxError) as exc:
+        parse_turtle(f'<urn:s:1> <urn:p:1> 1 .\n  <urn:s:2> {stray} 2 .')
+    assert str(exc.value).startswith("unexpected character at 2:13 ")
+    assert (exc.value.line, exc.value.column) == (2, 13)
+
+
 def test_relative_iri_without_base_fails():
     with pytest.raises(RelativeIriError):
         parse_turtle("<a> <urn:p:x> <urn:o:y> .")

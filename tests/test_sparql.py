@@ -25,6 +25,7 @@ from kgfuse.prefixes import (
     PCP_NS,
     RDF_TYPE,
     RDFS_LABEL,
+    XSD_BOOLEAN,
     XSD_INTEGER,
 )
 from kgfuse.rdf import Graph, Triple, blank, iri, literal, parse_turtle
@@ -160,6 +161,24 @@ def test_unsupported_features_are_named():
 def test_mixed_case_keywords():
     ast = parse_query("Select * Where {?s ?p ?o} LIMIT 2")
     assert ast.limit == 2
+
+
+def test_bad_escape_in_query_literal_is_a_query_syntax_error():
+    with pytest.raises(SparqlSyntaxError) as exc:
+        parse_query('select * where {?s ?p "\\u12"}')
+    assert (exc.value.line, exc.value.column) == (1, 23)
+
+
+def test_a_is_case_sensitive_other_keywords_are_not():
+    assert parse_query("SELECT * WHERE {?s a ?o}").patterns[0].p == iri(RDF_TYPE)
+    with pytest.raises(SparqlSyntaxError) as exc:
+        parse_query("select * where {?s A ?o}")
+    assert (exc.value.line, exc.value.column) == (1, 20)
+    ast = parse_query("select * where {?s ?p TRUE . ?s ?q False}")
+    assert [p.o for p in ast.patterns] == [
+        literal("true", datatype=XSD_BOOLEAN),
+        literal("false", datatype=XSD_BOOLEAN),
+    ]
 
 
 def test_projected_var_must_be_grouped():

@@ -19,6 +19,7 @@ from .enrich import (
     EndpointConfigError,
     GndError,
     HttpTransport,
+    MissingRecordingError,
     RecordedTransport,
     builtin_endpoint,
     lazy_extract,
@@ -73,11 +74,14 @@ class PipelineConfig:
 
 
 def _read_text(path: str | Path, error: type[Exception]) -> str:
-    """The file's text; a file that is not UTF-8 raises `error` naming it."""
+    """The file's text; a file that is not UTF-8 raises `error` naming it, and
+    one that cannot be read (a directory, no permission) is a config error."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as err:
         raise error(f"{path}: not UTF-8: {err}") from None
+    except OSError as err:
+        raise UsageError(f"{path}: {err.strerror}") from None
 
 
 def _read_graph(path: str) -> Graph:
@@ -198,10 +202,10 @@ def cmd_fuse(args) -> int:
     prop_stats = fusion.compute_overlap(left_vocab[0], right_vocab[0])
     class_stats = fusion.compute_overlap(left_vocab[1], right_vocab[1])
     shifted_left = fusion.shift_namespace(
-        left, fusion.plan_shift(left, args.left_ns, args.target_ns, renames, stats=prop_stats)
+        left, fusion.plan_shift(left, args.left_ns, args.target_ns, renames)
     )
     shifted_right = fusion.shift_namespace(
-        right, fusion.plan_shift(right, args.right_ns, args.target_ns, renames, stats=prop_stats)
+        right, fusion.plan_shift(right, args.right_ns, args.target_ns, renames)
     )
     fused = Graph.union([shifted_left, shifted_right], name=args.graph_name)
     _write_text(args.out, serialize_canonical(fused))
@@ -267,12 +271,10 @@ def cmd_lint(args) -> int:
 
 
 def cmd_enrich(args) -> int:
-    try:
-        gnd_lines = _read_text(args.gnds, UsageError).splitlines()
-    except FileNotFoundError:
-        raise UsageError(f"GND list file does not exist: {args.gnds}") from None
+    if not Path(args.gnds).exists():
+        raise UsageError(f"GND list file does not exist: {args.gnds}")
     gnds = []
-    for line in gnd_lines:
+    for line in _read_text(args.gnds, UsageError).splitlines():
         line = line.strip()
         if line and not line.startswith("#"):
             gnds.append(normalize_gnd(line))
@@ -440,7 +442,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _DOMAIN_ERRORS = (RdfError, SparqlError, FusionError, GndError, StoreError)
-_CONFIG_ERRORS = (UsageError, LinkConfigError, EndpointConfigError, PrefixFileError)
+# A missing recording is configuration: the fixtures directory is an input.
+_CONFIG_ERRORS = (
+    UsageError,
+    LinkConfigError,
+    EndpointConfigError,
+    PrefixFileError,
+    MissingRecordingError,
+)
 
 
 def run(argv: list[str] | None = None) -> int:

@@ -84,7 +84,6 @@ class AlignmentMapping:
     target_namespace: str
     renames: Mapping[str, str] = field(default_factory=dict)
     auto_shifted: frozenset[str] = frozenset()
-    stats: Optional[OverlapStats] = None
 
     def __post_init__(self):
         overlap = set(self.renames) & self.auto_shifted
@@ -155,7 +154,6 @@ def plan_shift(
     source_namespace: str,
     target_namespace: str,
     renames: Mapping[str, str] | None = None,
-    stats: OverlapStats | None = None,
 ) -> AlignmentMapping:
     """Build a mapping for `g`: reviewed renames where given, auto-shift the rest."""
     names = _vocabulary_names_under(g, source_namespace)
@@ -166,7 +164,6 @@ def plan_shift(
         target_namespace=target_namespace,
         renames=used,
         auto_shifted=frozenset(names - set(used)),
-        stats=stats,
     )
 
 
@@ -327,6 +324,8 @@ def load_renames(path: str | Path) -> dict[str, str]:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as err:
         raise FusionError(f"{path}: not UTF-8: {err}") from None
+    except OSError as err:
+        raise FusionError(f"{path}: {err.strerror}") from None
     renames: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.rstrip()

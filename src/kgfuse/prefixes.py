@@ -67,6 +67,8 @@ def load_prefix_file(path: str | Path) -> dict[str, str]:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as err:
         raise PrefixFileError(f"{path}: not UTF-8: {err}") from None
+    except OSError as err:
+        raise PrefixFileError(f"{path}: {err.strerror}") from None
     prefixes: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()

@@ -12,7 +12,7 @@ diffs and version changesets reversible.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 from urllib.parse import urljoin
@@ -46,20 +46,22 @@ class RelativeIriError(RdfError):
         super().__init__(f"relative IRI {iri!r} and no base was given")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Term:
     """An RDF term: IRI, blank node, or literal.
 
     `value` holds the IRI, the blank-node label, or the literal lexical
     form depending on `kind`.  Language tags are lower-cased on
     construction so equality and hashing are case-insensitive, and
-    `^^xsd:string` collapses to the plain literal form.
+    `^^xsd:string` collapses to the plain literal form.  The hash is
+    computed once, after that normalization.
     """
 
     kind: str
     value: str
     language: Optional[str] = None
     datatype: Optional[str] = None
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind == IRI:
@@ -88,6 +90,16 @@ class Term:
                     object.__setattr__(self, "datatype", None)
         else:
             raise RdfError(f"unknown term kind: {self.kind!r}")
+        object.__setattr__(
+            self, "_hash", hash((self.kind, self.value, self.language, self.datatype))
+        )
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt, not restored: string hashes differ between processes
+        return Term, (self.kind, self.value, self.language, self.datatype)
 
     def __repr__(self):
         return f"Term({ntriples_term(self)})"
@@ -105,17 +117,25 @@ def literal(lexical: str, language: str | None = None, datatype: str | None = No
     return Term(LITERAL, lexical, language, datatype)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Triple:
     s: Term
     p: Term
     o: Term
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.s.kind not in (IRI, BLANK):
             raise RdfError(f"triple subject must be IRI or blank, got {self.s!r}")
         if self.p.kind != IRI:
             raise RdfError(f"triple predicate must be IRI, got {self.p!r}")
+        object.__setattr__(self, "_hash", hash((self.s, self.p, self.o)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return Triple, (self.s, self.p, self.o)
 
     def __repr__(self):
         return f"Triple({ntriples_line(self)!r})"
@@ -366,15 +386,16 @@ _LANGTAG = r"@([A-Za-z]+(?:-[A-Za-z0-9]+)*)"
 _DTYPE_SEP = r"\^\^"
 
 # The first alternative that matches wins: DECIMAL must precede INTEGER,
-# PNAME precede KEYWORD, and the directives precede LANGTAG.
+# PNAME precede KEYWORD, and the directives precede LANGTAG.  Right after a
+# closing quote `@base` and `@prefix` are language tags, not directives.
 _LEXER_RE = re.compile(
     "|".join(
         f"(?P<{name}>{pattern})"
         for name, pattern in (
             ("WS", r"[ \t\r\n]+"),
             ("COMMENT", r"#[^\n]*"),
-            ("PREFIX_DIR", r"@prefix\b"),
-            ("BASE_DIR", r"@base\b"),
+            ("PREFIX_DIR", r'(?<!")@prefix\b'),
+            ("BASE_DIR", r'(?<!")@base\b'),
             ("IRIREF", _IRIREF),
             ("BLANK", _BLANK),
             ("VAR", r"\?[A-Za-z_][A-Za-z0-9_]*"),
@@ -431,20 +452,20 @@ def _unescape(raw: str, line: int, column: int, error: type[Exception]) -> str:
     """Decode the escapes of a string body; a bad one raises `error`."""
     out = []
     i = 0
-    while i < len(raw):
-        ch = raw[i]
-        if ch != "\\":
-            out.append(ch)
-            i += 1
-            continue
-        if i + 1 >= len(raw):
+    while True:
+        j = raw.find("\\", i)
+        if j < 0:
+            out.append(raw[i:])
+            return "".join(out)
+        out.append(raw[i:j])
+        if j + 1 >= len(raw):
             raise error("dangling escape in string", line, column, raw)
-        esc = raw[i + 1]
+        esc = raw[j + 1]
         if esc in _STRING_ESCAPES:
             out.append(_STRING_ESCAPES[esc])
-            i += 2
+            i = j + 2
         elif esc in _HEX_ESCAPES:
-            m = _HEX_ESCAPES[esc].match(raw, i + 2)
+            m = _HEX_ESCAPES[esc].match(raw, j + 2)
             if not m:
                 raise error(f"malformed \\{esc} escape", line, column, raw)
             code = int(m.group(), 16)
@@ -456,7 +477,6 @@ def _unescape(raw: str, line: int, column: int, error: type[Exception]) -> str:
             i = m.end()
         else:
             raise error(f"unsupported escape \\{esc}", line, column, raw)
-    return "".join(out)
 
 
 def _lex(text: str) -> list[_Token]:
@@ -575,7 +595,12 @@ class _TurtleParser(_TermParser):
 
     def __init__(self, text: str, base: str | None):
         self.graph = Graph()
+        # one object per distinct term, however often the document repeats it
+        self.terms: dict[Term, Term] = {}
         super().__init__(text, self.graph.prefixes, base)
+
+    def _share(self, term: Term) -> Term:
+        return self.terms.setdefault(term, term)
 
     def _fail(self, message: str, tok: _Token):
         if tok.type in _NOT_TURTLE:
@@ -641,11 +666,11 @@ class _TurtleParser(_TermParser):
         self._fail("expected object term", tok)
 
     def _triples_block(self):
-        subject = self._subject()
+        subject = self._share(self._subject())
         while True:
-            predicate = self._predicate()
+            predicate = self._share(self._predicate())
             while True:
-                obj = self._object()
+                obj = self._share(self._object())
                 self.graph.add(Triple(subject, predicate, obj))
                 if self._peek().type == "COMMA":
                     self._next()
@@ -674,32 +699,53 @@ def parse_turtle(text: str, base: str | None = None) -> Graph:
 
 
 # Fast path for one-triple-per-line documents as emitted by
-# serialize_canonical; the changeset store reads these in bulk.
+# serialize_canonical; the changeset store reads these in bulk.  Groups 1, 4
+# and 6 hold the whole subject, predicate and object text.
 _NT_LINE_RE = re.compile(
-    rf"^(?:{_IRIREF}|{_BLANK})[ \t]+{_IRIREF}[ \t]+"
-    rf"(?:{_IRIREF}|{_BLANK}|{_STRING}(?:{_LANGTAG}|{_DTYPE_SEP}{_IRIREF})?)[ \t]*\.$"
+    rf"^((?:{_IRIREF}|{_BLANK}))[ \t]+({_IRIREF})[ \t]+"
+    rf"((?:{_IRIREF}|{_BLANK}|{_STRING}(?:{_LANGTAG}|{_DTYPE_SEP}{_IRIREF})?))[ \t]*\.$"
 )
+# N-Triples ends lines at CR and LF only; str.splitlines would also split a
+# literal holding U+0085, U+2028 or U+2029, which are written unescaped.
+_NT_EOL_RE = re.compile(r"\r\n?|\n")
 
 
-def parse_ntriples(text: str) -> Graph:
-    """Strict N-Triples: one statement per line, no directives."""
-    g = Graph()
-    for lineno, raw in enumerate(text.splitlines(), 1):
+def parse_ntriples(text: str, name: str | None = None) -> Graph:
+    """Strict N-Triples: one statement per line, no directives.
+
+    Returns a graph named `name`.  Each distinct term text is built into a
+    `Term` once per call, so equal terms are shared.
+    """
+    g = Graph(name)
+    terms: dict[str, Term] = {}
+    for lineno, raw in enumerate(_NT_EOL_RE.split(text), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         m = _NT_LINE_RE.match(line)
         if not m:
             raise TurtleSyntaxError("not an N-Triples statement", lineno, 1, line[:40])
-        s_iri, s_blank, p_iri, o_iri, o_blank, o_lit, o_lang, o_dtype = m.groups()
-        subject = iri(s_iri) if s_iri is not None else blank(s_blank)
-        if o_iri is not None:
-            obj = iri(o_iri)
-        elif o_blank is not None:
-            obj = blank(o_blank)
-        else:
-            obj = literal(
-                _unescape(o_lit, lineno, 1, TurtleSyntaxError), language=o_lang, datatype=o_dtype
-            )
-        g.add(Triple(subject, iri(p_iri), obj))
+        s_text, s_iri, s_blank, p_text, p_iri, o_text, o_iri, o_blank, o_lit, o_lang, o_dtype = (
+            m.groups()
+        )
+        subject = terms.get(s_text)
+        if subject is None:
+            subject = terms[s_text] = iri(s_iri) if s_iri is not None else blank(s_blank)
+        predicate = terms.get(p_text)
+        if predicate is None:
+            predicate = terms[p_text] = iri(p_iri)
+        obj = terms.get(o_text)
+        if obj is None:
+            if o_iri is not None:
+                obj = iri(o_iri)
+            elif o_blank is not None:
+                obj = blank(o_blank)
+            else:
+                obj = literal(
+                    _unescape(o_lit, lineno, 1, TurtleSyntaxError),
+                    language=o_lang,
+                    datatype=o_dtype,
+                )
+            terms[o_text] = obj
+        g.add(Triple(subject, predicate, obj))
     return g

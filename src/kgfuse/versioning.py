@@ -9,6 +9,12 @@ child in the stored chain, and the whole store tracks a single graph name.
 Commits are written into a temporary directory and renamed into place
 before HEAD moves, so a crash leaves either the previous head or the new
 one, never a half-written commit.
+
+The store works on canonical N-Triples lines: a state is the frozenset of
+its lines, and replay is set algebra over them.  Triples are parsed only
+where a caller asks for them (checkout, diff, read_changeset).  Every read
+of a changeset recomputes its commit id, so a file edited after commit is
+an error rather than a silently different history.
 """
 
 from __future__ import annotations
@@ -20,7 +26,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .rdf import Graph, Triple, TurtleSyntaxError, ntriples_line, parse_ntriples, parse_turtle
+from .rdf import Graph, Triple, ntriples_line, parse_ntriples
+
+# States a store handle keeps for later reads; older ones are replayed again.
+_STATE_CACHE_SIZE = 4
 
 
 class StoreError(RuntimeError):
@@ -73,17 +82,13 @@ class LogEntry:
     removed: int
 
 
-def _triples_to_text(triples: Iterable[Triple]) -> str:
-    lines = sorted(ntriples_line(t) for t in triples)
-    return "\n".join(lines) + ("\n" if lines else "")
+def _lines_to_text(lines: Iterable[str]) -> str:
+    ordered = sorted(lines)
+    return "\n".join(ordered) + ("\n" if ordered else "")
 
 
-def _triples_from_text(text: str) -> frozenset[Triple]:
-    try:
-        return parse_ntriples(text).triples
-    except TurtleSyntaxError:
-        # hand-edited changeset files may use the wider Turtle subset
-        return parse_turtle(text).triples
+def _triples(lines: Iterable[str]) -> frozenset[Triple]:
+    return parse_ntriples("\n".join(lines)).triples
 
 
 def _escape(value: str) -> str:
@@ -91,6 +96,8 @@ def _escape(value: str) -> str:
 
 
 def _unescape(value: str) -> str:
+    if "\\" not in value:
+        return value
     out = []
     i = 0
     while i < len(value):
@@ -138,8 +145,7 @@ class ChangeStore:
         self.commits_dir.mkdir(parents=True, exist_ok=True)
         # Committed data is immutable, so read caches never invalidate.
         self._commit_cache: dict[str, Commit] = {}
-        self._changeset_cache: dict[str, ChangeSet] = {}
-        self._state_cache: dict[str, frozenset[Triple]] = {}
+        self._state_cache: dict[str, frozenset[str]] = {}
 
     # -- basics --------------------------------------------------------------
 
@@ -167,46 +173,56 @@ class ChangeStore:
         if not meta.exists():
             raise UnknownCommitError(commit_id)
         fields: dict[str, str] = {}
-        for line in meta.read_text(encoding="utf-8").splitlines():
-            key, _, value = line.partition("\t")
-            fields[key] = _unescape(value)
-        parent = fields["parent"] or None
-        commit = Commit(
-            id=commit_id,
-            parent=parent,
-            author=fields["author"],
-            message=fields["message"],
-            timestamp=int(fields["timestamp"]),
-            graph_name=fields["graph"],
-        )
+        try:
+            # split at "\n" only: a message may hold a raw "\r" or U+2028
+            for line in meta.read_bytes().decode("utf-8").split("\n"):
+                key, _, value = line.partition("\t")
+                fields[key] = _unescape(value)
+            commit = Commit(
+                id=commit_id,
+                parent=fields["parent"] or None,
+                author=fields["author"],
+                message=fields["message"],
+                timestamp=int(fields["timestamp"]),
+                graph_name=fields["graph"],
+            )
+        except (KeyError, ValueError) as err:
+            raise StoreError(f"commit {commit_id[:12]}: malformed meta: {err}") from None
         self._commit_cache[commit_id] = commit
         return commit
 
-    def read_changeset(self, commit_id: str) -> ChangeSet:
-        cached = self._changeset_cache.get(commit_id)
-        if cached is not None:
-            return cached
-        base = self._commit_path(commit_id)
-        if not base.exists():
-            raise UnknownCommitError(commit_id)
+    def _changeset_lines(self, commit_id: str) -> tuple[frozenset[str], frozenset[str]]:
+        """The added and removed lines of a commit, checked against its id."""
         commit = self.read_commit(commit_id)
-        changeset = ChangeSet(
-            added=_triples_from_text((base / "add.nt").read_text(encoding="utf-8")),
-            removed=_triples_from_text((base / "remove.nt").read_text(encoding="utf-8")),
-            graph_name=commit.graph_name,
+        base = self._commit_path(commit_id)
+        try:
+            add_text = (base / "add.nt").read_bytes().decode("utf-8")
+            remove_text = (base / "remove.nt").read_bytes().decode("utf-8")
+        except (OSError, UnicodeDecodeError) as err:
+            raise StoreError(f"commit {commit.short_id}: cannot read changeset: {err}") from None
+        expected = _commit_id(
+            commit.parent,
+            commit.graph_name,
+            commit.author,
+            commit.message,
+            commit.timestamp,
+            add_text,
+            remove_text,
         )
-        self._changeset_cache[commit_id] = changeset
-        return changeset
+        if expected != commit_id:
+            raise StoreError(f"commit {commit.short_id}: content does not match its id")
+        return (
+            frozenset(filter(None, add_text.split("\n"))),
+            frozenset(filter(None, remove_text.split("\n"))),
+        )
 
-    def _chain(self, commit_id: str) -> list[str]:
-        """Commit ids from the root down to `commit_id`."""
-        chain = []
-        cursor: Optional[str] = commit_id
-        while cursor is not None:
-            chain.append(cursor)
-            cursor = self.read_commit(cursor).parent
-        chain.reverse()
-        return chain
+    def read_changeset(self, commit_id: str) -> ChangeSet:
+        added, removed = self._changeset_lines(commit_id)
+        return ChangeSet(
+            added=_triples(added),
+            removed=_triples(removed),
+            graph_name=self.read_commit(commit_id).graph_name,
+        )
 
     # -- operations ------------------------------------------------------------
 
@@ -228,15 +244,15 @@ class ChangeStore:
             old_state = self._state_at(head)
         else:
             old_state = frozenset()
-        new_triples = new_state.triples
-        added = new_triples - old_state
-        removed = old_state - new_triples
+        new_lines = frozenset(map(ntriples_line, new_state.triples))
+        added = new_lines - old_state
+        removed = old_state - new_lines
         if not added and not removed:
             raise EmptyDiffError()
         if timestamp is None:
             timestamp = int(time.time())
-        add_text = _triples_to_text(added)
-        remove_text = _triples_to_text(removed)
+        add_text = _lines_to_text(added)
+        remove_text = _lines_to_text(removed)
         commit_id = _commit_id(head, graph_name, author, message, timestamp, add_text, remove_text)
         target = self._commit_path(commit_id)
         if not target.exists():
@@ -263,41 +279,51 @@ class ChangeStore:
             graph_name=graph_name,
         )
         self._commit_cache[commit_id] = commit
-        self._changeset_cache[commit_id] = ChangeSet(
-            added=frozenset(added), removed=frozenset(removed), graph_name=graph_name
-        )
-        self._state_cache[commit_id] = frozenset(new_triples)
+        self._remember(commit_id, new_lines)
         return commit
 
-    def _state_at(self, commit_id: str) -> frozenset[Triple]:
+    def _remember(self, commit_id: str, state: frozenset[str]) -> None:
+        self._state_cache[commit_id] = state
+        if len(self._state_cache) > _STATE_CACHE_SIZE:
+            del self._state_cache[next(iter(self._state_cache))]
+
+    def _state_at(self, commit_id: str) -> frozenset[str]:
+        """The N-Triples lines of the graph at `commit_id`."""
         cached = self._state_cache.get(commit_id)
         if cached is not None:
             return cached
-        chain = self._chain(commit_id)
-        # resume from the deepest ancestor whose state is already known
-        state: frozenset[Triple] = frozenset()
-        start = 0
-        for idx in range(len(chain) - 1, -1, -1):
-            known = self._state_cache.get(chain[idx])
+        # Walk back to the root or to the nearest cached state; each
+        # changeset is checked against its id on the way, so an edited
+        # parent pointer fails before it can lead anywhere.
+        pending = []
+        state: set[str] = set()
+        cursor: Optional[str] = commit_id
+        while cursor is not None:
+            known = self._state_cache.get(cursor)
             if known is not None:
-                state = known
-                start = idx + 1
+                state = set(known)
                 break
-        for cid in chain[start:]:
-            state = self.read_changeset(cid).apply(state)
-            self._state_cache[cid] = state
-        return state
+            pending.append(self._changeset_lines(cursor))
+            cursor = self.read_commit(cursor).parent
+        for added, removed in reversed(pending):
+            state -= removed
+            state |= added
+        frozen = frozenset(state)
+        self._remember(commit_id, frozen)
+        return frozen
 
     def checkout(self, commit_id: str) -> Graph:
         commit = self.read_commit(commit_id)
-        return Graph(name=commit.graph_name, triples=self._state_at(commit_id))
+        return parse_ntriples("\n".join(self._state_at(commit_id)), name=commit.graph_name)
 
     def diff(self, a: str, b: str) -> ChangeSet:
         state_a = self._state_at(a)
         state_b = self._state_at(b)
         graph_name = self.read_commit(b).graph_name
         return ChangeSet(
-            added=state_b - state_a, removed=state_a - state_b, graph_name=graph_name
+            added=_triples(state_b - state_a),
+            removed=_triples(state_a - state_b),
+            graph_name=graph_name,
         )
 
     def log(self) -> list[LogEntry]:
@@ -306,10 +332,8 @@ class ChangeStore:
         cursor = self.head_id
         while cursor is not None:
             commit = self.read_commit(cursor)
-            changeset = self.read_changeset(cursor)
-            entries.append(
-                LogEntry(commit=commit, added=len(changeset.added), removed=len(changeset.removed))
-            )
+            added, removed = self._changeset_lines(cursor)
+            entries.append(LogEntry(commit=commit, added=len(added), removed=len(removed)))
             cursor = commit.parent
         return entries
 

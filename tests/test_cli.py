@@ -528,6 +528,37 @@ def test_non_utf8_config_file_is_a_one_line_config_error(workdir, capsys, flag):
     assert err.startswith(f"config error: {bad}: ") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("flag", ["--graphs", "--query", "--prefixes", "--mapping"])
+def test_directory_given_as_a_file_is_a_one_line_config_error(workdir, capsys, flag):
+    folder = workdir / "folder"
+    folder.mkdir()
+    left, right = str(workdir / "leipzig_persons.ttl"), str(workdir / "helmstedt_persons.ttl")
+    query = str(workdir / "qualification_by_faculty_year.rq")
+    argv = {
+        "--graphs": ["query", "--query", query],
+        "--query": ["query", "--graphs", left],
+        "--prefixes": ["query", "--graphs", left, "--query", query],
+        "--mapping": ["fuse", "--left", left, "--right", right, "--left-ns", LEIPZIG_NS,
+                      "--right-ns", HELMSTEDT_NS, "--target-ns", PCP_NS,
+                      "--out", str(workdir / "fused.nt")],
+    }[flag]
+    assert run(argv + [flag, str(folder)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {folder}: ") and len(err.splitlines()) == 1
+
+
+def test_enrich_without_a_recording_is_a_one_line_config_error(workdir, capsys):
+    gnds = workdir / "gnds.txt"
+    gnds.write_text("118755951\n")
+    empty = workdir / "recordings"
+    empty.mkdir()
+    code = run(["enrich", "--endpoint", "dnb", "--gnds", str(gnds), "--fixtures", str(empty),
+                "--out", str(workdir / "dnb.nt")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: no recorded response for ") and len(err.splitlines()) == 1
+
+
 def test_malformed_link_config_is_a_one_line_config_error(workdir, capsys):
     config = workdir / "bad.cfg"
     config.write_text("no section header\n")

@@ -7,7 +7,11 @@ round-trip is checked against every bundled fixture graph.
 from __future__ import annotations
 
 import itertools
+import os
+import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +33,7 @@ from kgfuse.rdf import (
     parse_turtle,
     serialize_canonical,
 )
+from kgfuse.sparql import evaluate, parse_query
 
 LEIPZIG_SNIPPET = """
 @prefix leipzig: <http://example.org/catalogus/leipzig/> .
@@ -254,6 +259,59 @@ def test_parse_ntriples_rejects_turtle_shorthand():
     assert exc.value.line == 1
     with pytest.raises(TurtleSyntaxError):
         parse_ntriples('<urn:a:1> <urn:p:1> "x" ; <urn:p:2> "y" .')
+
+
+@pytest.mark.parametrize("parse", [parse_turtle, parse_ntriples])
+def test_parsers_build_one_object_per_distinct_term(parse):
+    g = parse('<urn:s:1> <urn:p:1> "v" .\n<urn:s:2> <urn:p:1> "v" .\n<urn:s:1> <urn:p:2> <urn:s:2> .')
+    first, second, third = g  # s1 p1 "v", s1 p2 s2, s2 p1 "v"
+    assert first.s is second.s and first.p is third.p and first.o is third.o
+    assert second.o is third.s
+
+
+@pytest.mark.parametrize("tag", ["base", "prefix", "base-de"])
+def test_directive_named_language_tags_round_trip(tag):
+    g = Graph(triples=[Triple(iri("urn:s:1"), iri("urn:p:1"), literal("x", language=tag))])
+    text = serialize_canonical(g)
+    assert text == f'<urn:s:1> <urn:p:1> "x"@{tag} .\n'
+    assert parse_turtle(text) == g
+    doc = f'@base <http://example.org/> .\n@prefix s: <urn:s:> .\ns:1 <urn:p:1> "x"@{tag} .'
+    assert parse_turtle(doc) == g
+    table = evaluate(parse_query(f'select ?s where {{?s <urn:p:1> "x"@{tag}}}'), [g])
+    assert [list(row) for row in table.rows] == [[iri("urn:s:1")]]
+
+
+def test_parse_ntriples_ends_lines_only_at_cr_and_lf():
+    separators = "a\x85b\u2028c\u2029d"
+    doc = (
+        f'<urn:s:1> <urn:p:1> "{separators}" .\r\n'
+        '<urn:s:2> <urn:p:1> "e" .\r<urn:s:3> <urn:p:1> "f" .'
+    )
+    g = parse_ntriples(doc)
+    assert len(g) == 3
+    assert literal(separators) in g.objects(iri("urn:s:1"), iri("urn:p:1"))
+    with pytest.raises(TurtleSyntaxError) as exc:
+        parse_ntriples('<urn:s:1> <urn:p:1> "x" .\r\n\r\nbroken')
+    assert exc.value.line == 3
+
+
+def test_terms_have_slots_and_survive_pickling_across_processes():
+    t = Triple(iri("urn:s:1"), iri("urn:p:1"), literal("Müller", language="DE"))
+    assert not hasattr(t, "__dict__") and not hasattr(t.o, "__dict__")
+    assert hash(t.o) == hash(literal("Müller", language="de"))
+    # another hash seed: a restored cached hash would miss the set lookup
+    script = (
+        "import pickle, sys\n"
+        "from kgfuse.rdf import Triple, iri, literal\n"
+        "t = pickle.loads(sys.stdin.buffer.read())\n"
+        "same = Triple(iri('urn:s:1'), iri('urn:p:1'), literal('Müller', language='de'))\n"
+        "sys.exit(0 if t in {same} and t.o in {same.o} else 1)\n"
+    )
+    env = {**os.environ, "PYTHONHASHSEED": "12345", "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run(
+        [sys.executable, "-c", script], input=pickle.dumps(t), env=env, timeout=60
+    )
+    assert done.returncode == 0
 
 
 # --- graph and indexes -------------------------------------------------------

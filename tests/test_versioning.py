@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
-from kgfuse import fixtures
+from kgfuse import fixtures, versioning
+from kgfuse.cli import run
 from kgfuse.fusion import plan_shift, shift_namespace
-from kgfuse.prefixes import PCP_NS
-from kgfuse.rdf import Graph, Triple, iri, literal
+from kgfuse.prefixes import PCP_NS, XSD_NS
+from kgfuse.rdf import Graph, Triple, blank, iri, literal
 from kgfuse.versioning import (
     ChangeStore,
     EmptyDiffError,
@@ -201,3 +203,146 @@ def test_commit_round_trip_for_fixture_graphs(tmp_path):
         named = g.copy(name=GRAPH_NAME)
         c = store.commit(GRAPH_NAME, named, "t", f"import {name}", timestamp=idx + 1)
         assert store.checkout(c.id) == named, name
+
+
+def _escaped_history() -> list[tuple[frozenset, str, str]]:
+    """States with escaped literals, language tags, datatypes and blank nodes."""
+    s1, s2, value = iri("urn:s:1"), iri("urn:s:2"), iri("urn:p:value")
+    base = frozenset({
+        Triple(s1, value, literal('line one\nline "two" \\ end')),
+        Triple(s1, value, literal("tab\there\x01bell\x1f", language="de-AT")),
+        Triple(s1, value, literal("1655", datatype=XSD_NS + "gYear")),
+        Triple(s2, value, literal("Leipzig", language="la")),
+        Triple(s2, iri("urn:p:note"), blank("n1")),
+        Triple(blank("n1"), value, literal("cr\rhere")),
+    })
+    second = (base - {Triple(s1, value, literal("1655", datatype=XSD_NS + "gYear"))}) | {
+        Triple(s1, value, literal("1656", datatype=XSD_NS + "gYear")),
+        Triple(s2, value, literal("x", language="base")),
+        Triple(blank("n2"), iri("urn:p:next"), blank("n1")),
+    }
+    third = second - {Triple(s2, iri("urn:p:note"), blank("n1"))}
+    return [
+        (base, "alice", "import\tcatalogue"),
+        (second, "bob", "curate\nbirth years"),
+        (third, "carol", "drop note"),
+    ]
+
+
+def test_commit_ids_are_stable_for_a_fixed_history(tmp_path):
+    store = ChangeStore(tmp_path / "store")
+    ids = [
+        store.commit(GRAPH_NAME, Graph(GRAPH_NAME, state), author, message, timestamp=n * 1000).id
+        for n, (state, author, message) in enumerate(_escaped_history(), 1)
+    ]
+    assert ids == [
+        "228b2a7ecf1d356e89969e97acba31e5d0e895005313e4ccb69dc19b0f3c9463",
+        "6e6bc692e34119534c362c92ff0580e13622843a867c6bc9bcad5207b7e4439b",
+        "5fd1539af1effd169333935de6d3d06f4b90b4560db6017012c7880efc54e9e5",
+    ]
+    for cid, (state, _, _) in zip(ids, _escaped_history()):
+        assert ChangeStore(tmp_path / "store").checkout(cid).triples == state
+    log = ChangeStore(tmp_path / "store").log()
+    assert [(e.added, e.removed) for e in log] == [(0, 1), (3, 1), (6, 0)]
+
+
+def _append_statement(f):
+    text = f.read_text(encoding="utf-8")
+    f.write_text(text + '<urn:s:1> <urn:p:value> "z" .\n', encoding="utf-8")
+
+
+def _reword_message(f):
+    text = f.read_text(encoding="utf-8")
+    f.write_text(text.replace("\ttwo", "\ttwo!"), encoding="utf-8")
+
+
+def _point_parent_at_itself(f):
+    lines = f.read_text(encoding="utf-8").split("\n")
+    assert lines[0].startswith("parent\t")
+    lines[0] = "parent\t" + f.parent.name
+    f.write_text("\n".join(lines), encoding="utf-8")
+
+
+def _drop_timestamp(f):
+    lines = f.read_text(encoding="utf-8").split("\n")
+    f.write_text("\n".join(x for x in lines if not x.startswith("timestamp")), encoding="utf-8")
+
+
+def _write_latin1(f):
+    f.write_bytes('<urn:s:1> <urn:p:value> "M\u00fcller" .\n'.encode("latin-1"))
+
+
+_MISMATCH = "content does not match its id"
+_EDITS = {
+    # edits that still parse
+    "statement added": ("add.nt", _append_statement, _MISMATCH),
+    "statement unremoved": ("remove.nt", _append_statement, _MISMATCH),
+    "message reworded": ("meta", _reword_message, _MISMATCH),
+    "parent loops": ("meta", _point_parent_at_itself, _MISMATCH),
+    # and files that no longer read
+    "not UTF-8": ("add.nt", _write_latin1, "cannot read changeset"),
+    "file deleted": ("remove.nt", Path.unlink, "cannot read changeset"),
+    "field dropped": ("meta", _drop_timestamp, "malformed meta"),
+    "meta not UTF-8": ("meta", _write_latin1, "malformed meta"),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(_EDITS))
+def test_commit_files_edited_after_commit_are_an_error(tmp_path, capsys, edit):
+    name, change, reason = _EDITS[edit]
+    path = tmp_path / "store"
+    store = ChangeStore(path)
+    c1 = store.commit(GRAPH_NAME, _graph("a", "b"), "t", "one", timestamp=1)
+    c2 = store.commit(GRAPH_NAME, _graph("b", "c"), "t", "two", timestamp=2)
+    change(store.commits_dir / c2.id / name)
+    fresh = ChangeStore(path)
+    for read in (lambda: fresh.checkout(c2.id), lambda: fresh.diff(c1.id, c2.id), fresh.log):
+        with pytest.raises(StoreError, match=f"^commit {c2.short_id}: {reason}"):
+            read()
+    out = tmp_path / "out.nt"
+    assert run(["checkout", "--store", str(path), c2.id, "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: commit {c2.short_id}: {reason}") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("depth", [2, 30])
+def test_fresh_checkout_parses_once_and_commit_never(tmp_path, monkeypatch, depth):
+    calls = []
+    parse = versioning.parse_ntriples
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(versioning, "parse_ntriples", counted)
+    path = tmp_path / "store"
+    for step in range(depth):
+        # a fresh handle per commit replays the head state from disk
+        state = _graph(*(f"v{i}" for i in range(step % 7, step + 3)))
+        head = ChangeStore(path).commit(GRAPH_NAME, state, "t", f"step {step}", timestamp=step)
+    assert calls == []
+    assert ChangeStore(path).checkout(head.id) == state
+    assert len(calls) == 1
+
+
+def test_line_separators_in_literals_and_metadata_round_trip(tmp_path):
+    # U+0085, U+2028 and U+2029 are written unescaped, and "\r" is not
+    # escaped in metadata; none of them may end a line when read back.
+    path = tmp_path / "store"
+    g = _graph("a\x85b", "c\u2028d", "e\u2029f", "plain")
+    c = ChangeStore(path).commit(GRAPH_NAME, g, "ann\rlee", "fix\u2028dates", timestamp=1)
+    fresh = ChangeStore(path)
+    assert fresh.checkout(c.id) == g
+    assert fresh.read_commit(c.id) == c
+    assert [(e.added, e.removed) for e in fresh.log()] == [(4, 0)]
+
+
+def test_state_cache_stays_bounded(tmp_path):
+    store = ChangeStore(tmp_path / "store")
+    ids = [
+        store.commit(GRAPH_NAME, _graph(*(f"v{i}" for i in range(n + 1))), "t", "m", timestamp=n).id
+        for n in range(12)
+    ]
+    for n, cid in enumerate(ids):
+        assert len(store.checkout(cid)) == n + 1
+    assert len(store._state_cache) <= versioning._STATE_CACHE_SIZE

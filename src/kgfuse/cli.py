@@ -9,7 +9,6 @@ configuration error.
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,16 +27,13 @@ from .enrich import (
 from .fusion import FusionError
 from .linkdisc import LinkConfigError
 from .prefixes import DEFAULT_PREFIXES, PrefixFileError, load_prefix_file
-from .rdf import Graph, RdfError, parse_turtle, serialize_canonical
+from .rdf import ABSOLUTE_IRI_RE, Graph, RdfError, parse_turtle, serialize_canonical
 from .sparql import SparqlError, evaluate, parse_query
 from .versioning import ChangeStore, StoreError, format_log
 
 
 class UsageError(Exception):
     """Configuration problems that should exit with code 2."""
-
-
-_ABSOLUTE_IRI_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
 
 
 @dataclass
@@ -60,7 +56,7 @@ class PipelineConfig:
         for path, namespace in self.graphs:
             if not Path(path).exists():
                 problems.append(f"graph file does not exist: {path}")
-            if namespace and not _ABSOLUTE_IRI_RE.match(namespace):
+            if namespace and not ABSOLUTE_IRI_RE.match(namespace):
                 problems.append(f"namespace is not an absolute IRI: {namespace!r}")
         for label, path in (
             ("mapping file", self.mapping_path),
@@ -186,7 +182,7 @@ def cmd_fuse(args) -> int:
         mapping_path=args.mapping,
         store_dir=args.store,
     )
-    if not _ABSOLUTE_IRI_RE.match(args.target_ns):
+    if not ABSOLUTE_IRI_RE.match(args.target_ns):
         raise UsageError(f"target namespace is not an absolute IRI: {args.target_ns!r}")
     config.validate()
     left = _read_graph(args.left)

@@ -41,9 +41,6 @@ class LinkConfig:
     compare_properties: tuple[tuple[str, str], ...]
     accept_threshold: float
     review_threshold: float
-    # Accepted for older callers and configs; it has no effect, because
-    # candidate pruning is always exact and on whenever review > 0.
-    use_blocking: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.review_threshold <= self.accept_threshold <= 1.0:
@@ -278,7 +275,8 @@ def load_link_config(path: str | Path, prefixes: Mapping[str, str] | None = None
     """INI-style config: [classes], [properties] with cross/paired mode,
     [thresholds]; an [options] blocking flag is accepted and ignored."""
     prefixes = dict(DEFAULT_PREFIXES if prefixes is None else prefixes)
-    parser = configparser.ConfigParser()
+    # no interpolation: a '%' in a value (a percent-encoded IRI) is literal
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         read = parser.read(path, encoding="utf-8")
     except (configparser.Error, UnicodeDecodeError) as err:

@@ -3,8 +3,10 @@
 The lexer and the term grammar here (IRIs, prefixed names, literals) also
 serve the query parser in `sparql`.
 
-The graph keeps three nested-dict indexes (SPO, POS, OSP) so every
-single-bound pattern is answered without a full scan.  Everything here is
+The graph keeps three nested-dict indexes (SPO, POS, OSP) whose leaves hold
+the stored triples, so every pattern is answered without a full scan and
+without building a triple.  `Graph.match` returns triples in index order;
+canonical order is decided only where output is written.  Everything here is
 deliberately syntactic: literals compare by exact lexical form, which keeps
 diffs and version changesets reversible.
 """
@@ -13,7 +15,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 from urllib.parse import urljoin
 
@@ -23,7 +24,7 @@ IRI = "iri"
 BLANK = "blank"
 LITERAL = "literal"
 
-_SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
+ABSOLUTE_IRI_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
 
 
 class RdfError(ValueError):
@@ -65,7 +66,7 @@ class Term:
 
     def __post_init__(self):
         if self.kind == IRI:
-            if not _SCHEME_RE.match(self.value):
+            if not ABSOLUTE_IRI_RE.match(self.value):
                 raise RdfError(f"IRI is not absolute: {self.value!r}")
             if self.language or self.datatype:
                 raise RdfError("IRI term cannot carry language or datatype")
@@ -141,25 +142,18 @@ class Triple:
         return f"Triple({ntriples_line(self)!r})"
 
 
-_LITERAL_ESCAPES = {
+_LITERAL_ESCAPES = {chr(c): "\\u%04X" % c for c in range(0x20)} | {
     "\\": "\\\\",
     '"': '\\"',
     "\n": "\\n",
     "\r": "\\r",
     "\t": "\\t",
 }
+_LITERAL_ESCAPE_RE = re.compile(r'[\\"\x00-\x1f]')
 
 
 def _escape_literal(text: str) -> str:
-    out = []
-    for ch in text:
-        if ch in _LITERAL_ESCAPES:
-            out.append(_LITERAL_ESCAPES[ch])
-        elif ord(ch) < 0x20:
-            out.append("\\u%04X" % ord(ch))
-        else:
-            out.append(ch)
-    return "".join(out)
+    return _LITERAL_ESCAPE_RE.sub(lambda m: _LITERAL_ESCAPES[m.group()], text)
 
 
 def ntriples_term(term: Term) -> str:
@@ -175,7 +169,6 @@ def ntriples_term(term: Term) -> str:
     return body
 
 
-@lru_cache(maxsize=None)
 def ntriples_line(triple: Triple) -> str:
     return f"{ntriples_term(triple.s)} {ntriples_term(triple.p)} {ntriples_term(triple.o)} ."
 
@@ -188,15 +181,15 @@ class Graph:
     """
 
     def __init__(self, name: str | None = None, triples: Iterable[Triple] = ()):
-        if name is not None and not _SCHEME_RE.match(name):
+        if name is not None and not ABSOLUTE_IRI_RE.match(name):
             raise RdfError(f"graph name must be an absolute IRI: {name!r}")
         self.name = name
         self.prefixes: dict[str, str] = {}
         self._triples: set[Triple] = set()
-        self._spo: dict[Term, dict[Term, set[Term]]] = {}
-        self._pos: dict[Term, dict[Term, set[Term]]] = {}
-        self._osp: dict[Term, dict[Term, set[Term]]] = {}
-        self._sorted: list[Triple] | None = None
+        # Each leaf maps the last term of its index to the stored triple.
+        self._spo: dict[Term, dict[Term, dict[Term, Triple]]] = {}
+        self._pos: dict[Term, dict[Term, dict[Term, Triple]]] = {}
+        self._osp: dict[Term, dict[Term, dict[Term, Triple]]] = {}
         for t in triples:
             self.add(t)
 
@@ -208,10 +201,10 @@ class Graph:
         if triple in self._triples:
             return False
         self._triples.add(triple)
-        self._spo.setdefault(triple.s, {}).setdefault(triple.p, set()).add(triple.o)
-        self._pos.setdefault(triple.p, {}).setdefault(triple.o, set()).add(triple.s)
-        self._osp.setdefault(triple.o, {}).setdefault(triple.s, set()).add(triple.p)
-        self._sorted = None
+        s, p, o = triple.s, triple.p, triple.o
+        self._spo.setdefault(s, {}).setdefault(p, {})[o] = triple
+        self._pos.setdefault(p, {}).setdefault(o, {})[s] = triple
+        self._osp.setdefault(o, {}).setdefault(s, {})[p] = triple
         return True
 
     def add_all(self, triples: Iterable[Triple]) -> int:
@@ -224,9 +217,8 @@ class Graph:
         return triple in self._triples
 
     def __iter__(self) -> Iterator[Triple]:
-        if self._sorted is None:
-            self._sorted = sorted(self._triples, key=ntriples_line)
-        return iter(self._sorted)
+        """The triples in canonical order, sorted on each call."""
+        return iter(sorted(self._triples, key=ntriples_line))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -245,40 +237,26 @@ class Graph:
         p: Term | None = None,
         o: Term | None = None,
     ) -> list[Triple]:
-        """All triples agreeing with the bound positions, in canonical order."""
-        found: Iterable[Triple]
+        """The stored triples agreeing with the bound positions, in index order.
+
+        The order is not canonical: a caller that writes output sorts it.
+        """
         if s is not None and p is not None and o is not None:
-            if s.kind == LITERAL or p.kind != IRI:
-                return []
-            t = Triple(s, p, o)
-            found = [t] if t in self._triples else []
-        elif s is not None and p is not None:
-            found = [Triple(s, p, o2) for o2 in self._spo.get(s, {}).get(p, ())]
-        elif p is not None and o is not None:
-            found = [Triple(s2, p, o) for s2 in self._pos.get(p, {}).get(o, ())]
-        elif s is not None and o is not None:
-            found = [Triple(s, p2, o) for p2 in self._osp.get(o, {}).get(s, ())]
-        elif s is not None:
-            found = [
-                Triple(s, p2, o2)
-                for p2, objs in self._spo.get(s, {}).items()
-                for o2 in objs
-            ]
-        elif p is not None:
-            found = [
-                Triple(s2, p, o2)
-                for o2, subjs in self._pos.get(p, {}).items()
-                for s2 in subjs
-            ]
-        elif o is not None:
-            found = [
-                Triple(s2, p2, o)
-                for s2, preds in self._osp.get(o, {}).items()
-                for p2 in preds
-            ]
-        else:
-            found = self._triples
-        return sorted(found, key=ntriples_line)
+            t = self._spo.get(s, {}).get(p, {}).get(o)
+            return [] if t is None else [t]
+        if s is not None and p is not None:
+            return list(self._spo.get(s, {}).get(p, {}).values())
+        if p is not None and o is not None:
+            return list(self._pos.get(p, {}).get(o, {}).values())
+        if s is not None and o is not None:
+            return list(self._osp.get(o, {}).get(s, {}).values())
+        if s is not None:
+            return [t for leaf in self._spo.get(s, {}).values() for t in leaf.values()]
+        if p is not None:
+            return [t for leaf in self._pos.get(p, {}).values() for t in leaf.values()]
+        if o is not None:
+            return [t for leaf in self._osp.get(o, {}).values() for t in leaf.values()]
+        return list(self._triples)
 
     def count(
         self,
@@ -304,8 +282,7 @@ class Graph:
         return len(self._triples)
 
     def subjects(self, p: Term | None = None, o: Term | None = None) -> list[Term]:
-        seen = sorted({t.s for t in self.match(None, p, o)}, key=ntriples_term)
-        return seen
+        return sorted({t.s for t in self.match(None, p, o)}, key=ntriples_term)
 
     def objects(self, s: Term | None = None, p: Term | None = None) -> list[Term]:
         return sorted({t.o for t in self.match(s, p, None)}, key=ntriples_term)
@@ -317,10 +294,34 @@ class Graph:
 
     @staticmethod
     def union(graphs: Iterable["Graph"], name: str | None = None) -> "Graph":
+        """The RDF merge of `graphs`: blank nodes stay apart per input.
+
+        A blank label that an earlier input already uses is renamed to
+        `<label>_<n>`, with the smallest n that no input uses.  Inputs whose
+        labels do not clash keep them all, and the renaming is a pure
+        function of the inputs and their order.
+        """
+        graphs = list(graphs)
+        labels = [
+            {x.value for t in g._triples for x in (t.s, t.o) if x.kind == BLANK} for g in graphs
+        ]
+        taken = set().union(*labels)
+        seen: set[str] = set()
         out = Graph(name)
-        for g in graphs:
+        for g, own in zip(graphs, labels):
+            mapping = {}
+            for label in sorted(own & seen):
+                n = 1
+                while f"{label}_{n}" in taken:
+                    n += 1
+                mapping[label] = f"{label}_{n}"
+                taken.add(mapping[label])
+            seen |= own
             out.prefixes.update(g.prefixes)
-            out.add_all(g.triples)
+            out.add_all(
+                Triple(_relabel(t.s, mapping), t.p, _relabel(t.o, mapping)) if mapping else t
+                for t in g._triples
+            )
         return out
 
 
@@ -538,7 +539,7 @@ class _TermParser:
 
     def _resolve(self, tok: _Token) -> str:
         value = tok.value[1:-1]
-        if _SCHEME_RE.match(value):
+        if ABSOLUTE_IRI_RE.match(value):
             return value
         if self.base is None:
             raise RelativeIriError(value, tok.line, tok.column)

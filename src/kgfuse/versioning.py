@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .rdf import Graph, Triple, ntriples_line, parse_ntriples
+from .rdf import ABSOLUTE_IRI_RE, Graph, Triple, ntriples_line, parse_ntriples
 
 # States a store handle keeps for later reads; older ones are replayed again.
 _STATE_CACHE_SIZE = 4
@@ -234,6 +234,8 @@ class ChangeStore:
         message: str,
         timestamp: Optional[int] = None,
     ) -> Commit:
+        if not ABSOLUTE_IRI_RE.match(graph_name):
+            raise StoreError(f"graph name must be an absolute IRI: {graph_name!r}")
         head = self.head_id
         if head is not None:
             lineage_name = self.read_commit(head).graph_name

@@ -9,14 +9,15 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgfuse import fixtures
 from kgfuse.cli import run
 from kgfuse.enrich import RecordedTransport
+from kgfuse.linkdisc import load_link_config
 from kgfuse.prefixes import HELMSTEDT_NS, LEIPZIG_NS, PCP_NS
-from kgfuse.rdf import parse_turtle
+from kgfuse.rdf import iri, parse_turtle
 from kgfuse.versioning import ChangeStore
 
 
@@ -635,5 +636,98 @@ def test_query_on_arbitrary_files_exits_cleanly(graph, query):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = run(["query", "--graphs", str(graph_path), "--query", str(query_path)])
+    assert code in (0, 1, 2)
+    assert len(err.getvalue().splitlines()) <= 1
+
+
+def test_query_over_two_files_keeps_their_blank_nodes_apart(tmp_path, capsys):
+    a, b = tmp_path / "a.ttl", tmp_path / "b.ttl"
+    a.write_text('_:x <urn:p:name> "A" ; <urn:p:born> "1600" .\n')
+    b.write_text('_:x <urn:p:name> "B" ; <urn:p:born> "1700" .\n')
+    query = tmp_path / "q.rq"
+    query.write_text("select ?name ?born where {?x <urn:p:name> ?name . ?x <urn:p:born> ?born}")
+    code = run(["query", "--graphs", f"{a},{b}", "--query", str(query), "--format", "csv"])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines() == ["name,born", "A,1600", "B,1700"]
+
+
+def test_fuse_keeps_blank_nodes_of_the_two_catalogues_apart(tmp_path, capsys):
+    left, right = tmp_path / "left.ttl", tmp_path / "right.ttl"
+    left.write_text(f'_:b0 a <{LEIPZIG_NS}Person> ; <{LEIPZIG_NS}surname> "Heinrichs" .\n')
+    right.write_text(f'_:b0 a <{HELMSTEDT_NS}Person> ; <{HELMSTEDT_NS}surname> "Matthias" .\n')
+    fused = tmp_path / "fused.nt"
+    code = run(
+        ["fuse", "--left", str(left), "--right", str(right), "--left-ns", LEIPZIG_NS,
+         "--right-ns", HELMSTEDT_NS, "--target-ns", PCP_NS, "--out", str(fused)]
+    )
+    assert code == 0
+    assert "fused 2 + 2 triples into 4" in capsys.readouterr().out
+    g = parse_turtle(fused.read_text())
+    assert len(g) == 4 and len(g.subjects(p=iri(PCP_NS + "surname"))) == 2
+
+
+def test_percent_encoded_iri_in_link_config_is_taken_literally(workdir, capsys):
+    gruender = "http://example.org/catalogus/helmstedt/Gr%C3%BCnder"
+    plain = (workdir / "link_person_names.cfg").read_text()
+    config = workdir / "percent.cfg"
+    config.write_text(plain.replace("http://example.org/catalogus/helmstedt/Person", gruender))
+    code = run(
+        ["link", "--config", str(config), "--left", str(workdir / "leipzig_persons.ttl"),
+         "--right", str(workdir / "helmstedt_persons.ttl"), "--out", str(workdir / "r.csv")]
+    )
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    assert load_link_config(config).target_class == gruender
+
+
+# Lines and fragments of the prefix, rename, GND-list and link-config formats.
+_CONFIG_SOUP = [
+    "[classes]", "[properties]", "[thresholds]", "[options]", "[", "]", "=", ":", "%",
+    "source = http://example.org/catalogus/leipzig/Person",
+    "target = http://example.org/catalogus/helmstedt/Gr%C3%BCnder",
+    "source = rdfs:label", "target = rdfs:label, urn:b:surname", "source = x:y",
+    "mode = paired", "mode = cross", "mode = other", "accept = 0.8", "review = 0.5",
+    "review = -1", "accept = x", "blocking = true", "%(source)s", "%%", "key",
+    "ex <urn:x:>", "pcp: <http://example.org/pcp/>", "rdfs http://www.w3.org/2000/01/rdf-schema#",
+    "surname_lat\tlatinSurname", "old\t", "\tnew", "a\tb\tc", "118755951",
+    "https://d-nb.info/gnd/118755951", "11875595X", "gnd:118755951", "--", "# note", "é",
+]
+_CONFIG_BYTES = st.one_of(
+    st.binary(max_size=100),
+    st.tuples(
+        st.lists(
+            st.tuples(st.sampled_from(_CONFIG_SOUP), st.sampled_from(["", " ", "\n", "\t"])),
+            max_size=20,
+        ),
+        st.sampled_from(["utf-8", "latin-1"]),
+    ).map(lambda parts_enc: "".join(a + b for a, b in parts_enc[0]).encode(parts_enc[1])),
+)
+_FIXTURE = fixtures.fixture_path
+_CONFIG_ARGV = {
+    "--prefixes": lambda d: ["query", "--graphs", str(_FIXTURE("documents.ttl")),
+                             "--query", str(_FIXTURE("qualification_by_faculty_year.rq"))],
+    "--mapping": lambda d: ["fuse", "--left", str(_FIXTURE("leipzig_persons.ttl")),
+                            "--right", str(_FIXTURE("helmstedt_persons.ttl")),
+                            "--left-ns", LEIPZIG_NS, "--right-ns", HELMSTEDT_NS,
+                            "--target-ns", PCP_NS, "--out", str(Path(d, "fused.nt"))],
+    "--gnds": lambda d: ["enrich", "--endpoint", "dnb", "--fixtures", d,
+                         "--out", str(Path(d, "dnb.nt"))],
+    "--config": lambda d: ["link", "--left", str(_FIXTURE("leipzig_persons.ttl")),
+                           "--right", str(_FIXTURE("helmstedt_persons.ttl")),
+                           "--out", str(Path(d, "r.csv"))],
+}
+
+
+@pytest.mark.parametrize("flag", sorted(_CONFIG_ARGV))
+@settings(max_examples=50, deadline=None)
+@given(content=_CONFIG_BYTES)
+@example(content=b"[classes]\nsource = urn:a:Person\ntarget = urn:b:Gr%C3%BCnder\n")
+def test_config_files_of_any_content_exit_cleanly(flag, content):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d, "config")
+        path.write_bytes(content)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(_CONFIG_ARGV[flag](d) + [flag, str(path)])
     assert code in (0, 1, 2)
     assert len(err.getvalue().splitlines()) <= 1

@@ -168,7 +168,7 @@ def _synthetic_side(rng: random.Random, ns: str, class_iri: str, n: int) -> Grap
     return g
 
 
-def _synthetic_config(review: float = 0.5, accept: float = 0.8, blocking: bool = False):
+def _synthetic_config(review: float = 0.5, accept: float = 0.8):
     a_ns = "urn:cat:a:"
     b_ns = "urn:cat:b:"
     props_a = (RDFS_LABEL, a_ns + "surname", a_ns + "forename")
@@ -179,7 +179,6 @@ def _synthetic_config(review: float = 0.5, accept: float = 0.8, blocking: bool =
         compare_properties=tuple((s, t) for s in props_a for t in props_b),
         accept_threshold=accept,
         review_threshold=review,
-        use_blocking=blocking,
     )
 
 
@@ -230,15 +229,6 @@ def test_find_links_matches_exhaustive_oracle_on_synthetic_corpus():
     expected = _oracle_links(ga, gb, cfg)
     assert got == expected
     assert expected  # corpus is dense enough to produce candidates
-
-
-def test_blocking_mode_is_lossless_for_positive_review_threshold():
-    rng = random.Random(77)
-    ga = _synthetic_side(rng, "urn:cat:a:", "urn:cat:a:Person", 40)
-    gb = _synthetic_side(rng, "urn:cat:b:", "urn:cat:b:Person", 40)
-    plain = find_links(ga, gb, _synthetic_config())
-    blocked = find_links(ga, gb, _synthetic_config(blocking=True))
-    assert plain == blocked
 
 
 def test_accept_threshold_monotonicity():

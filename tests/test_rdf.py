@@ -361,7 +361,59 @@ def test_match_equals_linear_scan_on_random_graphs():
             s = rng.choice(candidates)
             p = rng.choice(candidates)
             o = rng.choice(candidates)
-            assert g.match(s, p, o) == scan_match(g, s, p, o)
+            assert sorted(g.match(s, p, o), key=ntriples_line) == scan_match(g, s, p, o)
+
+
+def test_match_returns_the_stored_triples_and_builds_none(monkeypatch):
+    stored = {t: t for t in _random_graph(random.Random(7)).triples}
+    g = Graph(triples=stored)
+    built = []
+    validate = Triple.__post_init__
+    monkeypatch.setattr(Triple, "__post_init__", lambda t: built.append(t) or validate(t))
+    terms = [None] + sorted({x for t in stored for x in (t.s, t.p, t.o)}, key=repr)
+    for s, p, o in itertools.product(terms, repeat=3):
+        assert all(stored[t] is t for t in g.match(s, p, o))
+    assert g.match(literal("0"), iri("urn:p:0"), literal("0")) == []
+    assert built == []
+
+
+def test_ntriples_line_keeps_no_cache():
+    assert not hasattr(ntriples_line, "cache_info")
+
+
+def _escape_by_char(text: str) -> str:
+    named = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+    return "".join(
+        named.get(ch) or ("\\u%04X" % ord(ch) if ord(ch) < 0x20 else ch) for ch in text
+    )
+
+
+@settings(max_examples=300)
+@given(st.text())
+def test_literal_escaping_is_the_per_character_rule_and_round_trips(text):
+    g = Graph(triples=[Triple(iri("urn:s:1"), iri("urn:p:1"), literal(text))])
+    out = serialize_canonical(g)
+    assert out == f'<urn:s:1> <urn:p:1> "{_escape_by_char(text)}" .\n'
+    assert parse_ntriples(out) == g
+
+
+def test_union_keeps_blank_nodes_of_each_input_apart():
+    first = parse_turtle('_:x <urn:p:name> "a" . _:y <urn:p:name> "b" .')
+    second = parse_turtle('_:x <urn:p:name> "c" . _:x_1 <urn:p:name> "d" .')
+    merged = Graph.union([first, second])
+    assert len(merged) == 4
+    assert {t.s.value for t in merged.match(p=iri("urn:p:name"))} == {"x", "y", "x_2", "x_1"}
+    assert parse_ntriples(serialize_canonical(merged)) == parse_turtle(serialize_canonical(merged))
+    # a pure function of the inputs, whatever order their triples went in
+    again = Graph.union([Graph(triples=sorted(g.triples, key=ntriples_line, reverse=True))
+                         for g in (first, second)])
+    assert again == merged
+
+
+def test_union_of_inputs_without_clashing_labels_is_the_set_union():
+    first = parse_turtle('_:x <urn:p:a> <urn:o:1> . <urn:s:1> <urn:p:a> "v" .')
+    second = parse_turtle('_:y <urn:p:a> <urn:o:1> . <urn:s:1> <urn:p:a> "v" .')
+    assert Graph.union([first, second]).triples == first.triples | second.triples
 
 
 def test_count_equals_match_length_on_random_graphs():

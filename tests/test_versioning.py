@@ -122,6 +122,15 @@ def test_lineage_tracks_one_graph_name(tmp_path):
         store.commit("urn:x-store:other", _graph("a", "b"), "t", "two", timestamp=2)
 
 
+@pytest.mark.parametrize("name", ["not-an-iri", "", "/relative/path", "1urn:x"])
+def test_commit_rejects_a_graph_name_that_is_not_an_absolute_iri(tmp_path, name):
+    store = ChangeStore(tmp_path / "store")
+    with pytest.raises(StoreError, match="absolute IRI"):
+        store.commit(name, _graph("a"), "t", "one", timestamp=1)
+    assert store.head_id is None
+    assert sorted(p.name for p in (tmp_path / "store").rglob("*")) == ["commits"]
+
+
 def test_replay_oracle_on_random_history(tmp_path):
     rng = random.Random(42)
     store = ChangeStore(tmp_path / "store")

@@ -48,7 +48,6 @@ class PipelineConfig:
     graphs: list[tuple[str, str]] = field(default_factory=list)
     mapping_path: str | None = None
     link_config_path: str | None = None
-    store_dir: str | None = None
     prefix_file: str | None = None
 
     def validate(self) -> None:
@@ -180,7 +179,6 @@ def cmd_fuse(args) -> int:
     config = PipelineConfig(
         graphs=[(args.left, args.left_ns), (args.right, args.right_ns)],
         mapping_path=args.mapping,
-        store_dir=args.store,
     )
     if not ABSOLUTE_IRI_RE.match(args.target_ns):
         raise UsageError(f"target namespace is not an absolute IRI: {args.target_ns!r}")

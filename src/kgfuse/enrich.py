@@ -19,10 +19,9 @@ import urllib.parse
 import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Optional, Protocol
+from typing import Callable, Iterable, Optional, Protocol
 
-from .prefixes import OWL_SAMEAS
-from .rdf import LITERAL, Graph, RdfError, Term, Triple, iri
+from .rdf import Graph, RdfError
 from .sparql import QueryTemplate, instantiate
 
 DNB_GND_NAMESPACE = "https://d-nb.info/gnd"
@@ -53,7 +52,8 @@ class TransportTimeout(TransportError):
 
 
 class MissingRecordingError(TransportError):
-    """A URL was requested that the fixture directory does not contain."""
+    """The fixture directory cannot serve a request: it holds no recording of
+    the URL, or its index is not a recording index."""
 
 
 @dataclass(frozen=True)
@@ -224,9 +224,17 @@ class RecordedTransport:
 
     def _load_index(self) -> dict:
         path = self.directory / self.INDEX
-        if path.exists():
-            return json.loads(path.read_text(encoding="utf-8"))
-        return {}
+        if not path.exists():
+            return {}
+        try:
+            index = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as err:  # not UTF-8, or not JSON
+            reason = str(err)
+        else:
+            if isinstance(index, dict) and all(isinstance(e, dict) for e in index.values()):
+                return index
+            reason = "expected a JSON object of request entries"
+        raise MissingRecordingError(f"{path}: not a recording index: {reason}")
 
     def _save_index(self) -> None:
         self.directory.mkdir(parents=True, exist_ok=True)
@@ -352,9 +360,10 @@ def lazy_extract(
     """One request per identifier, sequential, in input order.
 
     Per-item failures are recorded in the report and never abort the batch;
-    the returned graph is the union of everything that parsed.
+    the returned graph is the RDF merge of everything that parsed, so each
+    response keeps its own blank nodes.
     """
-    graph = Graph(name=endpoint.graph)
+    parsed_graphs: list[Graph] = []
     report = ExtractionReport(endpoint=endpoint.name)
     delay_s = endpoint.politeness_delay_ms / 1000.0
     for position, gnd in enumerate(gnds):
@@ -382,7 +391,7 @@ def lazy_extract(
                         outcome = NOT_FOUND
                     else:
                         outcome = OK
-                        graph.add_all(parsed.triples)
+                        parsed_graphs.append(parsed)
         report.items.append(
             ExtractionItem(
                 gnd=gnd.number,
@@ -394,7 +403,7 @@ def lazy_extract(
                 elapsed_s=time.perf_counter() - started,
             )
         )
-    return graph, report
+    return Graph.union(parsed_graphs, name=endpoint.graph), report
 
 
 def parse_response_body(body: str) -> Graph:
@@ -402,58 +411,3 @@ def parse_response_body(body: str) -> Graph:
     from .rdf import parse_turtle
 
     return parse_turtle(body)
-
-
-# ---------------------------------------------------------------------------
-# sameAs emission
-# ---------------------------------------------------------------------------
-
-@dataclass
-class SameAsResult:
-    triples: list[Triple]
-    warnings: list[str]
-
-
-def emit_sameas(
-    local: Graph,
-    gnd_property: str,
-    external_subjects: Mapping[str, str],
-) -> SameAsResult:
-    """`local-instance owl:sameAs external-iri` per matching GND.
-
-    `external_subjects` maps GND numbers to external IRIs.  Local instances
-    sharing one GND are all linked and reported in the warnings.
-    """
-    normalized: dict[str, str] = {}
-    for key, value in external_subjects.items():
-        number = key.number if isinstance(key, GndId) else normalize_gnd(key).number
-        normalized[number] = value
-    by_number: dict[str, list[Term]] = {}
-    bad: list[str] = []
-    for t in local.match(None, iri(gnd_property), None):
-        if t.o.kind != LITERAL:
-            continue
-        try:
-            number = normalize_gnd(t.o.value).number
-        except GndError:
-            bad.append(t.o.value)
-            continue
-        by_number.setdefault(number, []).append(t.s)
-    if bad:
-        raise GndError(f"unparseable GND value(s) under {gnd_property}: {sorted(set(bad))}")
-    sameas = iri(OWL_SAMEAS)
-    triples: list[Triple] = []
-    warnings: list[str] = []
-    for number in sorted(by_number):
-        external = normalized.get(number)
-        if external is None:
-            continue
-        instances = sorted(by_number[number], key=lambda term: term.value)
-        if len(instances) > 1:
-            warnings.append(
-                f"GND {number} is shared by {len(instances)} local instances: "
-                + ", ".join(t.value for t in instances)
-            )
-        for instance in instances:
-            triples.append(Triple(instance, sameas, iri(external)))
-    return SameAsResult(triples=triples, warnings=warnings)

@@ -3,12 +3,12 @@
 The lexer and the term grammar here (IRIs, prefixed names, literals) also
 serve the query parser in `sparql`.
 
-The graph keeps three nested-dict indexes (SPO, POS, OSP) whose leaves hold
-the stored triples, so every pattern is answered without a full scan and
-without building a triple.  `Graph.match` returns triples in index order;
-canonical order is decided only where output is written.  Everything here is
-deliberately syntactic: literals compare by exact lexical form, which keeps
-diffs and version changesets reversible.
+The graph keeps two nested-dict indexes (SPO and POS) whose leaves hold the
+stored triples, so every pattern with a bound subject or predicate is
+answered without a full scan and without building a triple.  `Graph.match`
+returns triples in index order; canonical order is decided only where output
+is written.  Everything here is deliberately syntactic: literals compare by
+exact lexical form, which keeps diffs and version changesets reversible.
 """
 
 from __future__ import annotations
@@ -42,9 +42,11 @@ class TurtleSyntaxError(RdfError):
 
 
 class RelativeIriError(RdfError):
-    def __init__(self, iri: str, line: int = 0, column: int = 0):
+    def __init__(self, iri: str, line: int, column: int):
         self.iri = iri
-        super().__init__(f"relative IRI {iri!r} and no base was given")
+        self.line = line
+        self.column = column
+        super().__init__(f"relative IRI {iri!r} and no base was given at {line}:{column}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -174,7 +176,11 @@ def ntriples_line(triple: Triple) -> str:
 
 
 class Graph:
-    """A named set of triples with SPO/POS/OSP indexes and a prefix map.
+    """A named set of triples with SPO and POS indexes and a prefix map.
+
+    The two indexes answer every pattern: SPO those with the subject bound,
+    POS the rest.  Only a pattern that binds the object alone reads one leaf
+    per predicate.
 
     Mutation is not synchronized: build a graph in one place, then share it
     read-only; parsing and serialization are pure functions.
@@ -189,7 +195,6 @@ class Graph:
         # Each leaf maps the last term of its index to the stored triple.
         self._spo: dict[Term, dict[Term, dict[Term, Triple]]] = {}
         self._pos: dict[Term, dict[Term, dict[Term, Triple]]] = {}
-        self._osp: dict[Term, dict[Term, dict[Term, Triple]]] = {}
         for t in triples:
             self.add(t)
 
@@ -204,7 +209,6 @@ class Graph:
         s, p, o = triple.s, triple.p, triple.o
         self._spo.setdefault(s, {}).setdefault(p, {})[o] = triple
         self._pos.setdefault(p, {}).setdefault(o, {})[s] = triple
-        self._osp.setdefault(o, {}).setdefault(s, {})[p] = triple
         return True
 
     def add_all(self, triples: Iterable[Triple]) -> int:
@@ -231,6 +235,26 @@ class Graph:
     def triples(self) -> frozenset[Triple]:
         return frozenset(self._triples)
 
+    def _leaves(
+        self, s: Term | None, p: Term | None, o: Term | None
+    ) -> tuple[Iterable[dict[Term, Triple]], Term | None]:
+        """The index leaves that hold the triples agreeing with `s`, `p`, `o`.
+
+        With `s` bound the leaves come from SPO and the second value is `o`,
+        the key to read in each leaf (None: all of it).  Otherwise they come
+        from POS and each whole leaf agrees: one predicate, or every
+        predicate's leaf for `o`.
+        """
+        if s is not None:
+            by_p = self._spo.get(s, {})
+            return (by_p.values() if p is None else [by_p.get(p, {})]), o
+        if p is not None:
+            by_o = self._pos.get(p, {})
+            return (by_o.values() if o is None else [by_o.get(o, {})]), None
+        if o is not None:
+            return [by_o.get(o, {}) for by_o in self._pos.values()], None
+        return [leaf for by_o in self._pos.values() for leaf in by_o.values()], None
+
     def match(
         self,
         s: Term | None = None,
@@ -241,22 +265,10 @@ class Graph:
 
         The order is not canonical: a caller that writes output sorts it.
         """
-        if s is not None and p is not None and o is not None:
-            t = self._spo.get(s, {}).get(p, {}).get(o)
-            return [] if t is None else [t]
-        if s is not None and p is not None:
-            return list(self._spo.get(s, {}).get(p, {}).values())
-        if p is not None and o is not None:
-            return list(self._pos.get(p, {}).get(o, {}).values())
-        if s is not None and o is not None:
-            return list(self._osp.get(o, {}).get(s, {}).values())
-        if s is not None:
-            return [t for leaf in self._spo.get(s, {}).values() for t in leaf.values()]
-        if p is not None:
-            return [t for leaf in self._pos.get(p, {}).values() for t in leaf.values()]
-        if o is not None:
-            return [t for leaf in self._osp.get(o, {}).values() for t in leaf.values()]
-        return list(self._triples)
+        leaves, key = self._leaves(s, p, o)
+        if key is None:
+            return [t for leaf in leaves for t in leaf.values()]
+        return [t for leaf in leaves if (t := leaf.get(key)) is not None]
 
     def count(
         self,
@@ -265,27 +277,10 @@ class Graph:
         o: Term | None = None,
     ) -> int:
         """Number of triples `match(s, p, o)` would return, read off the index sizes."""
-        if s is not None and p is not None and o is not None:
-            return int(o in self._spo.get(s, {}).get(p, ()))
-        if s is not None and p is not None:
-            return len(self._spo.get(s, {}).get(p, ()))
-        if p is not None and o is not None:
-            return len(self._pos.get(p, {}).get(o, ()))
-        if s is not None and o is not None:
-            return len(self._osp.get(o, {}).get(s, ()))
-        if s is not None:
-            return sum(map(len, self._spo.get(s, {}).values()))
-        if p is not None:
-            return sum(map(len, self._pos.get(p, {}).values()))
-        if o is not None:
-            return sum(map(len, self._osp.get(o, {}).values()))
-        return len(self._triples)
-
-    def subjects(self, p: Term | None = None, o: Term | None = None) -> list[Term]:
-        return sorted({t.s for t in self.match(None, p, o)}, key=ntriples_term)
-
-    def objects(self, s: Term | None = None, p: Term | None = None) -> list[Term]:
-        return sorted({t.o for t in self.match(s, p, None)}, key=ntriples_term)
+        leaves, key = self._leaves(s, p, o)
+        if key is None:
+            return sum(map(len, leaves))
+        return sum(key in leaf for leaf in leaves)
 
     def copy(self, name: str | None = None) -> "Graph":
         g = Graph(name if name is not None else self.name, self._triples)

@@ -560,6 +560,21 @@ def test_enrich_without_a_recording_is_a_one_line_config_error(workdir, capsys):
     assert err.startswith("config error: no recorded response for ") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("index", ["{not json", "[]", '{"0123456789abcdef": 5}'])
+def test_malformed_recording_index_is_a_one_line_config_error(workdir, capsys, index):
+    gnds = workdir / "gnds.txt"
+    gnds.write_text("118755951\n")
+    recordings = workdir / "recordings"
+    recordings.mkdir()
+    (recordings / "index.json").write_text(index)
+    code = run(["enrich", "--endpoint", "dnb", "--gnds", str(gnds), "--fixtures",
+                str(recordings), "--out", str(workdir / "dnb.nt")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {recordings / 'index.json'}: not a recording index: ")
+    assert len(err.splitlines()) == 1
+
+
 def test_malformed_link_config_is_a_one_line_config_error(workdir, capsys):
     config = workdir / "bad.cfg"
     config.write_text("no section header\n")
@@ -663,7 +678,7 @@ def test_fuse_keeps_blank_nodes_of_the_two_catalogues_apart(tmp_path, capsys):
     assert code == 0
     assert "fused 2 + 2 triples into 4" in capsys.readouterr().out
     g = parse_turtle(fused.read_text())
-    assert len(g) == 4 and len(g.subjects(p=iri(PCP_NS + "surname"))) == 2
+    assert len(g) == 4 and len({t.s for t in g.match(None, iri(PCP_NS + "surname"))}) == 2
 
 
 def test_percent_encoded_iri_in_link_config_is_taken_literally(workdir, capsys):

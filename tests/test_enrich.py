@@ -22,13 +22,11 @@ from kgfuse.enrich import (
     build_lookup_query,
     builtin_endpoint,
     dnb_document_url,
-    emit_sameas,
     lazy_extract,
     normalize_gnd,
     request_url,
 )
-from kgfuse.prefixes import OWL_SAMEAS, PCP_NS
-from kgfuse.rdf import Graph, Triple, iri, literal, parse_turtle
+from kgfuse.rdf import Graph, iri, parse_turtle
 from kgfuse.sparql import QueryTemplate
 
 BODIES = {
@@ -182,6 +180,20 @@ def test_three_gnds_fetched_sequentially_in_order(tmp_path):
     assert graph.name == "urn:x-extract:dnb"
 
 
+def test_blank_nodes_of_two_responses_stay_apart(tmp_path):
+    transport = RecordedTransport(tmp_path / "recorded")
+    for number, name in (("7", "A"), ("8", "B")):
+        transport.record(
+            f"https://d-nb.info/gnd/{number}/about/lds", body=f'_:b0 <urn:p:name> "{name}" .\n'
+        )
+    graph, _ = lazy_extract(
+        [GndId("7"), GndId("8")], _endpoint(), transport, sleep=lambda s: None
+    )
+    assert len(graph) == 2
+    assert len({t.s for t in graph.match(None, iri("urn:p:name"))}) == 2
+    assert graph.name == "urn:x-extract:dnb"
+
+
 def test_failure_in_the_middle_is_isolated(tmp_path):
     clean = _dnb_fixture(tmp_path / "clean")
     broken = RecordedTransport(tmp_path / "broken")
@@ -261,63 +273,3 @@ def test_report_csv_is_byte_deterministic_across_runs(tmp_path):
     _, first = lazy_extract(gnds, _endpoint(), transport, sleep=lambda s: None)
     _, second = lazy_extract(gnds, _endpoint(), transport, sleep=lambda s: None)
     assert first.to_csv() == second.to_csv()
-
-
-# --- sameAs ---------------------------------------------------------------------------
-
-def _local_graph() -> Graph:
-    g = Graph()
-    g.add(Triple(iri("urn:person:a"), iri(PCP_NS + "gnd"), literal("118755951")))
-    g.add(Triple(iri("urn:person:b"), iri(PCP_NS + "gnd"), literal("118535794")))
-    return g
-
-
-def test_empty_map_emits_nothing():
-    result = emit_sameas(_local_graph(), PCP_NS + "gnd", {})
-    assert result.triples == [] and result.warnings == []
-
-
-def test_single_professor_gets_one_link():
-    result = emit_sameas(
-        _local_graph(),
-        PCP_NS + "gnd",
-        {"118755951": "https://d-nb.info/gnd/118755951"},
-    )
-    assert result.triples == [
-        Triple(
-            iri("urn:person:a"),
-            iri(OWL_SAMEAS),
-            iri("https://d-nb.info/gnd/118755951"),
-        )
-    ]
-    assert result.warnings == []
-
-
-def test_shared_gnd_links_all_and_warns():
-    g = _local_graph()
-    g.add(Triple(iri("urn:person:c"), iri(PCP_NS + "gnd"), literal("118755951")))
-    result = emit_sameas(g, PCP_NS + "gnd", {"118755951": "https://d-nb.info/gnd/118755951"})
-    assert len(result.triples) == 2
-    assert len(result.warnings) == 1
-    assert "118755951" in result.warnings[0]
-
-
-def test_url_valued_gnds_normalize_before_matching():
-    g = Graph()
-    g.add(
-        Triple(
-            iri("urn:person:x"),
-            iri(PCP_NS + "gnd"),
-            literal("https://d-nb.info/gnd/118755951"),
-        )
-    )
-    result = emit_sameas(g, PCP_NS + "gnd", {"118755951": "urn:wd:Q1"})
-    assert len(result.triples) == 1
-
-
-def test_unparseable_gnd_values_fail_in_one_batch():
-    g = _local_graph()
-    g.add(Triple(iri("urn:person:z"), iri(PCP_NS + "gnd"), literal("oops")))
-    with pytest.raises(GndError) as exc:
-        emit_sameas(g, PCP_NS + "gnd", {})
-    assert "oops" in str(exc.value)

@@ -163,6 +163,10 @@ def test_stray_character_is_reported_at_its_position(stray):
 def test_relative_iri_without_base_fails():
     with pytest.raises(RelativeIriError):
         parse_turtle("<a> <urn:p:x> <urn:o:y> .")
+    with pytest.raises(RelativeIriError) as exc:
+        parse_turtle("<urn:s:x> <urn:p:x> <urn:o:y> .\n<urn:s:y> <urn:p:x>  <b> .")
+    assert str(exc.value).endswith(" at 2:22")
+    assert (exc.value.line, exc.value.column) == (2, 22)
 
 
 def test_relative_iri_with_base_resolves():
@@ -289,7 +293,7 @@ def test_parse_ntriples_ends_lines_only_at_cr_and_lf():
     )
     g = parse_ntriples(doc)
     assert len(g) == 3
-    assert literal(separators) in g.objects(iri("urn:s:1"), iri("urn:p:1"))
+    assert g.match(iri("urn:s:1"), iri("urn:p:1"), literal(separators))
     with pytest.raises(TurtleSyntaxError) as exc:
         parse_ntriples('<urn:s:1> <urn:p:1> "x" .\r\n\r\nbroken')
     assert exc.value.line == 3

@@ -53,7 +53,7 @@ class TransportTimeout(TransportError):
 
 class MissingRecordingError(TransportError):
     """The fixture directory cannot serve a request: it holds no recording of
-    the URL, or its index is not a recording index."""
+    the URL, its index is not a recording index, or the recording is broken."""
 
 
 @dataclass(frozen=True)
@@ -265,8 +265,19 @@ class RecordedTransport:
             raise MissingRecordingError(f"no recorded response for {url}")
         if entry.get("timeout"):
             raise TransportTimeout(f"recorded timeout for {url}")
-        body = (self.directory / entry["file"]).read_text(encoding="utf-8")
-        return int(entry["status"]), body
+        status, filename = entry.get("status"), entry.get("file")
+        if type(status) is not int or not isinstance(filename, str):
+            raise MissingRecordingError(
+                f"{self.directory / self.INDEX}: the entry for {url} needs an integer "
+                "status and a file name"
+            )
+        path = self.directory / filename
+        try:
+            return status, path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as err:
+            raise MissingRecordingError(f"{path}: recording is not UTF-8: {err}") from None
+        except OSError as err:
+            raise MissingRecordingError(f"{path}: cannot read recording: {err.strerror}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -376,7 +376,8 @@ def serialize_canonical(g: Graph) -> str:
 # Term patterns, each with one group around what the term keeps; both the
 # lexer and the N-Triples line pattern are built from them.
 _IRIREF = r"<([^<>\"{}|^`\\\x00-\x20]*)>"
-_BLANK = r"_:([A-Za-z0-9][A-Za-z0-9_\-.]*)"
+# A blank-node label may hold dots but not end in one, as in Turtle.
+_BLANK = r"_:([A-Za-z0-9](?:[A-Za-z0-9_\-.]*[A-Za-z0-9_\-])?)"
 _STRING = r'"((?:[^"\\\n\r]|\\.)*)"'
 _LANGTAG = r"@([A-Za-z]+(?:-[A-Za-z0-9]+)*)"
 _DTYPE_SEP = r"\^\^"
@@ -389,7 +390,7 @@ _LEXER_RE = re.compile(
         f"(?P<{name}>{pattern})"
         for name, pattern in (
             ("WS", r"[ \t\r\n]+"),
-            ("COMMENT", r"#[^\n]*"),
+            ("COMMENT", r"#[^\r\n]*"),
             ("PREFIX_DIR", r'(?<!")@prefix\b'),
             ("BASE_DIR", r'(?<!")@base\b'),
             ("IRIREF", _IRIREF),
@@ -685,37 +686,51 @@ class _TurtleParser(_TermParser):
 
 
 def parse_turtle(text: str, base: str | None = None) -> Graph:
-    """Parse the supported Turtle subset (N-Triples documents parse too).
+    """Parse the supported Turtle subset.
 
     Supported: @prefix/@base, `a`, predicate lists `;`, object lists `,`,
     typed and language literals, numeric/boolean shorthand, labeled blank
-    nodes.  Anything else fails with a positioned syntax error.
+    nodes (a label cannot end in `.`).  Anything else fails with a
+    positioned syntax error.  An N-Triples document is read by the cheaper
+    `parse_ntriples`, which builds the same graph; at its first line that is
+    not an N-Triples statement the whole text is parsed as Turtle instead.
     """
-    return _TurtleParser(text, base).parse()
+    try:
+        return parse_ntriples(text)
+    except RdfError:
+        return _TurtleParser(text, base).parse()
 
 
-# Fast path for one-triple-per-line documents as emitted by
-# serialize_canonical; the changeset store reads these in bulk.  Groups 1, 4
-# and 6 hold the whole subject, predicate and object text.
+# One triple per line, as serialize_canonical writes it; the changeset store
+# and parse_turtle read these in bulk.  Groups 1, 4 and 6 hold the whole
+# subject, predicate and object text.
 _NT_LINE_RE = re.compile(
     rf"^((?:{_IRIREF}|{_BLANK}))[ \t]+({_IRIREF})[ \t]+"
     rf"((?:{_IRIREF}|{_BLANK}|{_STRING}(?:{_LANGTAG}|{_DTYPE_SEP}{_IRIREF})?))[ \t]*\.$"
 )
-# N-Triples ends lines at CR and LF only; str.splitlines would also split a
-# literal holding U+0085, U+2028 or U+2029, which are written unescaped.
-_NT_EOL_RE = re.compile(r"\r\n?|\n")
+
+
+def _nt_lines(text: str) -> list[str]:
+    """The lines of `text`, ended by CR, LF or CRLF only.
+
+    str.splitlines would also split a literal holding U+0085, U+2028 or
+    U+2029, which are written unescaped.
+    """
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
 def parse_ntriples(text: str, name: str | None = None) -> Graph:
     """Strict N-Triples: one statement per line, no directives.
 
-    Returns a graph named `name`.  Each distinct term text is built into a
-    `Term` once per call, so equal terms are shared.
+    White space is space and tab, every IRI must be absolute, and a
+    blank-node label cannot end in `.`.  Returns a graph named `name`.  Each
+    distinct term text is built into a `Term` once per call, so equal terms
+    are shared.
     """
     g = Graph(name)
     terms: dict[str, Term] = {}
-    for lineno, raw in enumerate(_NT_EOL_RE.split(text), 1):
-        line = raw.strip()
+    for lineno, raw in enumerate(_nt_lines(text), 1):
+        line = raw.strip(" \t")
         if not line or line.startswith("#"):
             continue
         m = _NT_LINE_RE.match(line)
@@ -737,6 +752,8 @@ def parse_ntriples(text: str, name: str | None = None) -> Graph:
             elif o_blank is not None:
                 obj = blank(o_blank)
             else:
+                if o_dtype is not None and not ABSOLUTE_IRI_RE.match(o_dtype):
+                    raise RdfError(f"IRI is not absolute: {o_dtype!r}")
                 obj = literal(
                     _unescape(o_lit, lineno, 1, TurtleSyntaxError),
                     language=o_lang,

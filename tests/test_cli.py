@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import shutil
 import tempfile
 from pathlib import Path
@@ -575,6 +576,44 @@ def test_malformed_recording_index_is_a_one_line_config_error(workdir, capsys, i
     assert len(err.splitlines()) == 1
 
 
+def _as_directory(entry, resp):
+    resp.unlink()
+    resp.mkdir()
+
+
+# Ways a recorded entry or its response file can be unusable, each with the
+# file the error names.
+_BROKEN_RECORDINGS = {
+    "missing-file": (lambda entry, resp: resp.unlink(), "resp"),
+    "no-file-key": (lambda entry, resp: entry.pop("file"), "index"),
+    "no-status": (lambda entry, resp: entry.pop("status"), "index"),
+    "text-status": (lambda entry, resp: entry.update(status="ok"), "index"),
+    "unreadable": (_as_directory, "resp"),
+    "not-utf8": (lambda entry, resp: resp.write_bytes("Müller".encode("latin-1")), "resp"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BROKEN_RECORDINGS))
+def test_broken_recording_is_a_one_line_config_error(workdir, capsys, case):
+    breaks, names = _BROKEN_RECORDINGS[case]
+    gnds = workdir / "gnds.txt"
+    gnds.write_text("118755951\n")
+    recordings = workdir / "recordings"
+    RecordedTransport(recordings).record("https://d-nb.info/gnd/118755951/about/lds", body="")
+    index_path = recordings / "index.json"
+    index = json.loads(index_path.read_text())
+    (entry,) = index.values()
+    resp = recordings / entry["file"]
+    breaks(entry, resp)
+    index_path.write_text(json.dumps(index))
+    code = run(["enrich", "--endpoint", "dnb", "--gnds", str(gnds), "--fixtures",
+                str(recordings), "--delay", "1", "--out", str(workdir / "dnb.nt")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {index_path if names == 'index' else resp}: ")
+    assert len(err.splitlines()) == 1
+
+
 def test_malformed_link_config_is_a_one_line_config_error(workdir, capsys):
     config = workdir / "bad.cfg"
     config.write_text("no section header\n")
@@ -744,5 +783,40 @@ def test_config_files_of_any_content_exit_cleanly(flag, content):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = run(_CONFIG_ARGV[flag](d) + [flag, str(path)])
+    assert code in (0, 1, 2)
+    assert len(err.getvalue().splitlines()) <= 1
+
+
+# Query fragments plus the {gnd} placeholder in each context a template can
+# put it: in a literal, in an IRI, and bare.
+_TEMPLATE_SOUP = _SOUP + [
+    "{gnd}", '"{gnd}"', "<https://d-nb.info/gnd/{gnd}>", "{", "gnd}", "construct", "CONSTRUCT",
+    "wdt:P227", "prefix wdt: <http://www.wikidata.org/prop/direct/>",
+]
+_TEMPLATE_BYTES = st.one_of(
+    st.binary(max_size=100),
+    st.tuples(
+        st.lists(
+            st.tuples(st.sampled_from(_TEMPLATE_SOUP), st.sampled_from(["", " ", "\n"])),
+            max_size=20,
+        ),
+        st.sampled_from(["utf-8", "latin-1"]),
+    ).map(lambda parts_enc: "".join(a + b for a, b in parts_enc[0]).encode(parts_enc[1])),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(template=_TEMPLATE_BYTES)
+@example(template=b'construct { ?s ?p ?o } where { ?s wdt:P227 "{gnd}" . ?s ?p ?o }')
+def test_template_files_of_any_content_exit_cleanly(template):
+    with tempfile.TemporaryDirectory() as d:
+        path, gnds, recordings = Path(d, "lookup.rq"), Path(d, "gnds.txt"), Path(d, "recorded")
+        path.write_bytes(template)
+        gnds.write_text("118755951\n")
+        recordings.mkdir()
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(["enrich", "--endpoint", "wikidata", "--gnds", str(gnds), "--fixtures",
+                        str(recordings), "--template", str(path), "--out", str(Path(d, "wd.nt"))])
     assert code in (0, 1, 2)
     assert len(err.getvalue().splitlines()) <= 1

@@ -10,14 +10,15 @@ import itertools
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kgfuse import fixtures
+from kgfuse import fixtures, rdf
 from kgfuse.prefixes import RDFS_LABEL, XSD_INTEGER, XSD_STRING
 from kgfuse.rdf import (
     Graph,
@@ -25,6 +26,8 @@ from kgfuse.rdf import (
     RelativeIriError,
     Triple,
     TurtleSyntaxError,
+    _nt_lines,
+    _TurtleParser,
     blank,
     iri,
     literal,
@@ -265,7 +268,9 @@ def test_parse_ntriples_rejects_turtle_shorthand():
         parse_ntriples('<urn:a:1> <urn:p:1> "x" ; <urn:p:2> "y" .')
 
 
-@pytest.mark.parametrize("parse", [parse_turtle, parse_ntriples])
+@pytest.mark.parametrize(
+    "parse", [parse_turtle, parse_ntriples, lambda text: _TurtleParser(text, None).parse()]
+)
 def test_parsers_build_one_object_per_distinct_term(parse):
     g = parse('<urn:s:1> <urn:p:1> "v" .\n<urn:s:2> <urn:p:1> "v" .\n<urn:s:1> <urn:p:2> <urn:s:2> .')
     first, second, third = g  # s1 p1 "v", s1 p2 s2, s2 p1 "v"
@@ -297,6 +302,109 @@ def test_parse_ntriples_ends_lines_only_at_cr_and_lf():
     with pytest.raises(TurtleSyntaxError) as exc:
         parse_ntriples('<urn:s:1> <urn:p:1> "x" .\r\n\r\nbroken')
     assert exc.value.line == 3
+
+
+@settings(max_examples=300)
+@given(st.text(alphabet="a \t\r\n\x0b\x0c\x1c\x85\u2028\u2029") | st.text())
+def test_ntriples_lines_end_at_cr_lf_and_crlf_only(text):
+    assert _nt_lines(text) == re.split(r"\r\n?|\n", text)
+
+
+# --- N-Triples documents take the line parser -------------------------------
+
+# N-Triples-shaped lines, with the variants the two parsers once read
+# differently: white space other than space and tab, a comment ended by a
+# bare CR, a relative datatype IRI, and a blank-node label ending in a dot.
+_NT_SPACES = ["", " ", "\t", "\x0b", "\x0c", "\x1f", "\x85", "\u2028", "\u3000"]
+_NT_STATEMENT = st.tuples(
+    st.sampled_from(_NT_SPACES),
+    st.sampled_from(["<urn:s:1>", "<s>", "<>", "_:a", "_:a.b", "_:y."]),
+    st.sampled_from([" ", "\t", " \t", "", "\x0c"]),
+    st.sampled_from(["<urn:p:1>", "<p>"]),
+    st.sampled_from([" ", "\t", "", "\u3000"]),
+    st.sampled_from([
+        '"x"', '"a\\tb"', '"\\u12"', '"\x85\u2028"', '"#"', '"x"@en-GB', '"x"@prefix',
+        '"x"^^<urn:dt:1>', '"x"^^<dt>', f'"x"^^<{XSD_STRING}>',
+        '"x"^^<http://www.w3.org/1999/02/22-rdf-syntax-ns#langString>',
+        "<urn:o:1>", "<o>", "_:a", "_:z.",
+    ]),
+    st.sampled_from(["", " ", "\t"]),
+    st.sampled_from([".", ""]),
+    st.sampled_from(_NT_SPACES + [" # c"]),
+).map("".join)
+_NT_LINE = _NT_STATEMENT | st.sampled_from(["", "# c", "#", " # c", "\x0c"])
+_NT_DOC = st.lists(st.tuples(_NT_LINE, st.sampled_from(["\n", "\r\n", "\r"])), max_size=4).map(
+    lambda lines: "".join(line + eol for line, eol in lines)
+)
+
+
+def _outcome(parse, text: str, base: str | None):
+    try:
+        g = parse(text, base)
+    except RdfError as err:
+        return type(err), str(err)
+    return g.triples, g.prefixes
+
+
+@settings(max_examples=300)
+@given(doc=_NT_DOC)
+@example(doc='<urn:s:1> <urn:p:1> "x" .\x0c')
+@example(doc='<urn:s:1> <urn:p:1> "x"^^<dt> .')
+@example(doc="# c\r<urn:s:1> <urn:p:1> <urn:o:1> .")
+@example(doc="<urn:s:1> <urn:p:1> _:y.")
+def test_parse_turtle_reads_ntriples_as_the_turtle_parser_does(doc):
+    for base in (None, "http://example.org/dir/"):
+        fast = _outcome(parse_turtle, doc, base)
+        assert fast == _outcome(lambda text, b: _TurtleParser(text, b).parse(), doc, base)
+
+
+@pytest.mark.parametrize("space", ["\x0b", "\x0c", "\x1f", "\x85", "\u2028", "\u3000"])
+def test_ntriples_white_space_is_only_space_and_tab(space):
+    for doc in (f'{space}<urn:s:1> <urn:p:1> "x" .', f'<urn:s:1> <urn:p:1> "x" .{space}'):
+        with pytest.raises(TurtleSyntaxError):
+            parse_ntriples(doc)
+        with pytest.raises(TurtleSyntaxError):
+            parse_turtle(doc)
+    assert len(parse_ntriples(' \t<urn:s:1> <urn:p:1> "x" .\t ')) == 1
+
+
+def test_ntriples_rejects_a_relative_datatype_iri():
+    doc = '<urn:s:1> <urn:p:1> "x"^^<dt> .'
+    with pytest.raises(RdfError, match="IRI is not absolute: 'dt'"):
+        parse_ntriples(doc)
+    with pytest.raises(RelativeIriError):
+        parse_turtle(doc)
+    resolved = literal("x", datatype="http://example.org/dir/dt")
+    g = parse_turtle(doc, base="http://example.org/dir/")
+    assert g.triples == {Triple(iri("urn:s:1"), iri("urn:p:1"), resolved)}
+
+
+def test_a_comment_ends_at_a_bare_cr():
+    triple = "<urn:s:1> <urn:p:1> <urn:o:1> ."
+    assert len(parse_turtle(f"# c\r{triple}")) == 1
+    assert len(parse_turtle(f"@prefix ex: <urn:x:> .\n# c\r{triple}")) == 1
+
+
+def test_a_blank_node_label_cannot_end_in_a_dot():
+    expected = {Triple(iri("urn:s:1"), iri("urn:p:1"), blank("y"))}
+    for doc in ("<urn:s:1> <urn:p:1> _:y.", "@prefix ex: <urn:x:> .\n<urn:s:1> <urn:p:1> _:y."):
+        assert parse_turtle(doc).triples == expected
+    assert parse_ntriples("<urn:s:1> <urn:p:1> _:y.").triples == expected
+    assert Triple(blank("a.b"), iri("urn:p:1"), blank("y")) in parse_turtle("_:a.b <urn:p:1> _:y .")
+    with pytest.raises(TurtleSyntaxError):
+        parse_turtle("_:x. <urn:p:1> <urn:o:1> .")
+
+
+def test_ntriples_documents_never_reach_the_lexer(monkeypatch):
+    graphs = list(fixtures.corpus().values())
+    lexed = []
+    lex = rdf._lex
+    monkeypatch.setattr(rdf, "_lex", lambda text: lexed.append(text) or lex(text))
+    for g in graphs:
+        assert parse_turtle(serialize_canonical(g)) == g
+    assert lexed == []
+    parse_turtle("@prefix ex: <urn:x:> .\nex:s ex:p ex:o .")
+    assert len(lexed) == 1
 
 
 def test_terms_have_slots_and_survive_pickling_across_processes():

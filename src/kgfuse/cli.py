@@ -175,6 +175,13 @@ def cmd_link(args) -> int:
     return 0
 
 
+def _overlap_text(stats: fusion.OverlapStats) -> str:
+    return (
+        f"joint {stats.joint}, disjoint {stats.disjoint_a}/{stats.disjoint_b}, "
+        f"union {stats.union_a}/{stats.union_b}"
+    )
+
+
 def cmd_fuse(args) -> int:
     config = PipelineConfig(
         graphs=[(args.left, args.left_ns), (args.right, args.right_ns)],
@@ -193,57 +200,32 @@ def cmd_fuse(args) -> int:
             raise UsageError(str(err)) from None
     left_vocab = fusion.extract_vocabulary(left)
     right_vocab = fusion.extract_vocabulary(right)
-    prop_stats = fusion.compute_overlap(left_vocab[0], right_vocab[0])
-    class_stats = fusion.compute_overlap(left_vocab[1], right_vocab[1])
-    shifted_left = fusion.shift_namespace(
-        left, fusion.plan_shift(left, args.left_ns, args.target_ns, renames)
-    )
-    shifted_right = fusion.shift_namespace(
-        right, fusion.plan_shift(right, args.right_ns, args.target_ns, renames)
-    )
+    shifted_left = fusion.shift_namespace(left, args.left_ns, args.target_ns, renames)
+    shifted_right = fusion.shift_namespace(right, args.right_ns, args.target_ns, renames)
     fused = Graph.union([shifted_left, shifted_right], name=args.graph_name)
     _write_text(args.out, serialize_canonical(fused))
     print(f"fused {len(left)} + {len(right)} triples into {len(fused)} -> {args.out}")
-    print(
-        f"properties: joint {prop_stats.joint}, disjoint {prop_stats.disjoint_a}/"
-        f"{prop_stats.disjoint_b}, union {prop_stats.union_a}/{prop_stats.union_b}"
-    )
-    print(
-        f"classes: joint {class_stats.joint}, disjoint {class_stats.disjoint_a}/"
-        f"{class_stats.disjoint_b}, union {class_stats.union_a}/{class_stats.union_b}"
-    )
+    for label, a, b in zip(("properties", "classes"), left_vocab, right_vocab):
+        print(f"{label}: {_overlap_text(fusion.compute_overlap(a, b))}")
     _maybe_commit(args, fused, args.graph_name)
     return 0
 
 
 def cmd_align(args) -> int:
-    named_graphs = _read_graphs(args.graphs)
-    named = {name: g for name, g in named_graphs}
-    report = fusion.vocabulary_report(named)
+    vocabularies = [(name, fusion.extract_vocabulary(g)) for name, g in _read_graphs(args.graphs)]
+    report = fusion.vocabulary_report(dict(vocabularies))
     lines = ["graph,properties,classes"]
     for name, (n_props, n_classes) in report.per_graph.items():
         print(f"{name}: {n_props} properties, {n_classes} classes")
         lines.append(f"{name},{n_props},{n_classes}")
     print(f"deduplicated union: {report.union_properties} properties, {report.union_classes} classes")
     lines.append(f"union,{report.union_properties},{report.union_classes}")
-    if len(named_graphs) == 2:
-        a, b = (g for _, g in named_graphs)
-        props = fusion.compute_overlap(
-            fusion.extract_vocabulary(a)[0], fusion.extract_vocabulary(b)[0]
-        )
-        classes = fusion.compute_overlap(
-            fusion.extract_vocabulary(a)[1], fusion.extract_vocabulary(b)[1]
-        )
-        print(
-            f"property overlap: joint {props.joint}, disjoint {props.disjoint_a}/"
-            f"{props.disjoint_b}, union {props.union_a}/{props.union_b}"
-        )
-        print(
-            f"class overlap: joint {classes.joint}, disjoint {classes.disjoint_a}/"
-            f"{classes.disjoint_b}, union {classes.union_a}/{classes.union_b}"
-        )
-        lines.append(f"property-overlap,{props.joint},{props.disjoint_a},{props.disjoint_b}")
-        lines.append(f"class-overlap,{classes.joint},{classes.disjoint_a},{classes.disjoint_b}")
+    if len(vocabularies) == 2:
+        (_, left_vocab), (_, right_vocab) = vocabularies
+        for label, a, b in zip(("property", "class"), left_vocab, right_vocab):
+            stats = fusion.compute_overlap(a, b)
+            print(f"{label} overlap: {_overlap_text(stats)}")
+            lines.append(f"{label}-overlap,{stats.joint},{stats.disjoint_a},{stats.disjoint_b}")
     if args.out:
         _write_text(args.out, "\n".join(lines) + "\n")
     return 0

@@ -80,8 +80,9 @@ def normalize_gnd(value: str) -> GndId:
         raise GndError(f"neither a GND number nor a DNB GND URL: {value!r}") from None
 
 
-def dnb_document_url(gnd: GndId) -> str:
-    return f"{DNB_GND_NAMESPACE}/{gnd.number}/about/lds"
+def dnb_document_url(gnd: GndId, base_url: str = DNB_GND_NAMESPACE) -> str:
+    """The linked-data document of `gnd` under `base_url` (DNB or a mirror)."""
+    return f"{base_url}/{gnd.number}/about/lds"
 
 
 WIKIDATA_LOOKUP = QueryTemplate.from_text(
@@ -102,11 +103,9 @@ class EndpointSpec:
     kind: str
     base_url: str
     lookup_template: Optional[QueryTemplate] = None
-    document_url_template: Optional[str] = None
     politeness_delay_ms: int = 1000
     timeout_ms: int = 10000
     max_retries: int = 2
-    graph_name: Optional[str] = None
 
     def __post_init__(self):
         if self.kind not in (SPARQL_ENDPOINT, LINKED_DATA_DOCUMENT):
@@ -120,24 +119,16 @@ class EndpointSpec:
                 raise EndpointConfigError("sparql endpoints need a lookup template")
             if "gnd" not in self.lookup_template.placeholders:
                 raise EndpointConfigError("lookup template must reference {gnd}")
-        else:
-            template = self.document_url_template
-            if not template or "{gnd}" not in template:
-                raise EndpointConfigError("document endpoints need a {gnd} URL template")
 
     @property
     def graph(self) -> str:
-        return self.graph_name or f"urn:x-extract:{self.name}"
+        return f"urn:x-extract:{self.name}"
 
 
 def builtin_endpoint(name: str, **overrides) -> EndpointSpec:
     """dnb / wikidata / dbpedia with their usual URLs and lookup shapes."""
     table = {
-        "dnb": dict(
-            kind=LINKED_DATA_DOCUMENT,
-            base_url=DNB_GND_NAMESPACE,
-            document_url_template=DNB_GND_NAMESPACE + "/{gnd}/about/lds",
-        ),
+        "dnb": dict(kind=LINKED_DATA_DOCUMENT, base_url=DNB_GND_NAMESPACE),
         "wikidata": dict(
             kind=SPARQL_ENDPOINT,
             base_url="https://query.wikidata.org/sparql",
@@ -168,9 +159,7 @@ def request_url(endpoint: EndpointSpec, gnd: GndId) -> str:
     if endpoint.kind == SPARQL_ENDPOINT:
         query = build_lookup_query(endpoint, gnd)
         return endpoint.base_url + "?" + urllib.parse.urlencode({"query": query})
-    return instantiate(
-        QueryTemplate.from_text(endpoint.document_url_template), {"gnd": gnd.number}
-    )
+    return dnb_document_url(gnd, endpoint.base_url)
 
 
 # ---------------------------------------------------------------------------

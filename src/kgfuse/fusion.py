@@ -1,10 +1,12 @@
 """Vocabulary alignment: extraction, overlap accounting, namespace shifting,
 and quality linting of vocabulary terms.
 
-Shifting rewrites only vocabulary IRIs (predicates, type objects, declared
-terms) under the source namespace; instance IRIs and literals pass through
+Shifting is one call per graph: it reads the graph's vocabulary once and
+rewrites only vocabulary IRIs (predicates, type objects, declared terms)
+under the source namespace; instance IRIs and literals pass through
 untouched even when they share the namespace.  Renames are always an
-explicit reviewed input, never inferred.
+explicit reviewed input, never inferred; a rename of a name the graph does
+not use is ignored.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Optional
 
@@ -31,7 +33,7 @@ from .prefixes import (
     RDFS_NS,
     XSD_NS,
 )
-from .rdf import IRI, Graph, Term, Triple, iri
+from .rdf import IRI, Graph, Triple, iri
 
 _PROPERTY_DECLARATIONS = {
     RDF_PROPERTY,
@@ -53,16 +55,6 @@ class FusionError(ValueError):
     pass
 
 
-class ShiftCoverageError(FusionError):
-    """Vocabulary names under the source namespace with no shift decision."""
-
-    def __init__(self, names: list[str]):
-        self.names = names
-        super().__init__(
-            "uncovered vocabulary name(s): " + ", ".join(names)
-        )
-
-
 @dataclass(frozen=True)
 class OverlapStats:
     joint: int
@@ -76,21 +68,6 @@ class OverlapStats:
             raise FusionError("union_a must equal joint + disjoint_a")
         if self.union_b != self.joint + self.disjoint_b:
             raise FusionError("union_b must equal joint + disjoint_b")
-
-
-@dataclass(frozen=True)
-class AlignmentMapping:
-    source_namespace: str
-    target_namespace: str
-    renames: Mapping[str, str] = field(default_factory=dict)
-    auto_shifted: frozenset[str] = frozenset()
-
-    def __post_init__(self):
-        overlap = set(self.renames) & self.auto_shifted
-        if overlap:
-            raise FusionError(
-                f"names cannot be both renamed and auto-shifted: {sorted(overlap)}"
-            )
 
 
 @dataclass(frozen=True)
@@ -140,52 +117,26 @@ def compute_overlap(vocab_a: Iterable[str], vocab_b: Iterable[str]) -> OverlapSt
     )
 
 
-def _vocabulary_names_under(g: Graph, namespace: str) -> set[str]:
-    properties, classes = extract_vocabulary(g)
-    return {
-        v[len(namespace):]
-        for v in properties | classes
-        if v.startswith(namespace)
-    }
-
-
-def plan_shift(
+def shift_namespace(
     g: Graph,
     source_namespace: str,
     target_namespace: str,
     renames: Mapping[str, str] | None = None,
-) -> AlignmentMapping:
-    """Build a mapping for `g`: reviewed renames where given, auto-shift the rest."""
-    names = _vocabulary_names_under(g, source_namespace)
-    renames = renames or {}
-    used = {old: new for old, new in renames.items() if old in names}
-    return AlignmentMapping(
-        source_namespace=source_namespace,
-        target_namespace=target_namespace,
-        renames=used,
-        auto_shifted=frozenset(names - set(used)),
-    )
-
-
-def shift_namespace(g: Graph, mapping: AlignmentMapping) -> Graph:
-    """Rewrite vocabulary IRIs into the target namespace.
-
-    Names the mapping does not cover are reported in one batch.  When source
-    and target namespace coincide (an in-place rename pass), uncovered names
-    are identity-shifted, which makes reapplying a mapping a no-op.
+) -> Graph:
+    """Rewrite `g`'s vocabulary IRIs under `source_namespace` into
+    `target_namespace`, applying the reviewed `renames` (local name to local
+    name) and keeping every other local name.  Renames of names `g` does not
+    use are ignored, so one rename file serves several graphs.
     """
-    src = mapping.source_namespace
-    tgt = mapping.target_namespace
-    names = _vocabulary_names_under(g, src)
-    in_place = src == tgt
-    if not in_place:
-        uncovered = sorted(names - mapping.auto_shifted - set(mapping.renames))
-        if uncovered:
-            raise ShiftCoverageError(uncovered)
-    rewrite = {
-        src + name: tgt + mapping.renames.get(name, name) for name in names
-    }
-    rewrite = {old: new for old, new in rewrite.items() if old != new}
+    renames = renames or {}
+    properties, classes = extract_vocabulary(g)
+    start = len(source_namespace)
+    rewrite = {}
+    for old in properties | classes:
+        if old.startswith(source_namespace):
+            new = target_namespace + renames.get(old[start:], old[start:])
+            if new != old:
+                rewrite[old] = new
     collisions = {}
     for old, new in rewrite.items():
         collisions.setdefault(new, []).append(old)
@@ -195,16 +146,12 @@ def shift_namespace(g: Graph, mapping: AlignmentMapping) -> Graph:
             "rename targets collide: "
             + "; ".join(f"{new} <- {sorted(olds)}" for new, olds in sorted(clashing.items()))
         )
-
-    def conv(term: Term) -> Term:
-        if term.kind == IRI and term.value in rewrite:
-            return iri(rewrite[term.value])
-        return term
-
+    # One Term per rewritten IRI, shared by every triple that uses it.
+    terms = {iri(old): iri(new) for old, new in rewrite.items()}
     out = Graph(name=g.name)
     out.prefixes.update(g.prefixes)
     for t in g.triples:
-        out.add(Triple(conv(t.s), conv(t.p), conv(t.o)))
+        out.add(Triple(terms.get(t.s, t.s), terms.get(t.p, t.p), terms.get(t.o, t.o)))
     if len(out) != len(g):
         raise FusionError(
             f"namespace shift merged {len(g) - len(out)} triple(s); "
@@ -345,18 +292,16 @@ class VocabularyReport:
     union_classes: int
 
 
-def vocabulary_report(graphs: Mapping[str, Graph]) -> VocabularyReport:
-    """Per-subset property/class counts plus the deduplicated union.
+def vocabulary_report(
+    vocabularies: Mapping[str, tuple[frozenset[str], frozenset[str]]],
+) -> VocabularyReport:
+    """Per-subset property/class counts plus the deduplicated union, from each
+    subset's `extract_vocabulary` result.
 
     Column sums of the per-subset counts can exceed the union because
     subsets share terms; both are reported instead of forcing either.
     """
-    per: dict[str, tuple[int, int]] = {}
-    all_props: set[str] = set()
-    all_classes: set[str] = set()
-    for name, g in graphs.items():
-        props, classes = extract_vocabulary(g)
-        per[name] = (len(props), len(classes))
-        all_props |= props
-        all_classes |= classes
+    per = {name: (len(props), len(classes)) for name, (props, classes) in vocabularies.items()}
+    all_props = set().union(*(props for props, _ in vocabularies.values()))
+    all_classes = set().union(*(classes for _, classes in vocabularies.values()))
     return VocabularyReport(per, len(all_props), len(all_classes))

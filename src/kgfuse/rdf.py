@@ -491,10 +491,12 @@ def _lex(text: str) -> list[_Token]:
         kind = m.lastgroup
         if kind == "WS":
             value = m.group()
-            newlines = value.count("\n")
-            if newlines:
-                line += newlines
-                line_start = m.start() + value.rindex("\n") + 1
+            ends = value.count("\n")
+            if "\r" in value:  # CR, LF and CRLF each end one line, as in _nt_lines
+                ends += value.count("\r") - value.count("\r\n")
+            if ends:
+                line += ends
+                line_start = m.start() + max(value.rfind("\n"), value.rfind("\r")) + 1
         elif kind != "COMMENT":
             tokens.append(_Token(kind, m.group(), line, m.start() - line_start + 1))
     tokens.append(_Token("EOF", "", line, len(text) - line_start + 1))

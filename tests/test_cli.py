@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import shutil
@@ -254,6 +255,33 @@ def test_fuse_output_is_reproducible(workdir):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_fuse_bytes_with_renames_are_pinned(workdir, capsys, monkeypatch):
+    # The exact bytes of a fixed run: a change here is a change of kgfuse's output.
+    monkeypatch.chdir(workdir)
+    code = run(
+        [
+            "fuse",
+            "--left", "leipzig_persons.ttl",
+            "--right", "helmstedt_persons.ttl",
+            "--left-ns", LEIPZIG_NS,
+            "--right-ns", HELMSTEDT_NS,
+            "--target-ns", PCP_NS,
+            "--mapping", "renames.tsv",
+            "--out", "fused.nt",
+        ]
+    )
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "fused 5 + 5 triples into 10 -> fused.nt\n"
+        "properties: joint 5, disjoint 0/0, union 5/5\n"
+        "classes: joint 1, disjoint 0/0, union 1/1\n"
+    )
+    assert (
+        hashlib.sha256((workdir / "fused.nt").read_bytes()).hexdigest()
+        == "ec6756fbe5f96be8bd7ae37918dcb575a1ce419012fb1edf72d63513328e6735"
+    )
+
+
 def test_align_prints_overlap_for_two_graphs(workdir, capsys):
     code = run(
         [
@@ -265,10 +293,21 @@ def test_align_prints_overlap_for_two_graphs(workdir, capsys):
         ]
     )
     assert code == 0
-    out = capsys.readouterr().out
-    assert "property overlap: joint" in out
-    stats = (workdir / "stats.csv").read_text().splitlines()
-    assert stats[0] == "graph,properties,classes"
+    assert capsys.readouterr().out == (
+        "leipzig_persons: 5 properties, 1 classes\n"
+        "helmstedt_persons: 5 properties, 1 classes\n"
+        "deduplicated union: 8 properties, 2 classes\n"
+        "property overlap: joint 5, disjoint 0/0, union 5/5\n"
+        "class overlap: joint 1, disjoint 0/0, union 1/1\n"
+    )
+    assert (workdir / "stats.csv").read_bytes() == (
+        b"graph,properties,classes\n"
+        b"leipzig_persons,5,1\n"
+        b"helmstedt_persons,5,1\n"
+        b"union,8,2\n"
+        b"property-overlap,5,0,0\n"
+        b"class-overlap,1,0,0\n"
+    )
 
 
 def test_lint_strict_exits_1_on_findings(workdir, capsys):
@@ -465,6 +504,30 @@ def test_enrich_with_custom_template(workdir, capsys):
     )
     assert code == 0
     assert "urn:wd:Q1" in (workdir / "wd.nt").read_text()
+
+
+def test_enrich_base_url_moves_dnb_requests_to_the_mirror(workdir, capsys):
+    recorded = workdir / "recorded"
+    RecordedTransport(recorded).record(
+        "https://mirror.example.org/gnd/118755951/about/lds",
+        body='<urn:gnd:1> <http://www.w3.org/2000/01/rdf-schema#label> "Heinrichs" .\n',
+    )
+    gnds = workdir / "gnds.txt"
+    gnds.write_text("118755951\n")
+    code = run(
+        [
+            "enrich",
+            "--endpoint", "dnb",
+            "--gnds", str(gnds),
+            "--fixtures", str(recorded),
+            "--base-url", "https://mirror.example.org/gnd",
+            "--delay", "1",
+            "--out", str(workdir / "dnb.nt"),
+        ]
+    )
+    assert code == 0
+    assert "(1/1 ok)" in capsys.readouterr().out
+    assert "urn:gnd:1" in (workdir / "dnb.nt").read_text()
 
 
 def test_enrich_template_without_placeholder_is_config_error(workdir, capsys):

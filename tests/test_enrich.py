@@ -122,6 +122,8 @@ def test_delays_must_be_positive():
 def test_dnb_request_url_is_the_document_url():
     endpoint = builtin_endpoint("dnb")
     assert request_url(endpoint, GndId("7")) == "https://d-nb.info/gnd/7/about/lds"
+    mirror = builtin_endpoint("dnb", base_url="https://mirror.example.org/gnd")
+    assert request_url(mirror, GndId("7")) == "https://mirror.example.org/gnd/7/about/lds"
 
 
 def test_sparql_request_url_carries_encoded_query():

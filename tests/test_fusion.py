@@ -10,17 +10,14 @@ from hypothesis import strategies as st
 
 from kgfuse import fixtures
 from kgfuse.fusion import (
-    AlignmentMapping,
     FusionError,
     OverlapStats,
-    ShiftCoverageError,
     compute_overlap,
     extract_vocabulary,
     lint_report_csv,
     lint_vocabulary,
     load_renames,
     local_name,
-    plan_shift,
     shift_namespace,
     suggest_name,
     vocabulary_report,
@@ -123,8 +120,7 @@ def test_overlap_stats_invariant_is_enforced():
 
 def test_identity_auto_shift_moves_vocabulary_only():
     g = parse_turtle(LEIPZIG_SNIPPET)
-    mapping = plan_shift(g, LEIPZIG_NS, PCP_NS)
-    shifted = shift_namespace(g, mapping)
+    shifted = shift_namespace(g, LEIPZIG_NS, PCP_NS)
     assert len(shifted) == len(g)
     props, _ = extract_vocabulary(shifted)
     assert PCP_NS + "surname" in props
@@ -142,18 +138,16 @@ def test_rename_entries_rewrite_accordingly():
         <urn:inst:p2> pcp:lecture <urn:inst:c1> .
         """
     )
-    mapping = plan_shift(
+    shifted = shift_namespace(
         g, PCP_NS, PCP_NS, renames={"surname_lat": "latinSurname", "lecture": "lecturer"}
     )
-    shifted = shift_namespace(g, mapping)
     props, _ = extract_vocabulary(shifted)
     assert props == frozenset({PCP_NS + "latinSurname", PCP_NS + "lecturer"})
 
 
 def test_shift_preserves_triple_count_and_literals():
     g = fixtures.leipzig_catalogue()
-    mapping = plan_shift(g, LEIPZIG_NS, PCP_NS, renames={"surname": "familyName"})
-    shifted = shift_namespace(g, mapping)
+    shifted = shift_namespace(g, LEIPZIG_NS, PCP_NS, renames={"surname": "familyName"})
     assert len(shifted) == len(g)
     literals = Counter(t.o for t in g.triples if t.o.kind == "literal")
     shifted_literals = Counter(t.o for t in shifted.triples if t.o.kind == "literal")
@@ -162,26 +156,28 @@ def test_shift_preserves_triple_count_and_literals():
 
 def test_shift_is_idempotent():
     g = fixtures.helmstedt_catalogue()
-    mapping = plan_shift(g, HELMSTEDT_NS, PCP_NS)
-    once = shift_namespace(g, mapping)
-    twice = shift_namespace(once, mapping)
+    once = shift_namespace(g, HELMSTEDT_NS, PCP_NS)
+    twice = shift_namespace(once, HELMSTEDT_NS, PCP_NS)
     assert once == twice
-    inplace = plan_shift(g, PCP_NS, PCP_NS, renames={"praeses": "chair"})
-    renamed = shift_namespace(g, inplace)
-    assert shift_namespace(renamed, inplace) == renamed
+    inplace = {"praeses": "chair"}
+    renamed = shift_namespace(g, PCP_NS, PCP_NS, renames=inplace)
+    assert shift_namespace(renamed, PCP_NS, PCP_NS, renames=inplace) == renamed
 
 
-def test_uncovered_names_are_reported_as_a_batch():
-    g = parse_turtle(LEIPZIG_SNIPPET)
-    mapping = AlignmentMapping(
-        source_namespace=LEIPZIG_NS,
-        target_namespace=PCP_NS,
-        auto_shifted=frozenset(),
-        renames={},
-    )
-    with pytest.raises(ShiftCoverageError) as exc:
-        shift_namespace(g, mapping)
-    assert exc.value.names == ["forename", "surname"]
+def test_shift_builds_one_term_per_rewritten_iri():
+    g = fixtures.leipzig_catalogue()
+    before = {term.value for t in g.triples for term in (t.s, t.p, t.o)}
+    shifted = shift_namespace(g, LEIPZIG_NS, PCP_NS, renames={"surname": "familyName"})
+    objects: dict[str, set[int]] = {}
+    uses = Counter()
+    for t in shifted.triples:
+        for term in (t.s, t.p, t.o):
+            if term.value not in before:
+                objects.setdefault(term.value, set()).add(id(term))
+                uses[term.value] += 1
+    assert PCP_NS + "familyName" in objects
+    assert max(uses.values()) > 1
+    assert all(len(ids) == 1 for ids in objects.values())
 
 
 def test_colliding_rename_targets_are_rejected():
@@ -191,11 +187,10 @@ def test_colliding_rename_targets_are_rejected():
         <urn:i:1> ex:alpha "a" ; ex:beta "b" .
         """
     )
-    mapping = plan_shift(
-        g, "http://example.org/v/", PCP_NS, renames={"alpha": "gamma", "beta": "gamma"}
-    )
     with pytest.raises(FusionError) as exc:
-        shift_namespace(g, mapping)
+        shift_namespace(
+            g, "http://example.org/v/", PCP_NS, renames={"alpha": "gamma", "beta": "gamma"}
+        )
     assert "collide" in str(exc.value)
 
 
@@ -206,31 +201,14 @@ def test_rename_onto_existing_term_is_rejected():
         <urn:i:1> pcp:surname_lat "Heinricius" ; pcp:latinSurname "Heinricius" .
         """
     )
-    mapping = plan_shift(g, PCP_NS, PCP_NS, renames={"surname_lat": "latinSurname"})
     with pytest.raises(FusionError) as exc:
-        shift_namespace(g, mapping)
+        shift_namespace(g, PCP_NS, PCP_NS, renames={"surname_lat": "latinSurname"})
     assert "merged" in str(exc.value)
 
 
-def test_renamed_and_auto_shifted_must_be_disjoint():
-    with pytest.raises(FusionError):
-        AlignmentMapping(
-            source_namespace=LEIPZIG_NS,
-            target_namespace=PCP_NS,
-            renames={"surname": "familyName"},
-            auto_shifted=frozenset({"surname"}),
-        )
-
-
 def test_fused_union_vocabulary_size():
-    left = shift_namespace(
-        fixtures.leipzig_catalogue(),
-        plan_shift(fixtures.leipzig_catalogue(), LEIPZIG_NS, PCP_NS),
-    )
-    right = shift_namespace(
-        fixtures.helmstedt_catalogue(),
-        plan_shift(fixtures.helmstedt_catalogue(), HELMSTEDT_NS, PCP_NS),
-    )
+    left = shift_namespace(fixtures.leipzig_catalogue(), LEIPZIG_NS, PCP_NS)
+    right = shift_namespace(fixtures.helmstedt_catalogue(), HELMSTEDT_NS, PCP_NS)
     fused = Graph.union([left, right])
     props, classes = extract_vocabulary(fused)
     # 72 + 56 - 21 properties, 39 + 21 - 16 classes after fusing
@@ -316,8 +294,8 @@ def test_bundled_renames_file_parses():
 def test_vocabulary_report_deduplicates_union():
     report = vocabulary_report(
         {
-            "leipzig": fixtures.leipzig_catalogue(),
-            "helmstedt": fixtures.helmstedt_catalogue(),
+            "leipzig": extract_vocabulary(fixtures.leipzig_catalogue()),
+            "helmstedt": extract_vocabulary(fixtures.helmstedt_catalogue()),
         }
     )
     assert report.per_graph["leipzig"] == (72, 39)

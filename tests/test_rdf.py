@@ -163,6 +163,14 @@ def test_stray_character_is_reported_at_its_position(stray):
     assert (exc.value.line, exc.value.column) == (2, 13)
 
 
+@pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_error_positions_count_cr_lf_and_crlf_as_one_line_end(eol):
+    text = eol.join(["@prefix ex: <urn:x:> .", "ex:a ex:b ex:c .", "ex:a ex:b ; ."])
+    with pytest.raises(TurtleSyntaxError) as exc:
+        parse_turtle(text)
+    assert (exc.value.line, exc.value.column) == (3, 11)
+
+
 def test_relative_iri_without_base_fails():
     with pytest.raises(RelativeIriError):
         parse_turtle("<a> <urn:p:x> <urn:o:y> .")

@@ -9,7 +9,7 @@ import pytest
 
 from kgfuse import fixtures, versioning
 from kgfuse.cli import run
-from kgfuse.fusion import plan_shift, shift_namespace
+from kgfuse.fusion import shift_namespace
 from kgfuse.prefixes import PCP_NS, XSD_NS
 from kgfuse.rdf import Graph, Triple, blank, iri, literal
 from kgfuse.versioning import (
@@ -54,10 +54,9 @@ def test_rename_fix_changeset_matches_set_difference_oracle(tmp_path):
     before = fixtures.quality_vocabulary()
     before_named = before.copy(name=GRAPH_NAME)
     store.commit(GRAPH_NAME, before_named, "historian", "import vocabulary", timestamp=10)
-    mapping = plan_shift(
+    after = shift_namespace(
         before, PCP_NS, PCP_NS, renames={"surname_lat": "latinSurname", "lecture": "lecturer"}
     )
-    after = shift_namespace(before, mapping)
     commit = store.commit(GRAPH_NAME, after, "historian", "rename fixes", timestamp=20)
     changeset = store.read_changeset(commit.id)
     # oracle: plain set differences of the two states

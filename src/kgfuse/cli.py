@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import fusion, linkdisc
@@ -28,7 +27,7 @@ from .fusion import FusionError
 from .linkdisc import LinkConfigError
 from .prefixes import DEFAULT_PREFIXES, PrefixFileError, load_prefix_file
 from .rdf import ABSOLUTE_IRI_RE, Graph, RdfError, parse_turtle, serialize_canonical
-from .sparql import SparqlError, evaluate, parse_query
+from .sparql import QueryTemplate, SparqlError, evaluate, parse_query
 from .versioning import ChangeStore, StoreError, format_log
 
 
@@ -36,36 +35,21 @@ class UsageError(Exception):
     """Configuration problems that should exit with code 2."""
 
 
-@dataclass
-class PipelineConfig:
-    """Validated file inputs for a pipeline stage.
-
-    `graphs` pairs each input path with its vocabulary namespace (empty
-    string when a stage does not need one).  `validate()` reports every
-    missing path and malformed namespace at once.
-    """
-
-    graphs: list[tuple[str, str]] = field(default_factory=list)
-    mapping_path: str | None = None
-    link_config_path: str | None = None
-    prefix_file: str | None = None
-
-    def validate(self) -> None:
-        problems = []
-        for path, namespace in self.graphs:
-            if not Path(path).exists():
-                problems.append(f"graph file does not exist: {path}")
-            if namespace and not ABSOLUTE_IRI_RE.match(namespace):
-                problems.append(f"namespace is not an absolute IRI: {namespace!r}")
-        for label, path in (
-            ("mapping file", self.mapping_path),
-            ("link config", self.link_config_path),
-            ("prefix file", self.prefix_file),
-        ):
-            if path is not None and not Path(path).exists():
-                problems.append(f"{label} does not exist: {path}")
-        if problems:
-            raise UsageError("; ".join(problems))
+def _check_inputs(args, paths: tuple[str, ...], namespaces: tuple[str, ...] = ()) -> None:
+    """One config error naming every path option given whose path does not
+    exist and every namespace option that is not an absolute IRI, before any
+    input is read."""
+    problems = []
+    for name in paths:
+        path = getattr(args, name)
+        if path is not None and not Path(path).exists():
+            problems.append(f"--{name} path does not exist: {path}")
+    for name in namespaces:
+        value = getattr(args, name)
+        if not ABSOLUTE_IRI_RE.match(value):
+            problems.append(f"--{name.replace('_', '-')} is not an absolute IRI: {value!r}")
+    if problems:
+        raise UsageError("; ".join(problems))
 
 
 def _read_text(path: str | Path, error: type[Exception]) -> str:
@@ -80,10 +64,7 @@ def _read_text(path: str | Path, error: type[Exception]) -> str:
 
 
 def _read_graph(path: str) -> Graph:
-    p = Path(path)
-    if not p.exists():
-        raise UsageError(f"graph file does not exist: {path}")
-    return parse_turtle(_read_text(p, RdfError))
+    return parse_turtle(_read_text(path, RdfError))
 
 
 def _read_graphs(spec: str) -> list[tuple[str, Graph]]:
@@ -98,10 +79,7 @@ def _read_graphs(spec: str) -> list[tuple[str, Graph]]:
 def _load_prefixes(path: str | None) -> dict[str, str]:
     if path is None:
         return dict(DEFAULT_PREFIXES)
-    p = Path(path)
-    if not p.exists():
-        raise UsageError(f"prefix file does not exist: {path}")
-    return load_prefix_file(p)
+    return load_prefix_file(path)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -131,10 +109,7 @@ def _add_store_flags(parser: argparse.ArgumentParser) -> None:
 
 def cmd_query(args) -> int:
     graphs = [g for _, g in _read_graphs(args.graphs)]
-    query_path = Path(args.query)
-    if not query_path.exists():
-        raise UsageError(f"query file does not exist: {args.query}")
-    ast = parse_query(_read_text(query_path, SparqlError), prefixes=_load_prefixes(args.prefixes))
+    ast = parse_query(_read_text(args.query, SparqlError), prefixes=_load_prefixes(args.prefixes))
     table = evaluate(ast, graphs)
     if args.explain:
         for i, step in enumerate(table.plan, 1):
@@ -153,11 +128,7 @@ def cmd_query(args) -> int:
 
 
 def cmd_link(args) -> int:
-    PipelineConfig(
-        graphs=[(args.left, ""), (args.right, "")],
-        link_config_path=args.config,
-        prefix_file=args.prefixes,
-    ).validate()
+    _check_inputs(args, ("left", "right", "config", "prefixes"))
     cfg = linkdisc.load_link_config(args.config, prefixes=_load_prefixes(args.prefixes))
     left = _read_graph(args.left)
     right = _read_graph(args.right)
@@ -183,13 +154,7 @@ def _overlap_text(stats: fusion.OverlapStats) -> str:
 
 
 def cmd_fuse(args) -> int:
-    config = PipelineConfig(
-        graphs=[(args.left, args.left_ns), (args.right, args.right_ns)],
-        mapping_path=args.mapping,
-    )
-    if not ABSOLUTE_IRI_RE.match(args.target_ns):
-        raise UsageError(f"target namespace is not an absolute IRI: {args.target_ns!r}")
-    config.validate()
+    _check_inputs(args, ("left", "right", "mapping"), ("left_ns", "right_ns", "target_ns"))
     left = _read_graph(args.left)
     right = _read_graph(args.right)
     renames = {}
@@ -213,9 +178,9 @@ def cmd_fuse(args) -> int:
 
 def cmd_align(args) -> int:
     vocabularies = [(name, fusion.extract_vocabulary(g)) for name, g in _read_graphs(args.graphs)]
-    report = fusion.vocabulary_report(dict(vocabularies))
+    report = fusion.vocabulary_report(vocabularies)
     lines = ["graph,properties,classes"]
-    for name, (n_props, n_classes) in report.per_graph.items():
+    for name, n_props, n_classes in report.per_graph:
         print(f"{name}: {n_props} properties, {n_classes} classes")
         lines.append(f"{name},{n_props},{n_classes}")
     print(f"deduplicated union: {report.union_properties} properties, {report.union_classes} classes")
@@ -247,8 +212,7 @@ def cmd_lint(args) -> int:
 
 
 def cmd_enrich(args) -> int:
-    if not Path(args.gnds).exists():
-        raise UsageError(f"GND list file does not exist: {args.gnds}")
+    _check_inputs(args, ("gnds", "template", "fixtures"))
     gnds = []
     for line in _read_text(args.gnds, UsageError).splitlines():
         line = line.strip()
@@ -264,20 +228,11 @@ def cmd_enrich(args) -> int:
     if args.base_url:
         overrides["base_url"] = args.base_url
     if args.template:
-        template_path = Path(args.template)
-        if not template_path.exists():
-            raise UsageError(f"template file does not exist: {args.template}")
-        from .sparql import QueryTemplate
-
-        overrides["lookup_template"] = QueryTemplate.from_text(
-            _read_text(template_path, UsageError)
-        )
+        template = _read_text(args.template, UsageError)
+        overrides["lookup_template"] = QueryTemplate.from_text(template)
     endpoint = builtin_endpoint(args.endpoint, **overrides)
     if args.fixtures:
-        fixtures_dir = Path(args.fixtures)
-        if not fixtures_dir.exists():
-            raise UsageError(f"recorded fixtures directory does not exist: {args.fixtures}")
-        transport = RecordedTransport(fixtures_dir)
+        transport = RecordedTransport(Path(args.fixtures))
     elif args.live:
         transport = HttpTransport()
     else:
@@ -294,20 +249,20 @@ def cmd_enrich(args) -> int:
     return 0
 
 
-def _open_store(path: str) -> ChangeStore:
-    if not Path(path).exists():
-        raise UsageError(f"store directory does not exist: {path}")
-    return ChangeStore(path)
+def _open_store(args) -> ChangeStore:
+    # checked first: ChangeStore creates a directory that does not exist
+    _check_inputs(args, ("store",))
+    return ChangeStore(args.store)
 
 
 def cmd_log(args) -> int:
-    store = _open_store(args.store)
+    store = _open_store(args)
     sys.stdout.write(format_log(store.log()))
     return 0
 
 
 def cmd_diff(args) -> int:
-    store = _open_store(args.store)
+    store = _open_store(args)
     changeset = store.diff(args.commit_a, args.commit_b)
     from .rdf import ntriples_line
 
@@ -320,7 +275,7 @@ def cmd_diff(args) -> int:
 
 
 def cmd_checkout(args) -> int:
-    store = _open_store(args.store)
+    store = _open_store(args)
     graph = store.checkout(args.commit)
     _write_text(args.out, serialize_canonical(graph))
     print(f"wrote {len(graph)} triple(s) at {args.commit[:12]} to {args.out}")

@@ -114,6 +114,10 @@ class EndpointSpec:
             raise EndpointConfigError("politeness delay and timeout must be positive")
         if self.max_retries < 0:
             raise EndpointConfigError("max_retries cannot be negative")
+        if self.kind == LINKED_DATA_DOCUMENT and self.lookup_template is not None:
+            raise EndpointConfigError(
+                f"endpoint {self.name!r} fetches documents and takes no lookup template"
+            )
         if self.kind == SPARQL_ENDPOINT:
             if self.lookup_template is None:
                 raise EndpointConfigError("sparql endpoints need a lookup template")

@@ -16,7 +16,7 @@ import io
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .prefixes import (
     OWL_ANNOTATION_PROPERTY,
@@ -287,21 +287,22 @@ def load_renames(path: str | Path) -> dict[str, str]:
 
 @dataclass(frozen=True)
 class VocabularyReport:
-    per_graph: dict[str, tuple[int, int]]  # name -> (n_properties, n_classes)
+    per_graph: list[tuple[str, int, int]]  # (name, n_properties, n_classes) in input order
     union_properties: int
     union_classes: int
 
 
 def vocabulary_report(
-    vocabularies: Mapping[str, tuple[frozenset[str], frozenset[str]]],
+    vocabularies: Sequence[tuple[str, tuple[frozenset[str], frozenset[str]]]],
 ) -> VocabularyReport:
     """Per-subset property/class counts plus the deduplicated union, from each
-    subset's `extract_vocabulary` result.
+    subset's name and `extract_vocabulary` result, one row per subset in
+    input order (two subsets may share a name).
 
     Column sums of the per-subset counts can exceed the union because
     subsets share terms; both are reported instead of forcing either.
     """
-    per = {name: (len(props), len(classes)) for name, (props, classes) in vocabularies.items()}
-    all_props = set().union(*(props for props, _ in vocabularies.values()))
-    all_classes = set().union(*(classes for _, classes in vocabularies.values()))
+    per = [(name, len(props), len(classes)) for name, (props, classes) in vocabularies]
+    all_props = set().union(*(props for _, (props, _) in vocabularies))
+    all_classes = set().union(*(classes for _, (_, classes) in vocabularies))
     return VocabularyReport(per, len(all_props), len(all_classes))

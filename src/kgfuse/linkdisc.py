@@ -58,8 +58,6 @@ class PairEvidence:
     target_property: str
     source_value: str
     target_value: str
-    source_tokens: frozenset[str]
-    target_tokens: frozenset[str]
     score: float
 
 
@@ -129,7 +127,7 @@ def _score_pair(
             for tval, ttoks in tvalues:
                 score = cosine(stoks, ttoks)
                 if pair_best is None or score > pair_best.score:
-                    pair_best = PairEvidence(sprop, tprop, sval, tval, stoks, ttoks, score)
+                    pair_best = PairEvidence(sprop, tprop, sval, tval, score)
         evidence.append(pair_best)
         best = max(best, pair_best.score)
     return best, tuple(evidence)

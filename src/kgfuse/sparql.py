@@ -9,8 +9,10 @@ Evaluation uses bag semantics before grouping.  A greedy planner orders the
 triple patterns once per query from index cardinalities (`Graph.count`), so
 the order they are written in does not matter; each pattern is then joined
 by probing the graph through its indexes, and `year()` binds run last.
-Ordering falls back to the canonical serialization of the whole row, so
-output is byte-deterministic whatever the join order.
+Rows are put in order once, at the end: first by the canonical N-Triples
+text of the whole row, then by one stable sort per ORDER BY key (last key
+first, `term_sort_key`), so output is byte-deterministic whatever the join
+order.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import io
 import re
 from dataclasses import dataclass, field
 from decimal import Decimal
-from functools import cmp_to_key
 from typing import Iterable, Mapping, Optional, Union
 
 from .prefixes import RDF_TYPE, XSD_BOOLEAN, XSD_INTEGER
@@ -428,28 +429,16 @@ def extract_year(term: Optional[Term]) -> Optional[int]:
     return int(m.group(1)) if m else None
 
 
-def term_sort_cmp(a: Optional[Term], b: Optional[Term]) -> int:
+_KIND_RANK = {BLANK: 1, IRI: 2, LITERAL: 3}
+
+
+def term_sort_key(t: Optional[Term]) -> tuple:
     """Total order: unbound < blank < IRI < literal; numeric literals by value."""
-    if a is None or b is None:
-        if a is b:
-            return 0
-        return -1 if a is None else 1
-    ka = _term_sort_key(a)
-    kb = _term_sort_key(b)
-    return -1 if ka < kb else (1 if ka > kb else 0)
-
-
-_KIND_RANK = {BLANK: 0, IRI: 1, LITERAL: 2}
-
-
-def _term_sort_key(t: Term):
-    if t.kind == LITERAL:
-        if _NUMERIC_RE.match(t.value):
-            num_rank, num = 0, Decimal(t.value)
-        else:
-            num_rank, num = 1, Decimal(0)
-        return (_KIND_RANK[t.kind], num_rank, num, t.value, t.language or "", t.datatype or "")
-    return (_KIND_RANK[t.kind], 0, Decimal(0), t.value, "", "")
+    if t is None:
+        return (0,)
+    if t.kind == LITERAL and _NUMERIC_RE.match(t.value):
+        return (3, 0, Decimal(t.value), t.value, t.language or "", t.datatype or "")
+    return (_KIND_RANK[t.kind], 1, 0, t.value, t.language or "", t.datatype or "")
 
 
 def _resolve(pos: Union[Term, Var], mu: dict[str, Term]) -> Optional[Term]:
@@ -527,7 +516,7 @@ def _solutions(q: QueryAST, g: Graph) -> tuple[list[dict[str, Term]], list[PlanS
 
 
 def evaluate(q: QueryAST, graphs: Union[Graph, Iterable[Graph]]) -> ResultTable:
-    """Evaluate a query over one graph or the set union of several."""
+    """Evaluate a query over one graph or the RDF merge of several (`Graph.union`)."""
     if isinstance(graphs, Graph):
         g = graphs
     else:
@@ -539,9 +528,12 @@ def evaluate(q: QueryAST, graphs: Union[Graph, Iterable[Graph]]) -> ResultTable:
         else:
             g = Graph.union(graph_list)
     solutions, plan = _solutions(q, g)
-    has_aggregate = any(isinstance(p, CountAgg) for p in q.projection)
-    records: list[tuple[tuple[Optional[Term], ...], dict[str, Term]]] = []
-    if q.group_by or has_aggregate:
+    header = q.header
+    # Each row carries the environment its ORDER BY keys read: the projected
+    # cells, and for a grouped row its group key too.  `_validated` rejects
+    # any other ORDER BY variable.
+    records: list[tuple[tuple[Optional[Term], ...], dict[str, Optional[Term]]]] = []
+    if q.group_by or any(isinstance(p, CountAgg) for p in q.projection):
         groups: dict[tuple, list[dict[str, Term]]] = {}
         for mu in solutions:
             key = tuple(mu.get(v) for v in q.group_by)
@@ -555,37 +547,17 @@ def evaluate(q: QueryAST, graphs: Union[Graph, Iterable[Graph]]) -> ResultTable:
                     row.append(literal(str(count), datatype=XSD_INTEGER))
                 else:
                     row.append(env.get(p.name))
-            records.append((tuple(row), {k: v for k, v in env.items() if v is not None}))
+            for name, cell in zip(header, row):
+                env.setdefault(name, cell)
+            records.append((tuple(row), env))
     else:
         for mu in solutions:
             row = tuple(mu.get(p.name) for p in q.projection)
-            records.append((row, mu))
-
-    def compare(a, b):
-        for key in q.order_by:
-            va = a[1].get(key.var)
-            vb = b[1].get(key.var)
-            c = term_sort_cmp(va, vb)
-            if c:
-                return c if key.ascending else -c
-        ta = tuple("" if t is None else ntriples_term(t) for t in a[0])
-        tb = tuple("" if t is None else ntriples_term(t) for t in b[0])
-        return -1 if ta < tb else (1 if ta > tb else 0)
-
-    # order-by env for plain rows must expose projected columns too
-    header = q.header
-    enriched = []
-    for row, env in records:
-        env = dict(env)
-        for name, cell in zip(header, row):
-            if cell is not None:
-                env.setdefault(name, cell)
-        enriched.append((row, env))
-    enriched.sort(key=cmp_to_key(compare))
-    rows = [row for row, _ in enriched]
-    if q.limit is not None:
-        rows = rows[: q.limit]
-    return ResultTable(header, rows, plan)
+            records.append((row, dict(zip(header, row))))
+    records.sort(key=lambda r: tuple("" if t is None else ntriples_term(t) for t in r[0]))
+    for key in reversed(q.order_by):
+        records.sort(key=lambda r: term_sort_key(r[1].get(key.var)), reverse=not key.ascending)
+    return ResultTable(header, [row for row, _ in records[: q.limit]], plan)
 
 
 # ---------------------------------------------------------------------------

@@ -310,6 +310,20 @@ def test_align_prints_overlap_for_two_graphs(workdir, capsys):
     )
 
 
+def test_align_keeps_one_row_per_file_when_stems_repeat(workdir, capsys):
+    for folder, name in (("a", "leipzig_persons.ttl"), ("b", "helmstedt_persons.ttl")):
+        (workdir / folder).mkdir()
+        shutil.copy(workdir / name, workdir / folder / "x.ttl")
+    code = run(["align", "--graphs", f"{workdir}/a/x.ttl,{workdir}/b/x.ttl"])
+    assert code == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:3] == [
+        "x: 5 properties, 1 classes",
+        "x: 5 properties, 1 classes",
+        "deduplicated union: 8 properties, 2 classes",
+    ]
+
+
 def test_lint_strict_exits_1_on_findings(workdir, capsys):
     code = run(
         [
@@ -432,6 +446,31 @@ def test_log_on_missing_store_is_config_error(workdir):
     assert run(["log", "--store", str(workdir / "no-store")]) == 2
 
 
+@pytest.mark.parametrize("command", [["log"], ["diff", "a", "b"], ["checkout", "a", "-o", "g.nt"]])
+def test_store_commands_on_a_missing_store_create_no_directory(workdir, capsys, command):
+    store = workdir / "no-store"
+    assert run([command[0], "--store", str(store), *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: --store path does not exist: {store}\n"
+    assert not store.exists()
+
+
+def test_link_names_every_missing_input_on_one_line(workdir, capsys):
+    code = run(
+        [
+            "link",
+            "--config", str(workdir / "missing.cfg"),
+            "--left", str(workdir / "missing-left.ttl"),
+            "--right", str(workdir / "helmstedt_persons.ttl"),
+            "--out", str(workdir / "r.csv"),
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("config error: ")
+    assert "missing-left.ttl" in err and "missing.cfg" in err
+
+
 def test_fuse_reports_all_missing_paths_at_once(workdir, capsys):
     code = run(
         [
@@ -528,6 +567,29 @@ def test_enrich_base_url_moves_dnb_requests_to_the_mirror(workdir, capsys):
     assert code == 0
     assert "(1/1 ok)" in capsys.readouterr().out
     assert "urn:gnd:1" in (workdir / "dnb.nt").read_text()
+
+
+def test_enrich_dnb_with_a_template_is_config_error(workdir, capsys):
+    template = workdir / "lookup.rq"
+    template.write_text('select * where {?s ?p "{gnd}"}')
+    gnds = workdir / "gnds.txt"
+    gnds.write_text("118755951\n")
+    recorded = workdir / "recorded"
+    recorded.mkdir()
+    code = run(
+        [
+            "enrich",
+            "--endpoint", "dnb",
+            "--gnds", str(gnds),
+            "--fixtures", str(recorded),
+            "--template", str(template),
+            "--out", str(workdir / "dnb.nt"),
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "template" in err and len(err.splitlines()) == 1
+    assert not (workdir / "dnb.nt").exists()
 
 
 def test_enrich_template_without_placeholder_is_config_error(workdir, capsys):

@@ -114,6 +114,12 @@ def test_sparql_endpoint_requires_template():
         EndpointSpec(name="x", kind=SPARQL_ENDPOINT, base_url="https://example.org/sparql")
 
 
+def test_document_endpoint_rejects_a_lookup_template():
+    template = QueryTemplate.from_text('select * where {?s ?p "{gnd}"}')
+    with pytest.raises(EndpointConfigError, match="template"):
+        builtin_endpoint("dnb", lookup_template=template)
+
+
 def test_delays_must_be_positive():
     with pytest.raises(EndpointConfigError):
         builtin_endpoint("dnb", politeness_delay_ms=0)

@@ -293,13 +293,12 @@ def test_bundled_renames_file_parses():
 
 def test_vocabulary_report_deduplicates_union():
     report = vocabulary_report(
-        {
-            "leipzig": extract_vocabulary(fixtures.leipzig_catalogue()),
-            "helmstedt": extract_vocabulary(fixtures.helmstedt_catalogue()),
-        }
+        [
+            ("leipzig", extract_vocabulary(fixtures.leipzig_catalogue())),
+            ("helmstedt", extract_vocabulary(fixtures.helmstedt_catalogue())),
+        ]
     )
-    assert report.per_graph["leipzig"] == (72, 39)
-    assert report.per_graph["helmstedt"] == (56, 21)
+    assert report.per_graph == [("leipzig", 72, 39), ("helmstedt", 56, 21)]
     # shared rdf/rdfs terms dedupe; catalogue terms differ by namespace
     assert report.union_properties == 72 + 56 - 3
     assert report.union_classes == 39 + 21

@@ -15,8 +15,12 @@ import itertools
 import random
 import re
 from collections import Counter
+from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgfuse import fixtures
 from kgfuse.prefixes import (
@@ -28,7 +32,7 @@ from kgfuse.prefixes import (
     XSD_BOOLEAN,
     XSD_INTEGER,
 )
-from kgfuse.rdf import Graph, Triple, blank, iri, literal, parse_turtle
+from kgfuse.rdf import Graph, Triple, blank, iri, literal, ntriples_term, parse_turtle
 from kgfuse.sparql import (
     CountAgg,
     QueryTemplate,
@@ -339,6 +343,138 @@ def test_numeric_order_beats_lexical():
     ast = parse_query("select ?s ?v where {?s <urn:p:v> ?v} order by asc(?v)")
     table = evaluate(ast, g)
     assert [row[1].value for row in table.rows] == ["999", "1700"]
+
+
+# --- ORDER BY against a reference comparator ------------------------------------
+
+_ORDER_SUBJECTS = [iri("urn:s:a"), iri("urn:s:b"), blank("b1"), blank("b2")]
+_ORDER_PREDICATES = [iri("urn:p:0"), iri("urn:p:1")]
+_ORDER_OBJECTS = [
+    literal("10"), literal("9"), literal("-1.5"), literal("+3"), literal("010"),
+    literal("9", datatype=XSD_INTEGER), literal("1600-05-02"), literal("abc"),
+    literal("Abc", language="de"), literal("abc", language="en"),
+    literal("true", datatype=XSD_BOOLEAN), iri("urn:s:a"), iri("urn:o:z"), blank("b1"),
+]
+_ORDER_VARS = ["s", "p", "o", "y"]
+
+
+def _readme_class(t) -> int:
+    """README rule: unbound < blank < IRI < literal, numeric literals first."""
+    if t is None:
+        return 0
+    if t.kind == "blank":
+        return 1
+    if t.kind == "iri":
+        return 2
+    return 3 if re.fullmatch(r"[+-]?\d+(\.\d+)?", t.value) else 4
+
+
+def _readme_term_cmp(a, b) -> int:
+    ca, cb = _readme_class(a), _readme_class(b)
+    if ca != cb:
+        return -1 if ca < cb else 1
+    if ca == 0:
+        return 0
+    if ca == 3 and Fraction(a.value) != Fraction(b.value):
+        return -1 if Fraction(a.value) < Fraction(b.value) else 1
+    for x, y in (
+        (a.value, b.value),
+        (a.language or "", b.language or ""),
+        (a.datatype or "", b.datatype or ""),
+    ):
+        if x != y:
+            return -1 if x < y else 1
+    return 0
+
+
+def _reference_order(ast, solutions) -> list[tuple]:
+    """Rows with their ORDER BY environments, sorted by the README rule
+    with ties broken by the rows' N-Triples text."""
+    records = []
+    if ast.group_by or any(isinstance(p, CountAgg) for p in ast.projection):
+        groups: dict[tuple, list[dict]] = {}
+        for mu in solutions:
+            groups.setdefault(tuple(mu.get(v) for v in ast.group_by), []).append(mu)
+        for key, members in groups.items():
+            env = dict(zip(ast.group_by, key))
+            row = []
+            for p in ast.projection:
+                if isinstance(p, CountAgg):
+                    row.append(_count_int(sum(1 for m in members if m.get(p.var) is not None)))
+                else:
+                    row.append(env[p.name])
+            env.update((k, v) for k, v in zip(ast.header, row) if k not in env)
+            records.append((tuple(row), env))
+    else:
+        records = [(tuple(mu.get(p.name) for p in ast.projection), mu) for mu in solutions]
+
+    def text(row):
+        return tuple("" if t is None else ntriples_term(t) for t in row)
+
+    def compare(a, b):
+        for key in ast.order_by:
+            c = _readme_term_cmp(a[1].get(key.var), b[1].get(key.var))
+            if c:
+                return c if key.ascending else -c
+        ta, tb = text(a[0]), text(b[0])
+        return -1 if ta < tb else (1 if ta > tb else 0)
+
+    rows = [row for row, _ in sorted(records, key=cmp_to_key(compare))]
+    return rows if ast.limit is None else rows[: ast.limit]
+
+
+@st.composite
+def _ordered_queries(draw) -> str:
+    with_year = draw(st.booleans())
+    bound = _ORDER_VARS if with_year else _ORDER_VARS[:3]
+    where = "?s ?p ?o" + (" . bind (year(?o) as ?y)" if with_year else "")
+    if draw(st.booleans()):
+        group_by = draw(st.lists(st.sampled_from(bound), min_size=1, max_size=3, unique=True))
+        shown = draw(st.lists(st.sampled_from(group_by), max_size=len(group_by), unique=True))
+        counted = draw(st.sampled_from(bound))
+        select = " ".join("?" + v for v in shown) + f" (count(?{counted}) as ?n)"
+        visible = group_by + ["n"]
+        tail = " group by " + " ".join("?" + v for v in group_by)
+    else:
+        shown = draw(st.lists(st.sampled_from(bound), min_size=1, max_size=len(bound), unique=True))
+        select = " ".join("?" + v for v in shown)
+        visible = shown
+        tail = ""
+    keys = draw(st.lists(st.sampled_from(visible), min_size=1, max_size=3, unique=True))
+    tail += " order by " + " ".join(
+        f"{draw(st.sampled_from(['asc', 'desc']))}(?{k})" for k in keys
+    )
+    limit = draw(st.none() | st.integers(min_value=0, max_value=6))
+    if limit is not None:
+        tail += f" limit {limit}"
+    return f"select {select} where {{{where}}}{tail}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    triples=st.lists(
+        st.tuples(
+            st.sampled_from(_ORDER_SUBJECTS),
+            st.sampled_from(_ORDER_PREDICATES),
+            st.sampled_from(_ORDER_OBJECTS),
+        ),
+        max_size=14,
+    ),
+    query=_ordered_queries(),
+)
+def test_order_by_matches_a_reference_comparator(triples, query):
+    g = Graph()
+    for s, p, o in triples:
+        g.add(Triple(s, p, o))
+    ast = parse_query(query)
+    solutions = [{"s": t.s, "p": t.p, "o": t.o} for t in g.triples]
+    if ast.binds:
+        solutions = [
+            {**mu, "y": _count_int(_oracle_year(mu["o"]))}
+            for mu in solutions
+            if _oracle_year(mu["o"]) is not None
+        ]
+    assert evaluate(ast, g).rows == _reference_order(ast, solutions), query
 
 
 # --- join planning -------------------------------------------------------------

@@ -26,7 +26,14 @@ from .enrich import (
 from .fusion import FusionError
 from .linkdisc import LinkConfigError
 from .prefixes import DEFAULT_PREFIXES, PrefixFileError, load_prefix_file
-from .rdf import ABSOLUTE_IRI_RE, Graph, RdfError, parse_turtle, serialize_canonical
+from .rdf import (
+    ABSOLUTE_IRI_RE,
+    Graph,
+    RdfError,
+    parse_turtle,
+    serialize_canonical,
+    serialize_canonical_lines,
+)
 from .sparql import QueryTemplate, SparqlError, evaluate, parse_query
 from .versioning import ChangeStore, StoreError, format_log
 
@@ -250,7 +257,7 @@ def cmd_enrich(args) -> int:
 
 
 def _open_store(args) -> ChangeStore:
-    # checked first: ChangeStore creates a directory that does not exist
+    # a missing store is a config error, not an empty history
     _check_inputs(args, ("store",))
     return ChangeStore(args.store)
 
@@ -263,22 +270,23 @@ def cmd_log(args) -> int:
 
 def cmd_diff(args) -> int:
     store = _open_store(args)
-    changeset = store.diff(args.commit_a, args.commit_b)
-    from .rdf import ntriples_line
-
-    for t in sorted(changeset.removed, key=ntriples_line):
-        print("- " + ntriples_line(t))
-    for t in sorted(changeset.added, key=ntriples_line):
-        print("+ " + ntriples_line(t))
-    print(f"{len(changeset.added)} added, {len(changeset.removed)} removed", file=sys.stderr)
+    state_a = store.state_lines(args.commit_a)
+    state_b = store.state_lines(args.commit_b)
+    removed = sorted(state_a - state_b)
+    added = sorted(state_b - state_a)
+    for line in removed:
+        print("- " + line)
+    for line in added:
+        print("+ " + line)
+    print(f"{len(added)} added, {len(removed)} removed", file=sys.stderr)
     return 0
 
 
 def cmd_checkout(args) -> int:
     store = _open_store(args)
-    graph = store.checkout(args.commit)
-    _write_text(args.out, serialize_canonical(graph))
-    print(f"wrote {len(graph)} triple(s) at {args.commit[:12]} to {args.out}")
+    lines = store.state_lines(args.commit)
+    _write_text(args.out, serialize_canonical_lines(lines))
+    print(f"wrote {len(lines)} triple(s) at {args.commit[:12]} to {args.out}")
     return 0
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Collection, Iterable, Iterator, Optional
 from urllib.parse import urljoin
 
 from .prefixes import RDF_LANGSTRING, RDF_TYPE, XSD_BOOLEAN, XSD_DECIMAL, XSD_INTEGER, XSD_STRING
@@ -355,18 +355,37 @@ def _relabel(term: Term, mapping: dict[str, str]) -> Term:
     return term
 
 
-def serialize_canonical(g: Graph) -> str:
-    """Canonical N-Triples: blank nodes relabeled, lines sorted by byte order."""
-    mapping = _canonical_blank_map(g.triples)
-    lines = []
-    for t in g.triples:
+def _canonical_text(lines: list[str], triples: frozenset[Triple]) -> str:
+    """`lines` as they are plus `triples` with their blank nodes relabeled,
+    sorted by code point.  That is UTF-8 byte order for all text that has a
+    UTF-8 form, which text without lone surrogates does.  Extends `lines`."""
+    mapping = _canonical_blank_map(triples)
+    for t in triples:
         if mapping:
             t = Triple(_relabel(t.s, mapping), t.p, _relabel(t.o, mapping))
         lines.append(ntriples_line(t))
     if not lines:
         return ""
-    lines.sort(key=lambda line: line.encode("utf-8"))
+    lines.sort()
     return "\n".join(lines) + "\n"
+
+
+def serialize_canonical(g: Graph) -> str:
+    """Canonical N-Triples: blank nodes relabeled, lines sorted by byte order."""
+    return _canonical_text([], g.triples)
+
+
+def serialize_canonical_lines(lines: Collection[str]) -> str:
+    """`serialize_canonical` of the graph held by N-Triples `lines`, each one
+    as `ntriples_line` writes it (the changeset store keeps such lines).
+
+    A line without `_:` holds no blank node, so it is already canonical.  Only
+    the lines with `_:` are parsed: they hold every triple that mentions a
+    blank node, which is all the relabeling reads.
+    """
+    plain = [line for line in lines if "_:" not in line]
+    blanks = parse_ntriples("\n".join(line for line in lines if "_:" in line))
+    return _canonical_text(plain, blanks.triples)
 
 
 # ---------------------------------------------------------------------------

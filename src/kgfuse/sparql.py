@@ -391,6 +391,13 @@ def _validated(ast: QueryAST) -> QueryAST:
         for name in ast.group_by:
             if name not in bound:
                 raise SparqlSyntaxError(f"GROUP BY variable ?{name} is never bound")
+    # SPARQL 1.1 §18.2.1: an AS variable must not be in scope already
+    in_scope = set(bound)
+    for p in ast.projection:
+        if isinstance(p, CountAgg):
+            if p.alias in in_scope:
+                raise SparqlSyntaxError(f"count alias ?{p.alias} is already in scope")
+            in_scope.add(p.alias)
     visible = set(plain) | {p.alias for p in ast.projection if isinstance(p, CountAgg)}
     visible |= set(ast.group_by)
     for key in ast.order_by:

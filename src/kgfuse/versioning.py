@@ -10,11 +10,13 @@ Commits are written into a temporary directory and renamed into place
 before HEAD moves, so a crash leaves either the previous head or the new
 one, never a half-written commit.
 
-The store works on canonical N-Triples lines: a state is the frozenset of
-its lines, and replay is set algebra over them.  Triples are parsed only
-where a caller asks for them (checkout, diff, read_changeset).  Every read
-of a changeset recomputes its commit id, so a file edited after commit is
-an error rather than a silently different history.
+The store works on N-Triples lines as `ntriples_line` writes them: a state
+is the frozenset of its lines (`state_lines`), and replay is set algebra
+over them.  The `kgfuse checkout` and `kgfuse diff` commands answer from
+those lines; triples are parsed only for the library calls that return
+them (`checkout`, `diff`, `read_changeset`).  Every read of a changeset
+recomputes its commit id, so a file edited after commit is an error rather
+than a silently different history.
 """
 
 from __future__ import annotations
@@ -141,8 +143,8 @@ class ChangeStore:
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
+        # created by the first commit, so reading a store writes nothing
         self.commits_dir = self.path / "commits"
-        self.commits_dir.mkdir(parents=True, exist_ok=True)
         # Committed data is immutable, so read caches never invalidate.
         self._commit_cache: dict[str, Commit] = {}
         self._state_cache: dict[str, frozenset[str]] = {}
@@ -243,7 +245,7 @@ class ChangeStore:
                 raise StoreError(
                     f"store tracks graph {lineage_name!r}, got {graph_name!r}"
                 )
-            old_state = self._state_at(head)
+            old_state = self.state_lines(head)
         else:
             old_state = frozenset()
         new_lines = frozenset(map(ntriples_line, new_state.triples))
@@ -289,7 +291,7 @@ class ChangeStore:
         if len(self._state_cache) > _STATE_CACHE_SIZE:
             del self._state_cache[next(iter(self._state_cache))]
 
-    def _state_at(self, commit_id: str) -> frozenset[str]:
+    def state_lines(self, commit_id: str) -> frozenset[str]:
         """The N-Triples lines of the graph at `commit_id`."""
         cached = self._state_cache.get(commit_id)
         if cached is not None:
@@ -316,11 +318,11 @@ class ChangeStore:
 
     def checkout(self, commit_id: str) -> Graph:
         commit = self.read_commit(commit_id)
-        return parse_ntriples("\n".join(self._state_at(commit_id)), name=commit.graph_name)
+        return parse_ntriples("\n".join(self.state_lines(commit_id)), name=commit.graph_name)
 
     def diff(self, a: str, b: str) -> ChangeSet:
-        state_a = self._state_at(a)
-        state_b = self._state_at(b)
+        state_a = self.state_lines(a)
+        state_b = self.state_lines(b)
         graph_name = self.read_commit(b).graph_name
         return ChangeSet(
             added=_triples(state_b - state_a),

@@ -455,6 +455,28 @@ def test_store_commands_on_a_missing_store_create_no_directory(workdir, capsys, 
     assert not store.exists()
 
 
+@pytest.mark.parametrize("command", [["log"], ["diff", "a", "b"], ["checkout", "a", "-o"]])
+def test_store_commands_on_an_existing_directory_write_nothing_into_it(workdir, command):
+    store = workdir / "empty-store"
+    store.mkdir()
+    out = [str(workdir / "g.nt")] if command[-1] == "-o" else []
+    assert run([command[0], "--store", str(store), *command[1:], *out]) in (0, 1)
+    assert list(store.iterdir()) == []
+
+
+def test_count_alias_that_is_already_in_scope_is_a_domain_error(workdir, capsys):
+    graph = workdir / "g.nt"
+    graph.write_text(
+        '<urn:x:a> <urn:p:v> "1" .\n<urn:x:a> <urn:p:v> "2" .\n<urn:x:b> <urn:p:v> "3" .\n'
+    )
+    query = workdir / "q.rq"
+    query.write_text("select ?s (count(?o) as ?s) where {?s ?p ?o} group by ?s order by desc(?s)")
+    assert run(["query", "--graphs", str(graph), "--query", str(query)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: count alias ?s is already in scope\n"
+
+
 def test_link_names_every_missing_input_on_one_line(workdir, capsys):
     code = run(
         [

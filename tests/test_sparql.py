@@ -190,6 +190,20 @@ def test_projected_var_must_be_grouped():
         parse_query("select ?s (count(?o) as ?n) where {?s ?p ?o} group by ?p")
 
 
+@pytest.mark.parametrize(
+    "query",
+    [
+        "select ?s (count(?o) as ?s) where {?s ?p ?o} group by ?s order by desc(?s)",
+        "select (count(?o) as ?p) where {?s ?p ?o}",
+        "select (count(?o) as ?y) where {?s ?p ?o . bind (year(?o) as ?y)}",
+        "select (count(?o) as ?n) (count(?s) as ?n) where {?s ?p ?o}",
+    ],
+)
+def test_count_alias_must_not_be_in_scope(query):
+    with pytest.raises(SparqlSyntaxError, match="is already in scope"):
+        parse_query(query)
+
+
 def test_order_by_var_must_be_visible():
     with pytest.raises(SparqlSyntaxError):
         parse_query("select ?s where {?s ?p ?o} order by asc(?missing)")

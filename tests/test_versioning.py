@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import random
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgfuse import fixtures, versioning
 from kgfuse.cli import run
 from kgfuse.fusion import shift_namespace
 from kgfuse.prefixes import PCP_NS, XSD_NS
-from kgfuse.rdf import Graph, Triple, blank, iri, literal
+from kgfuse.rdf import Graph, Triple, blank, iri, literal, ntriples_line, serialize_canonical
 from kgfuse.versioning import (
     ChangeStore,
     EmptyDiffError,
@@ -127,7 +133,7 @@ def test_commit_rejects_a_graph_name_that_is_not_an_absolute_iri(tmp_path, name)
     with pytest.raises(StoreError, match="absolute IRI"):
         store.commit(name, _graph("a"), "t", "one", timestamp=1)
     assert store.head_id is None
-    assert sorted(p.name for p in (tmp_path / "store").rglob("*")) == ["commits"]
+    assert not (tmp_path / "store").exists()
 
 
 def test_replay_oracle_on_random_history(tmp_path):
@@ -354,3 +360,115 @@ def test_state_cache_stays_bounded(tmp_path):
     for n, cid in enumerate(ids):
         assert len(store.checkout(cid)) == n + 1
     assert len(store._state_cache) <= versioning._STATE_CACHE_SIZE
+
+
+def _cli(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _pinned_history() -> list[tuple[frozenset, str, str]]:
+    """`_escaped_history` plus a state with `_:` inside a literal and text on
+    both sides of U+FFFF."""
+    history = _escaped_history()
+    fourth = history[-1][0] | {
+        Triple(iri("urn:s:\ufffd"), iri("urn:p:value"), literal("_:n1 \U00010000 \u00fcber")),
+        Triple(iri("urn:s:\U00010000"), iri("urn:p:value"), literal("\ufffd")),
+        Triple(blank("n3"), iri("urn:p:next"), blank("n2")),
+    }
+    return history + [(fourth, "dan", "link notes")]
+
+
+def test_checkout_and_diff_output_is_pinned(tmp_path):
+    path = tmp_path / "store"
+    store = ChangeStore(path)
+    ids = [
+        store.commit(GRAPH_NAME, Graph(GRAPH_NAME, state), author, message, timestamp=n * 1000).id
+        for n, (state, author, message) in enumerate(_pinned_history(), 1)
+    ]
+    out = tmp_path / "out.nt"
+    checkouts = []
+    for cid in ids:
+        code, stdout, stderr = _cli(["checkout", "--store", str(path), cid, "-o", str(out)])
+        assert (code, stderr) == (0, "")
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        checkouts.append((stdout.replace(str(out), "OUT"), digest))
+    assert checkouts == [
+        ("wrote 6 triple(s) at 228b2a7ecf1d to OUT\n",
+         "51ba57b6e4d4a35c182eedd54f1a0fa42076ac9bba0366e287548d69b8727c40"),
+        ("wrote 8 triple(s) at 6e6bc692e341 to OUT\n",
+         "272da46fe01c373e1f822dda0a3529ad7c903b70a1bcf92ffab7d3f3eab48719"),
+        ("wrote 7 triple(s) at 5fd1539af1ef to OUT\n",
+         "7f00e5a6daed0b6c0c9edeb4bf0573600370062734ced75b81d403ba8c087189"),
+        ("wrote 10 triple(s) at fd1707080e7c to OUT\n",
+         "3afddbc4f0064531e70486a0b8acddbb0e3d9eea8b074c0b743b29b760f4e746"),
+    ]
+    gyear = "^^<http://www.w3.org/2001/XMLSchema#gYear> ."
+    assert _cli(["diff", "--store", str(path), ids[0], ids[1]]) == (
+        0,
+        f'- <urn:s:1> <urn:p:value> "1655"{gyear}\n'
+        f'+ <urn:s:1> <urn:p:value> "1656"{gyear}\n'
+        '+ <urn:s:2> <urn:p:value> "x"@base .\n'
+        "+ _:n2 <urn:p:next> _:n1 .\n",
+        "3 added, 1 removed\n",
+    )
+    assert _cli(["diff", "--store", str(path), ids[3], ids[0]]) == (
+        0,
+        f'- <urn:s:1> <urn:p:value> "1656"{gyear}\n'
+        '- <urn:s:2> <urn:p:value> "x"@base .\n'
+        '- <urn:s:\ufffd> <urn:p:value> "_:n1 \U00010000 \u00fcber" .\n'
+        '- <urn:s:\U00010000> <urn:p:value> "\ufffd" .\n'
+        "- _:n2 <urn:p:next> _:n1 .\n"
+        "- _:n3 <urn:p:next> _:n2 .\n"
+        f'+ <urn:s:1> <urn:p:value> "1655"{gyear}\n'
+        "+ <urn:s:2> <urn:p:note> _:n1 .\n",
+        "2 added, 6 removed\n",
+    )
+
+
+_SUBJECTS = [iri("urn:s:0"), iri("urn:s:\ufffd"), iri("urn:s:\U00010000"), blank("a"), blank("b")]
+_PREDICATES = [iri("urn:p:0"), iri("urn:p:1")]
+_TEXT = st.lists(
+    st.sampled_from(["a", "_", ":", "_:b0", "\n", "\r", '"', "\\", "\t", "\x01", " ", "\u00fc",
+                     "\ufffd", "\U00010000"]),
+    max_size=5,
+).map("".join)
+_TAGS = [
+    (None, None), ("en", None), ("de-AT", None), (None, XSD_NS + "gYear"), (None, "urn:dt:\ufffd")
+]
+_LITERALS = st.tuples(_TEXT, st.sampled_from(_TAGS)).map(lambda t: literal(t[0], *t[1]))
+_TRIPLES = st.builds(
+    Triple, st.sampled_from(_SUBJECTS), st.sampled_from(_PREDICATES),
+    st.sampled_from(_SUBJECTS + [iri("urn:o:0"), blank("c")]) | _LITERALS,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.frozensets(_TRIPLES, max_size=8), min_size=1, max_size=4))
+def test_cli_checkout_and_diff_match_the_library(states):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d, "store")
+        store = ChangeStore(path)
+        ids = []
+        for n, state in enumerate(states):
+            with contextlib.suppress(EmptyDiffError):
+                ids.append(store.commit(GRAPH_NAME, Graph(GRAPH_NAME, state), "t", "m", n).id)
+        out = Path(d, "out.nt")
+        for cid in ids:
+            graph = store.checkout(cid)
+            code, stdout, _ = _cli(["checkout", "--store", str(path), cid, "-o", str(out)])
+            assert code == 0
+            assert out.read_bytes() == serialize_canonical(graph).encode("utf-8")
+            assert stdout.startswith(f"wrote {len(graph)} triple(s) ")
+        for a in ids:
+            for b in ids:
+                changeset = store.diff(a, b)
+                expected = "".join(
+                    f"{sign} {line}\n"
+                    for sign, triples in (("-", changeset.removed), ("+", changeset.added))
+                    for line in sorted(map(ntriples_line, triples))
+                )
+                counts = f"{len(changeset.added)} added, {len(changeset.removed)} removed\n"
+                assert _cli(["diff", "--store", str(path), a, b]) == (0, expected, counts)

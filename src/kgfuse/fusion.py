@@ -88,12 +88,14 @@ def local_name(value: str) -> str:
 
 def extract_vocabulary(g: Graph) -> tuple[frozenset[str], frozenset[str]]:
     """(property IRIs, class IRIs): predicates plus declared properties,
-    rdf:type objects plus declared classes."""
-    rdf_type = iri(RDF_TYPE)
-    properties = {t.p.value for t in g.triples}
+    rdf:type objects plus declared classes.  One scan over the triples, so
+    the graph's indexes are not built."""
+    properties = set()
     classes = set()
-    for t in g.match(None, rdf_type, None):
-        if t.o.kind == IRI:
+    for t in g.triples:
+        p = t.p.value
+        properties.add(p)
+        if p == RDF_TYPE and t.o.kind == IRI:
             classes.add(t.o.value)
             if t.s.kind == IRI:
                 if t.o.value in _PROPERTY_DECLARATIONS:
@@ -148,10 +150,11 @@ def shift_namespace(
         )
     # One Term per rewritten IRI, shared by every triple that uses it.
     terms = {iri(old): iri(new) for old, new in rewrite.items()}
-    out = Graph(name=g.name)
+    out = Graph(
+        g.name,
+        (Triple(terms.get(t.s, t.s), terms.get(t.p, t.p), terms.get(t.o, t.o)) for t in g.triples),
+    )
     out.prefixes.update(g.prefixes)
-    for t in g.triples:
-        out.add(Triple(terms.get(t.s, t.s), terms.get(t.p, t.p), terms.get(t.o, t.o)))
     if len(out) != len(g):
         raise FusionError(
             f"namespace shift merged {len(g) - len(out)} triple(s); "

@@ -3,12 +3,14 @@
 The lexer and the term grammar here (IRIs, prefixed names, literals) also
 serve the query parser in `sparql`.
 
-The graph keeps two nested-dict indexes (SPO and POS) whose leaves hold the
-stored triples, so every pattern with a bound subject or predicate is
-answered without a full scan and without building a triple.  `Graph.match`
-returns triples in index order; canonical order is decided only where output
-is written.  Everything here is deliberately syntactic: literals compare by
-exact lexical form, which keeps diffs and version changesets reversible.
+The graph keeps its triples in a set.  The first `match` or `count` builds
+two nested-dict indexes (SPO and POS) whose leaves hold the stored triples,
+so every pattern with a bound subject or predicate is answered without a
+full scan and without building a triple; a graph that is only parsed,
+merged and written never pays for them.  `Graph.match` returns triples in
+index order; canonical order is decided only where output is written.
+Everything here is deliberately syntactic: literals compare by exact
+lexical form, which keeps diffs and version changesets reversible.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ BLANK = "blank"
 LITERAL = "literal"
 
 ABSOLUTE_IRI_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
 
 
 class RdfError(ValueError):
@@ -57,7 +60,8 @@ class Term:
     form depending on `kind`.  Language tags are lower-cased on
     construction so equality and hashing are case-insensitive, and
     `^^xsd:string` collapses to the plain literal form.  The hash is
-    computed once, after that normalization.
+    computed once, after that normalization.  Text holding a lone surrogate
+    is rejected: it has no UTF-8 form, so no output could be written.
     """
 
     kind: str
@@ -93,6 +97,16 @@ class Term:
                     object.__setattr__(self, "datatype", None)
         else:
             raise RdfError(f"unknown term kind: {self.kind!r}")
+        if not (
+            self.value.isascii()
+            and (self.language or "").isascii()
+            and (self.datatype or "").isascii()
+        ):
+            for text in (self.value, self.language, self.datatype):
+                if text and (m := _SURROGATE_RE.search(text)):
+                    raise RdfError(
+                        f"{self.kind} term holds lone surrogate U+{ord(m.group()):04X}: {text!r}"
+                    )
         object.__setattr__(
             self, "_hash", hash((self.kind, self.value, self.language, self.datatype))
         )
@@ -175,15 +189,27 @@ def ntriples_line(triple: Triple) -> str:
     return f"{ntriples_term(triple.s)} {ntriples_term(triple.p)} {ntriples_term(triple.o)} ."
 
 
+_Index = dict[Term, dict[Term, dict[Term, Triple]]]
+
+
+def _index_triple(spo: _Index, pos: _Index, t: Triple) -> None:
+    spo.setdefault(t.s, {}).setdefault(t.p, {})[t.o] = t
+    pos.setdefault(t.p, {}).setdefault(t.o, {})[t.s] = t
+
+
 class Graph:
     """A named set of triples with SPO and POS indexes and a prefix map.
 
     The two indexes answer every pattern: SPO those with the subject bound,
     POS the rest.  Only a pattern that binds the object alone reads one leaf
-    per predicate.
+    per predicate.  The first `match` or `count` builds both in one pass over
+    the triples; from then on `add` keeps them current.
 
     Mutation is not synchronized: build a graph in one place, then share it
-    read-only; parsing and serialization are pure functions.
+    read-only; parsing and serialization are pure functions.  Threads may
+    probe a shared graph before its indexes exist: each first probe builds
+    both and publishes them in one assignment, so none reads a half-built
+    index (two racing probes may both build them).
     """
 
     def __init__(self, name: str | None = None, triples: Iterable[Triple] = ()):
@@ -191,12 +217,10 @@ class Graph:
             raise RdfError(f"graph name must be an absolute IRI: {name!r}")
         self.name = name
         self.prefixes: dict[str, str] = {}
-        self._triples: set[Triple] = set()
-        # Each leaf maps the last term of its index to the stored triple.
-        self._spo: dict[Term, dict[Term, dict[Term, Triple]]] = {}
-        self._pos: dict[Term, dict[Term, dict[Term, Triple]]] = {}
-        for t in triples:
-            self.add(t)
+        self._triples: set[Triple] = set(triples)
+        # (SPO, POS), None until the first probe.  Each leaf maps the last
+        # term of its index to the stored triple.
+        self._index: tuple[_Index, _Index] | None = None
 
     def bind(self, prefix: str, namespace: str) -> None:
         self.prefixes[prefix] = namespace
@@ -206,9 +230,8 @@ class Graph:
         if triple in self._triples:
             return False
         self._triples.add(triple)
-        s, p, o = triple.s, triple.p, triple.o
-        self._spo.setdefault(s, {}).setdefault(p, {})[o] = triple
-        self._pos.setdefault(p, {}).setdefault(o, {})[s] = triple
+        if self._index is not None:
+            _index_triple(*self._index, triple)
         return True
 
     def add_all(self, triples: Iterable[Triple]) -> int:
@@ -243,17 +266,24 @@ class Graph:
         With `s` bound the leaves come from SPO and the second value is `o`,
         the key to read in each leaf (None: all of it).  Otherwise they come
         from POS and each whole leaf agrees: one predicate, or every
-        predicate's leaf for `o`.
+        predicate's leaf for `o`.  The first call builds both indexes.
         """
+        if self._index is None:
+            spo: _Index = {}
+            pos: _Index = {}
+            for t in self._triples:
+                _index_triple(spo, pos, t)
+            self._index = spo, pos
+        spo, pos = self._index
         if s is not None:
-            by_p = self._spo.get(s, {})
+            by_p = spo.get(s, {})
             return (by_p.values() if p is None else [by_p.get(p, {})]), o
         if p is not None:
-            by_o = self._pos.get(p, {})
+            by_o = pos.get(p, {})
             return (by_o.values() if o is None else [by_o.get(o, {})]), None
         if o is not None:
-            return [by_o.get(o, {}) for by_o in self._pos.values()], None
-        return [leaf for by_o in self._pos.values() for leaf in by_o.values()], None
+            return [by_o.get(o, {}) for by_o in pos.values()], None
+        return [leaf for by_o in pos.values() for leaf in by_o.values()], None
 
     def match(
         self,
@@ -746,9 +776,10 @@ def parse_ntriples(text: str, name: str | None = None) -> Graph:
     White space is space and tab, every IRI must be absolute, and a
     blank-node label cannot end in `.`.  Returns a graph named `name`.  Each
     distinct term text is built into a `Term` once per call, so equal terms
-    are shared.
+    are shared.  The graph's indexes are left to its first probe.
     """
     g = Graph(name)
+    add = g._triples.add  # no index to keep current yet
     terms: dict[str, Term] = {}
     for lineno, raw in enumerate(_nt_lines(text), 1):
         line = raw.strip(" \t")
@@ -781,5 +812,5 @@ def parse_ntriples(text: str, name: str | None = None) -> Graph:
                     datatype=o_dtype,
                 )
             terms[o_text] = obj
-        g.add(Triple(subject, predicate, obj))
+        add(Triple(subject, predicate, obj))
     return g

@@ -122,7 +122,9 @@ def _commit_id(
     add_text: str,
     remove_text: str,
 ) -> str:
-    payload = "\n".join(
+    # The sha256 of every field joined by "\n"; the changeset texts are fed
+    # in as they are, never copied into one joined payload.
+    header = "\n".join(
         [
             "parent " + (parent or "-"),
             "graph " + graph_name,
@@ -130,12 +132,14 @@ def _commit_id(
             "message " + _escape(message),
             "timestamp " + str(timestamp),
             "add",
-            add_text,
-            "remove",
-            remove_text,
+            "",
         ]
     )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    digest = hashlib.sha256(header.encode("utf-8"))
+    digest.update(add_text.encode("utf-8"))
+    digest.update(b"\nremove\n")
+    digest.update(remove_text.encode("utf-8"))
+    return digest.hexdigest()
 
 
 class ChangeStore:

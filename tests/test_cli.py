@@ -6,7 +6,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -19,7 +22,7 @@ from kgfuse.cli import run
 from kgfuse.enrich import RecordedTransport
 from kgfuse.linkdisc import load_link_config
 from kgfuse.prefixes import HELMSTEDT_NS, LEIPZIG_NS, PCP_NS
-from kgfuse.rdf import iri, parse_turtle
+from kgfuse.rdf import Graph, iri, parse_turtle
 from kgfuse.versioning import ChangeStore
 
 
@@ -280,6 +283,63 @@ def test_fuse_bytes_with_renames_are_pinned(workdir, capsys, monkeypatch):
         hashlib.sha256((workdir / "fused.nt").read_bytes()).hexdigest()
         == "ec6756fbe5f96be8bd7ae37918dcb575a1ce419012fb1edf72d63513328e6735"
     )
+
+
+def test_fuse_never_probes_a_graph(workdir, monkeypatch):
+    # no graph on the fuse path is queried, so none should build its indexes
+    probes = []
+    for method in ("match", "count"):
+        original = getattr(Graph, method)
+        monkeypatch.setattr(
+            Graph, method,
+            lambda g, *a, _m=method, _f=original, **k: probes.append(_m) or _f(g, *a, **k),
+        )
+    code = run(
+        [
+            "fuse",
+            "--left", str(workdir / "leipzig_persons.ttl"),
+            "--right", str(workdir / "helmstedt_persons.ttl"),
+            "--left-ns", LEIPZIG_NS,
+            "--right-ns", HELMSTEDT_NS,
+            "--target-ns", PCP_NS,
+            "--mapping", str(workdir / "renames.tsv"),
+            "--out", str(workdir / "fused.nt"),
+            "--store", str(workdir / "store"),
+        ]
+    )
+    assert code == 0
+    assert len(ChangeStore(workdir / "store").log()) == 1
+    assert probes == []
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(workdir):
+    # Index order is set iteration order, which the hash seed changes.
+    commands = [
+        ["fuse", "--left", "leipzig_persons.ttl", "--right", "helmstedt_persons.ttl",
+         "--left-ns", LEIPZIG_NS, "--right-ns", HELMSTEDT_NS, "--target-ns", PCP_NS,
+         "--mapping", "renames.tsv", "--out", "fused.nt"],
+        ["query", "--graphs", "documents.ttl,fused.nt",
+         "--query", "qualification_by_faculty_year.rq"],
+        ["link", "--config", "link_person_names.cfg", "--left", "leipzig_persons.ttl",
+         "--right", "helmstedt_persons.ttl", "--out", "report.csv", "--sameas", "links.nt"],
+    ]
+    outputs = []
+    for seed in ("1", "2"):
+        cwd = workdir / f"seed{seed}"
+        shutil.copytree(workdir, cwd, ignore=shutil.ignore_patterns("seed*"))
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(sys.path)}
+        stdout = []
+        for command in commands:
+            done = subprocess.run(
+                [sys.executable, "-m", "kgfuse.cli", *command],
+                cwd=cwd, env=env, capture_output=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            stdout.append(done.stdout)
+        files = {name: (cwd / name).read_bytes() for name in ("fused.nt", "report.csv", "links.nt")}
+        outputs.append((stdout, files))
+    assert outputs[0] == outputs[1]
+    assert b"sameAs" in outputs[0][1]["links.nt"]
 
 
 def test_align_prints_overlap_for_two_graphs(workdir, capsys):

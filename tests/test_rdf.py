@@ -6,6 +6,7 @@ round-trip is checked against every bundled fixture graph.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import os
 import pickle
@@ -13,13 +14,14 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgfuse import fixtures, rdf
-from kgfuse.prefixes import RDFS_LABEL, XSD_INTEGER, XSD_STRING
+from kgfuse.prefixes import RDF_TYPE, RDFS_LABEL, XSD_DATE, XSD_INTEGER, XSD_STRING
 from kgfuse.rdf import (
     Graph,
     RdfError,
@@ -92,6 +94,24 @@ def test_iri_must_be_absolute():
         iri("relative/path")
     iri("urn:example:x")
     iri("https://d-nb.info/gnd/118755951")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: literal("M\u00fcller \ud800"),
+        lambda: literal("x", language="de-\udfff"),
+        lambda: literal("1", datatype="urn:dt:\udc00"),
+        lambda: iri("urn:x:\ud83d"),
+        lambda: blank("b\udbff"),
+    ],
+    ids=["literal", "language", "datatype", "iri", "blank"],
+)
+def test_a_lone_surrogate_is_a_one_line_rdf_error(build):
+    # such text has no UTF-8 form, so no serialization of it could be written
+    with pytest.raises(RdfError, match=r"lone surrogate U\+D[89A-F][0-9A-F]{2}") as err:
+        build()
+    assert "\n" not in str(err.value)
 
 
 def test_predicate_must_be_iri():
@@ -534,6 +554,107 @@ def test_union_of_inputs_without_clashing_labels_is_the_set_union():
     first = parse_turtle('_:x <urn:p:a> <urn:o:1> . <urn:s:1> <urn:p:a> "v" .')
     second = parse_turtle('_:y <urn:p:a> <urn:o:1> . <urn:s:1> <urn:p:a> "v" .')
     assert Graph.union([first, second]).triples == first.triples | second.triples
+
+
+_SUBJECTS = [iri(f"urn:s:{i}") for i in range(4)] + [blank("n0"), blank("n1")]
+_PREDICATES = [iri(f"urn:p:{i}") for i in range(3)]
+_OBJECTS = [literal(str(i)) for i in range(3)] + [iri("urn:s:0"), blank("n0")]
+_ALL_TERMS = _SUBJECTS + _PREDICATES + _OBJECTS + [literal("absent")]
+
+
+def _triples(subjects=_SUBJECTS, objects=_OBJECTS):
+    return st.builds(
+        Triple, st.sampled_from(subjects), st.sampled_from(_PREDICATES), st.sampled_from(objects)
+    )
+
+
+_PATTERN = st.tuples(*[st.none() | st.sampled_from(_ALL_TERMS)] * 3)
+# One graph, changed and probed in turn; `copy` and `union` replace it.
+_GRAPH_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), _triples()),
+        st.tuples(st.sampled_from(["match", "count"]), _PATTERN),
+        st.tuples(st.just("copy"), st.none()),
+        # the other input holds no blank node, so the merge is the set union
+        st.tuples(
+            st.just("union"),
+            st.tuples(
+                st.lists(_triples(_SUBJECTS[:4], _OBJECTS[:4]), max_size=8),
+                st.booleans(),
+                st.booleans(),
+            ),
+        ),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=300)
+@given(initial=st.lists(_triples(), max_size=12), ops=_GRAPH_OPS)
+def test_lazily_built_indexes_answer_as_a_linear_scan(initial, ops):
+    g = Graph(triples=initial)
+    model = set(initial)
+    for op, arg in ops:
+        if op == "add":
+            assert g.add(arg) is (arg not in model)
+            model.add(arg)
+        elif op == "copy":
+            g = g.copy()
+        elif op == "union":
+            triples, probe_other, other_first = arg
+            other = Graph(triples=triples)
+            if probe_other:
+                other.count()
+            g = Graph.union([other, g] if other_first else [g, other])
+            model |= set(triples)
+        else:
+            _check_probe(g, model, op, *arg)
+        assert g.triples == model
+    # whatever state the indexes are in now, they hold every triple
+    for term in [None] + _ALL_TERMS:
+        for pattern in {(term, None, None), (None, term, None), (None, None, term)}:
+            _check_probe(g, model, "match", *pattern)
+            _check_probe(g, model, "count", *pattern)
+
+
+def _check_probe(g: Graph, model: set, op: str, s, p, o) -> None:
+    hits = [t for t in model if (s is None or t.s == s) and (p is None or t.p == p)
+            and (o is None or t.o == o)]
+    if op == "count":
+        assert g.count(s, p, o) == len(hits)
+    else:
+        assert sorted(g.match(s, p, o), key=ntriples_line) == sorted(hits, key=ntriples_line)
+
+
+def _person_document(persons: int) -> str:
+    """N-Triples of `persons` catalogue records, five triples each."""
+    ns = "http://example.org/catalogus/leipzig/"
+    lines = []
+    for i in range(persons):
+        s = f"<{ns}person{i}>"
+        lines += [
+            f"{s} <{RDF_TYPE}> <{ns}Professor> .",
+            f'{s} <{ns}surname> "Surname{i % 97}" .',
+            f'{s} <{ns}forename> "Forename{i % 31}" .',
+            f'{s} <{RDFS_LABEL}> "Forename{i % 31} Surname{i % 97}"@de .',
+            f'{s} <{ns}birthDate> "{1500 + i % 200}-01-01"^^<{XSD_DATE}> .',
+        ]
+    return "\n".join(lines) + "\n"
+
+
+def test_parse_ntriples_retains_little_memory_until_the_first_probe():
+    text = _person_document(400)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        g = parse_ntriples(text)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(g) == 2000
+    # the triple set and the shared terms only; both indexes took about 400 more
+    assert retained / len(g) < 400
+    assert g.count(p=iri(RDFS_LABEL)) == 400
 
 
 def test_count_equals_match_length_on_random_graphs():

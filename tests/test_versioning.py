@@ -17,7 +17,7 @@ from kgfuse import fixtures, versioning
 from kgfuse.cli import run
 from kgfuse.fusion import shift_namespace
 from kgfuse.prefixes import PCP_NS, XSD_NS
-from kgfuse.rdf import Graph, Triple, blank, iri, literal, ntriples_line, serialize_canonical
+from kgfuse.rdf import Graph, RdfError, Triple, blank, iri, literal, ntriples_line, serialize_canonical
 from kgfuse.versioning import (
     ChangeStore,
     EmptyDiffError,
@@ -132,6 +132,15 @@ def test_commit_rejects_a_graph_name_that_is_not_an_absolute_iri(tmp_path, name)
     store = ChangeStore(tmp_path / "store")
     with pytest.raises(StoreError, match="absolute IRI"):
         store.commit(name, _graph("a"), "t", "one", timestamp=1)
+    assert store.head_id is None
+    assert not (tmp_path / "store").exists()
+
+
+def test_a_graph_with_a_lone_surrogate_never_reaches_a_commit(tmp_path):
+    # its text has no UTF-8 form: the term is refused before any store file is written
+    store = ChangeStore(tmp_path / "store")
+    with pytest.raises(RdfError, match="lone surrogate"):
+        store.commit(GRAPH_NAME, _graph("ok", "bad \ud800"), "t", "surrogate")
     assert store.head_id is None
     assert not (tmp_path / "store").exists()
 

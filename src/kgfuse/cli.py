@@ -25,7 +25,7 @@ from .enrich import (
 )
 from .fusion import FusionError
 from .linkdisc import LinkConfigError
-from .prefixes import DEFAULT_PREFIXES, PrefixFileError, load_prefix_file
+from .prefixes import DEFAULT_PREFIXES, PrefixFileError, load_prefix_file, read_text
 from .rdf import (
     ABSOLUTE_IRI_RE,
     Graph,
@@ -59,19 +59,8 @@ def _check_inputs(args, paths: tuple[str, ...], namespaces: tuple[str, ...] = ()
         raise UsageError("; ".join(problems))
 
 
-def _read_text(path: str | Path, error: type[Exception]) -> str:
-    """The file's text; a file that is not UTF-8 raises `error` naming it, and
-    one that cannot be read (a directory, no permission) is a config error."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as err:
-        raise error(f"{path}: not UTF-8: {err}") from None
-    except OSError as err:
-        raise UsageError(f"{path}: {err.strerror}") from None
-
-
 def _read_graph(path: str) -> Graph:
-    return parse_turtle(_read_text(path, RdfError))
+    return parse_turtle(read_text(path, RdfError))
 
 
 def _read_graphs(spec: str) -> list[tuple[str, Graph]]:
@@ -87,6 +76,13 @@ def _load_prefixes(path: str | None) -> dict[str, str]:
     if path is None:
         return dict(DEFAULT_PREFIXES)
     return load_prefix_file(path)
+
+
+def _check_store(args) -> None:
+    """A `--store` that exists must be a directory; checked before any output
+    is written."""
+    if args.store is not None and Path(args.store).exists() and not Path(args.store).is_dir():
+        raise UsageError(f"--store is not a directory: {args.store}")
 
 
 def _write_text(path: str, text: str) -> None:
@@ -116,7 +112,7 @@ def _add_store_flags(parser: argparse.ArgumentParser) -> None:
 
 def cmd_query(args) -> int:
     graphs = [g for _, g in _read_graphs(args.graphs)]
-    ast = parse_query(_read_text(args.query, SparqlError), prefixes=_load_prefixes(args.prefixes))
+    ast = parse_query(read_text(args.query, SparqlError), prefixes=_load_prefixes(args.prefixes))
     table = evaluate(ast, graphs)
     if args.explain:
         for i, step in enumerate(table.plan, 1):
@@ -162,6 +158,7 @@ def _overlap_text(stats: fusion.OverlapStats) -> str:
 
 def cmd_fuse(args) -> int:
     _check_inputs(args, ("left", "right", "mapping"), ("left_ns", "right_ns", "target_ns"))
+    _check_store(args)
     left = _read_graph(args.left)
     right = _read_graph(args.right)
     renames = {}
@@ -220,8 +217,9 @@ def cmd_lint(args) -> int:
 
 def cmd_enrich(args) -> int:
     _check_inputs(args, ("gnds", "template", "fixtures"))
+    _check_store(args)
     gnds = []
-    for line in _read_text(args.gnds, UsageError).splitlines():
+    for line in read_text(args.gnds, UsageError).splitlines():
         line = line.strip()
         if line and not line.startswith("#"):
             gnds.append(normalize_gnd(line))
@@ -235,7 +233,7 @@ def cmd_enrich(args) -> int:
     if args.base_url:
         overrides["base_url"] = args.base_url
     if args.template:
-        template = _read_text(args.template, UsageError)
+        template = read_text(args.template, UsageError)
         overrides["lookup_template"] = QueryTemplate.from_text(template)
     endpoint = builtin_endpoint(args.endpoint, **overrides)
     if args.fixtures:
@@ -259,6 +257,7 @@ def cmd_enrich(args) -> int:
 def _open_store(args) -> ChangeStore:
     # a missing store is a config error, not an empty history
     _check_inputs(args, ("store",))
+    _check_store(args)
     return ChangeStore(args.store)
 
 
@@ -270,8 +269,8 @@ def cmd_log(args) -> int:
 
 def cmd_diff(args) -> int:
     store = _open_store(args)
-    state_a = store.state_lines(args.commit_a)
-    state_b = store.state_lines(args.commit_b)
+    state_a = store.state_lines(store.resolve(args.commit_a))
+    state_b = store.state_lines(store.resolve(args.commit_b))
     removed = sorted(state_a - state_b)
     added = sorted(state_b - state_a)
     for line in removed:
@@ -284,9 +283,10 @@ def cmd_diff(args) -> int:
 
 def cmd_checkout(args) -> int:
     store = _open_store(args)
-    lines = store.state_lines(args.commit)
+    commit_id = store.resolve(args.commit)
+    lines = store.state_lines(commit_id)
     _write_text(args.out, serialize_canonical_lines(lines))
-    print(f"wrote {len(lines)} triple(s) at {args.commit[:12]} to {args.out}")
+    print(f"wrote {len(lines)} triple(s) at {commit_id[:12]} to {args.out}")
     return 0
 
 
@@ -367,13 +367,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diff", help="changeset between two commits")
     p.add_argument("--store", required=True)
-    p.add_argument("commit_a")
-    p.add_argument("commit_b")
+    p.add_argument("commit_a", help="commit id, or a unique prefix of at least 4 hex digits")
+    p.add_argument("commit_b", help="commit id, or a unique prefix of at least 4 hex digits")
     p.set_defaults(func=cmd_diff)
 
     p = sub.add_parser("checkout", help="materialize the graph at a commit")
     p.add_argument("--store", required=True)
-    p.add_argument("commit")
+    p.add_argument("commit", help="commit id, or a unique prefix of at least 4 hex digits")
     p.add_argument("-o", "--out", required=True, help="output N-Triples file")
     p.set_defaults(func=cmd_checkout)
 
@@ -405,6 +405,11 @@ def run(argv: list[str] | None = None) -> int:
     except _DOMAIN_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except OSError as err:
+        # every reader lets an input that cannot be opened raise; it is named here
+        where = f"{err.filename}: {err.strerror}" if err.filename else err
+        print(f"config error: {where}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

@@ -11,6 +11,7 @@ response files from a fixture directory so no test touches the network.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import re
 import time
@@ -21,6 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Protocol
 
+from .prefixes import read_text
 from .rdf import Graph, RdfError
 from .sparql import QueryTemplate, instantiate
 
@@ -185,16 +187,20 @@ class HttpTransport:
             url, headers={"Accept": accept, "User-Agent": self.user_agent}
         )
         try:
-            with urllib.request.urlopen(request, timeout=timeout_s) as response:
+            try:
+                response = urllib.request.urlopen(request, timeout=timeout_s)
+            except urllib.error.HTTPError as err:
+                response = err  # an error status still has a body to read
+            with response:
                 return response.status, response.read().decode("utf-8", "replace")
-        except urllib.error.HTTPError as err:
-            return err.code, err.read().decode("utf-8", "replace")
         except urllib.error.URLError as err:
             if isinstance(err.reason, TimeoutError):
                 raise TransportTimeout(str(err)) from err
             raise TransportError(str(err)) from err
         except TimeoutError as err:
             raise TransportTimeout(str(err)) from err
+        except (OSError, http.client.HTTPException) as err:  # dropped while reading
+            raise TransportError(str(err)) from err
 
 
 def _request_key(url: str) -> str:
@@ -220,8 +226,8 @@ class RecordedTransport:
         if not path.exists():
             return {}
         try:
-            index = json.loads(path.read_text(encoding="utf-8"))
-        except ValueError as err:  # not UTF-8, or not JSON
+            index = json.loads(read_text(path, MissingRecordingError))
+        except ValueError as err:
             reason = str(err)
         else:
             if isinstance(index, dict) and all(isinstance(e, dict) for e in index.values()):
@@ -264,13 +270,7 @@ class RecordedTransport:
                 f"{self.directory / self.INDEX}: the entry for {url} needs an integer "
                 "status and a file name"
             )
-        path = self.directory / filename
-        try:
-            return status, path.read_text(encoding="utf-8")
-        except UnicodeDecodeError as err:
-            raise MissingRecordingError(f"{path}: recording is not UTF-8: {err}") from None
-        except OSError as err:
-            raise MissingRecordingError(f"{path}: cannot read recording: {err.strerror}") from None
+        return status, read_text(self.directory / filename, MissingRecordingError)
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +284,7 @@ FAILED = "failed"
 ERROR_TIMEOUT = "timeout"
 ERROR_HTTP = "http-status"
 ERROR_PARSE = "parse-error"
+ERROR_TRANSPORT = "transport-error"
 
 
 @dataclass(frozen=True)
@@ -334,7 +335,9 @@ def _fetch_once(
     transport: Transport,
     sleep: Callable[[float], None],
 ) -> tuple[Optional[tuple[int, str]], Optional[str], int]:
-    """GET with retries on timeout/5xx; returns (response, error_class, attempts)."""
+    """GET with retries on timeout/5xx; returns (response, error_class, attempts).
+    Any other transport failure is that item's error, not retried; a missing
+    recording is the caller's error."""
     timeout_s = endpoint.timeout_ms / 1000.0
     backoff_s = endpoint.politeness_delay_ms / 1000.0
     attempts = 0
@@ -348,6 +351,10 @@ def _fetch_once(
                 backoff_s *= 2
                 continue
             return None, ERROR_TIMEOUT, attempts
+        except MissingRecordingError:
+            raise
+        except TransportError:
+            return None, ERROR_TRANSPORT, attempts
         if status >= 500 and attempts <= endpoint.max_retries:
             sleep(backoff_s)
             backoff_s *= 2
@@ -363,9 +370,11 @@ def lazy_extract(
 ) -> tuple[Graph, ExtractionReport]:
     """One request per identifier, sequential, in input order.
 
-    Per-item failures are recorded in the report and never abort the batch;
-    the returned graph is the RDF merge of everything that parsed, so each
-    response keeps its own blank nodes.
+    Per-item failures, a failed connection included, are recorded in the
+    report and never abort the batch; a missing recording does, because the
+    fixture directory is an input, not a response.  The returned graph is
+    the RDF merge of everything that parsed, so each response keeps its own
+    blank nodes.
     """
     parsed_graphs: list[Graph] = []
     report = ExtractionReport(endpoint=endpoint.name)

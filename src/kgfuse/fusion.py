@@ -32,6 +32,7 @@ from .prefixes import (
     RDFS_LABEL,
     RDFS_NS,
     XSD_NS,
+    read_text,
 )
 from .rdf import IRI, Graph, Triple, iri
 
@@ -270,14 +271,8 @@ def lint_report_csv(issues: Iterable[LintIssue]) -> str:
 
 def load_renames(path: str | Path) -> dict[str, str]:
     """Rename file: `old-local-name<TAB>new-local-name`, `#` comments."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as err:
-        raise FusionError(f"{path}: not UTF-8: {err}") from None
-    except OSError as err:
-        raise FusionError(f"{path}: {err.strerror}") from None
     renames: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(read_text(path, FusionError).splitlines(), 1):
         line = raw.rstrip()
         if not line or line.lstrip().startswith("#"):
             continue

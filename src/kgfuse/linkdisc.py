@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Optional
 
-from .prefixes import DEFAULT_PREFIXES, OWL_SAMEAS, RDF_TYPE
+from .prefixes import DEFAULT_PREFIXES, OWL_SAMEAS, RDF_TYPE, read_text
 from .rdf import IRI, LITERAL, Graph, Triple, iri
 
 ACCEPTED = "accepted"
@@ -275,13 +275,12 @@ def load_link_config(path: str | Path, prefixes: Mapping[str, str] | None = None
     prefixes = dict(DEFAULT_PREFIXES if prefixes is None else prefixes)
     # no interpolation: a '%' in a value (a percent-encoded IRI) is literal
     parser = configparser.ConfigParser(interpolation=None)
+    text = read_text(path, LinkConfigError)
     try:
-        read = parser.read(path, encoding="utf-8")
-    except (configparser.Error, UnicodeDecodeError) as err:
+        parser.read_string(text, source=str(path))
+    except configparser.Error as err:
         # configparser messages span lines; the CLI reports errors on one
         raise LinkConfigError(" ".join(f"{path}: {err}".split())) from None
-    if not read:
-        raise LinkConfigError(f"cannot read link config: {path}")
     try:
         source_class = _expand(parser["classes"]["source"], prefixes)
         target_class = _expand(parser["classes"]["target"], prefixes)

@@ -1,8 +1,8 @@
-"""Well-known namespaces and the default prefix map.
+"""Well-known namespaces, the default prefix map, and the input reader.
 
 The default prefixes are configuration, not ground truth: query files may
 redeclare any of them, and the CLI accepts a prefix file that overrides
-this table (see `load_prefix_file`).
+this table (see `load_prefix_file`).  `read_text` reads every input file.
 """
 
 from __future__ import annotations
@@ -53,6 +53,15 @@ DEFAULT_PREFIXES: dict[str, str] = {
 }
 
 
+def read_text(path: str | Path, error: type[Exception]) -> str:
+    """The file's UTF-8 text; a file that is not UTF-8 raises `error` naming it,
+    and one that cannot be opened raises its `OSError` for the CLI to report."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise error(f"{path}: not UTF-8: {err}") from None
+
+
 class PrefixFileError(ValueError):
     """A prefix file line that is not `prefix namespace`."""
 
@@ -63,14 +72,8 @@ def load_prefix_file(path: str | Path) -> dict[str, str]:
     Blank lines and `#` comments are skipped.  Returned map replaces the
     defaults entirely.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as err:
-        raise PrefixFileError(f"{path}: not UTF-8: {err}") from None
-    except OSError as err:
-        raise PrefixFileError(f"{path}: {err.strerror}") from None
     prefixes: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(read_text(path, PrefixFileError).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

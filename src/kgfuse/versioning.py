@@ -23,15 +23,19 @@ from __future__ import annotations
 
 import hashlib
 import os
+import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .rdf import ABSOLUTE_IRI_RE, Graph, Triple, ntriples_line, parse_ntriples
+from .rdf import _SURROGATE_RE, ABSOLUTE_IRI_RE, Graph, Triple, ntriples_line, parse_ntriples
 
 # States a store handle keeps for later reads; older ones are replayed again.
 _STATE_CACHE_SIZE = 4
+
+# A commit reference shorter than a full id: at least 4 hex digits.
+_SHORT_ID_RE = re.compile(r"[0-9a-f]{4,63}")
 
 
 class StoreError(RuntimeError):
@@ -113,6 +117,16 @@ def _unescape(value: str) -> str:
     return "".join(out)
 
 
+def _read_store_file(path: Path, problem: str) -> str:
+    """A store file's text, decoded from its bytes so that no newline is
+    translated; one that cannot be read or is not UTF-8 is a StoreError."""
+    try:
+        return path.read_bytes().decode("utf-8")
+    except (OSError, UnicodeDecodeError) as err:
+        reason = err.strerror if isinstance(err, OSError) else err
+        raise StoreError(f"{problem}: {path}: {reason}") from None
+
+
 def _commit_id(
     parent: Optional[str],
     graph_name: str,
@@ -160,8 +174,7 @@ class ChangeStore:
         head = self.path / "HEAD"
         if not head.exists():
             return None
-        content = head.read_text(encoding="utf-8").strip()
-        return content or None
+        return _read_store_file(head, "cannot read HEAD").strip() or None
 
     def _write_head(self, commit_id: str) -> None:
         tmp = self.path / "HEAD.tmp"
@@ -171,6 +184,18 @@ class ChangeStore:
     def _commit_path(self, commit_id: str) -> Path:
         return self.commits_dir / commit_id
 
+    def resolve(self, ref: str) -> str:
+        """The id of the one commit whose id starts with `ref`.  A full id, or
+        anything that is not 4 to 63 hex digits, is returned unscanned, so an
+        unknown one fails where it is read."""
+        if not _SHORT_ID_RE.fullmatch(ref):
+            return ref
+        names = os.listdir(self.commits_dir) if self.commits_dir.is_dir() else []
+        matches = [name for name in names if name.startswith(ref)]
+        if len(matches) > 1:
+            raise StoreError(f"ambiguous commit id {ref}: {len(matches)} commits start with it")
+        return matches[0] if matches else ref
+
     def read_commit(self, commit_id: str) -> Commit:
         cached = self._commit_cache.get(commit_id)
         if cached is not None:
@@ -178,10 +203,11 @@ class ChangeStore:
         meta = self._commit_path(commit_id) / "meta"
         if not meta.exists():
             raise UnknownCommitError(commit_id)
+        malformed = f"commit {commit_id[:12]}: malformed meta"
         fields: dict[str, str] = {}
         try:
             # split at "\n" only: a message may hold a raw "\r" or U+2028
-            for line in meta.read_bytes().decode("utf-8").split("\n"):
+            for line in _read_store_file(meta, malformed).split("\n"):
                 key, _, value = line.partition("\t")
                 fields[key] = _unescape(value)
             commit = Commit(
@@ -193,7 +219,7 @@ class ChangeStore:
                 graph_name=fields["graph"],
             )
         except (KeyError, ValueError) as err:
-            raise StoreError(f"commit {commit_id[:12]}: malformed meta: {err}") from None
+            raise StoreError(f"{malformed}: {err}") from None
         self._commit_cache[commit_id] = commit
         return commit
 
@@ -201,11 +227,9 @@ class ChangeStore:
         """The added and removed lines of a commit, checked against its id."""
         commit = self.read_commit(commit_id)
         base = self._commit_path(commit_id)
-        try:
-            add_text = (base / "add.nt").read_bytes().decode("utf-8")
-            remove_text = (base / "remove.nt").read_bytes().decode("utf-8")
-        except (OSError, UnicodeDecodeError) as err:
-            raise StoreError(f"commit {commit.short_id}: cannot read changeset: {err}") from None
+        problem = f"commit {commit.short_id}: cannot read changeset"
+        add_text = _read_store_file(base / "add.nt", problem)
+        remove_text = _read_store_file(base / "remove.nt", problem)
         expected = _commit_id(
             commit.parent,
             commit.graph_name,
@@ -240,6 +264,12 @@ class ChangeStore:
         message: str,
         timestamp: Optional[int] = None,
     ) -> Commit:
+        for label, text in (("graph name", graph_name), ("author", author), ("message", message)):
+            if m := _SURROGATE_RE.search(text):
+                raise StoreError(
+                    f"commit {label} is not UTF-8 text "
+                    f"(lone surrogate U+{ord(m.group()):04X}): {text!r}"
+                )
         if not ABSOLUTE_IRI_RE.match(graph_name):
             raise StoreError(f"graph name must be an absolute IRI: {graph_name!r}")
         head = self.head_id

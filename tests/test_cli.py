@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -11,13 +12,14 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kgfuse import fixtures
+from kgfuse import fixtures, versioning
 from kgfuse.cli import run
 from kgfuse.enrich import RecordedTransport
 from kgfuse.linkdisc import load_link_config
@@ -524,6 +526,89 @@ def test_store_commands_on_an_existing_directory_write_nothing_into_it(workdir, 
     assert list(store.iterdir()) == []
 
 
+def _fuse_argv(workdir, *extra):
+    return ["fuse", "--left", str(workdir / "leipzig_persons.ttl"),
+            "--right", str(workdir / "helmstedt_persons.ttl"), "--left-ns", LEIPZIG_NS,
+            "--right-ns", HELMSTEDT_NS, "--target-ns", PCP_NS,
+            "--out", str(workdir / "fused.nt"), *extra]
+
+
+@pytest.mark.parametrize("command", ["log", "diff", "checkout", "fuse", "enrich"])
+def test_a_store_that_is_not_a_directory_is_a_config_error_before_any_output(
+    workdir, capsys, command
+):
+    store = workdir / "store-file"
+    store.write_text("not a store\n")
+    gnds = workdir / "gnds.txt"
+    gnds.write_text("118755951\n")
+    out = workdir / "out.nt"
+    argv = {
+        "log": ["log"],
+        "diff": ["diff", "a", "b"],
+        "checkout": ["checkout", "a", "-o", str(out)],
+        "fuse": _fuse_argv(workdir, "--out", str(out)),
+        "enrich": ["enrich", "--endpoint", "dnb", "--gnds", str(gnds), "--fixtures", str(workdir),
+                   "--out", str(out)],
+    }[command]
+    assert run(argv + ["--store", str(store)]) == 2
+    assert capsys.readouterr().err == f"config error: --store is not a directory: {store}\n"
+    assert not out.exists()
+    assert store.read_text() == "not a store\n"
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--author", "x\udcff"), ("--message", "x\udcff"), ("--graph-name", "urn:x\udcff")]
+)
+def test_a_commit_field_that_is_not_utf8_is_a_one_line_error_before_any_write(
+    workdir, capsys, flag, value
+):
+    # A command-line byte that is not UTF-8 reaches Python as a lone surrogate.
+    store = workdir / "store"
+    store.mkdir()
+    assert run(_fuse_argv(workdir, "--store", str(store), flag, value)) == 1
+    err = capsys.readouterr().err
+    field = flag[2:].replace("-", " ")
+    assert err.startswith(f"error: commit {field} is not UTF-8 text") and len(err.splitlines()) == 1
+    assert list(store.iterdir()) == []
+
+
+def _two_commits(store_dir):
+    store = ChangeStore(store_dir)
+    g1 = parse_turtle('<urn:s:1> <urn:p:1> "a" . <urn:s:1> <urn:p:1> _:x .')
+    g2 = parse_turtle('<urn:s:1> <urn:p:1> "b" . <urn:s:1> <urn:p:1> _:x .')
+    c1 = store.commit("urn:x-store:demo", g1, "t", "one", timestamp=1)
+    c2 = store.commit("urn:x-store:demo", g2, "t", "two", timestamp=2)
+    return c1, c2
+
+
+def test_checkout_and_diff_take_the_printed_short_id(workdir, capsys):
+    store = workdir / "store"
+    c1, c2 = _two_commits(store)
+    out = workdir / "checkout.nt"
+    outputs = []
+    for a, b in ((c1.id, c2.id), (c1.short_id, c2.short_id), (c1.id[:4], c2.id[:7])):
+        assert run(["checkout", "--store", str(store), b, "-o", str(out)]) == 0
+        assert run(["diff", "--store", str(store), a, b]) == 0
+        outputs.append((out.read_bytes(), capsys.readouterr()))
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert f"at {c2.short_id} to " in outputs[0][1].out
+    with pytest.raises(versioning.UnknownCommitError):
+        ChangeStore(store).read_commit(c2.short_id)
+
+
+@pytest.mark.parametrize("ref", ["abcd", "abcd0", "ffff", "xyz0", "abc"])
+def test_an_ambiguous_or_unknown_short_id_is_a_one_line_error(workdir, capsys, ref):
+    store = workdir / "store"
+    _two_commits(store)
+    for tail in ("0" * 60, "01" * 30):
+        (store / "commits" / ("abcd" + tail)).mkdir()
+    assert run(["checkout", "--store", str(store), ref, "-o", str(workdir / "g.nt")]) == 1
+    err = capsys.readouterr().err
+    reason = f"ambiguous commit id {ref}: 2 commits" if ref.startswith("abcd") else "unknown commit id"
+    assert err.startswith(f"error: {reason}") and len(err.splitlines()) == 1
+    assert not (workdir / "g.nt").exists()
+
+
 def test_count_alias_that_is_already_in_scope_is_a_domain_error(workdir, capsys):
     graph = workdir / "g.nt"
     graph.write_text(
@@ -737,12 +822,19 @@ def test_non_utf8_config_file_is_a_one_line_config_error(workdir, capsys, flag):
     assert err.startswith(f"config error: {bad}: ") and len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("flag", ["--graphs", "--query", "--prefixes", "--mapping"])
+@pytest.mark.parametrize(
+    "flag",
+    ["--graphs", "--query", "--prefixes", "--mapping", "--config", "--gnds", "--template",
+     "--left", "--right"],
+)
 def test_directory_given_as_a_file_is_a_one_line_config_error(workdir, capsys, flag):
     folder = workdir / "folder"
     folder.mkdir()
     left, right = str(workdir / "leipzig_persons.ttl"), str(workdir / "helmstedt_persons.ttl")
     query = str(workdir / "qualification_by_faculty_year.rq")
+    config = str(workdir / "link_person_names.cfg")
+    gnds = workdir / "gnds.txt"
+    gnds.write_text("118755951\n")
     argv = {
         "--graphs": ["query", "--query", query],
         "--query": ["query", "--graphs", left],
@@ -750,6 +842,13 @@ def test_directory_given_as_a_file_is_a_one_line_config_error(workdir, capsys, f
         "--mapping": ["fuse", "--left", left, "--right", right, "--left-ns", LEIPZIG_NS,
                       "--right-ns", HELMSTEDT_NS, "--target-ns", PCP_NS,
                       "--out", str(workdir / "fused.nt")],
+        "--config": ["link", "--left", left, "--right", right, "--out", str(workdir / "r.csv")],
+        "--gnds": ["enrich", "--endpoint", "dnb", "--fixtures", str(workdir),
+                   "--out", str(workdir / "dnb.nt")],
+        "--template": ["enrich", "--endpoint", "wikidata", "--gnds", str(gnds),
+                       "--fixtures", str(workdir), "--out", str(workdir / "wd.nt")],
+        "--left": ["link", "--config", config, "--right", right, "--out", str(workdir / "r.csv")],
+        "--right": ["link", "--config", config, "--left", left, "--out", str(workdir / "r.csv")],
     }[flag]
     assert run(argv + [flag, str(folder)]) == 2
     err = capsys.readouterr().err
@@ -768,18 +867,26 @@ def test_enrich_without_a_recording_is_a_one_line_config_error(workdir, capsys):
     assert err.startswith("config error: no recorded response for ") and len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("index", ["{not json", "[]", '{"0123456789abcdef": 5}'])
+_DIRECTORY = "<directory>"
+
+
+@pytest.mark.parametrize("index", ["{not json", "[]", '{"0123456789abcdef": 5}', _DIRECTORY])
 def test_malformed_recording_index_is_a_one_line_config_error(workdir, capsys, index):
     gnds = workdir / "gnds.txt"
     gnds.write_text("118755951\n")
     recordings = workdir / "recordings"
     recordings.mkdir()
-    (recordings / "index.json").write_text(index)
+    reason = "not a recording index: "
+    if index == _DIRECTORY:
+        (recordings / "index.json").mkdir()
+        reason = os.strerror(errno.EISDIR)
+    else:
+        (recordings / "index.json").write_text(index)
     code = run(["enrich", "--endpoint", "dnb", "--gnds", str(gnds), "--fixtures",
                 str(recordings), "--out", str(workdir / "dnb.nt")])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: {recordings / 'index.json'}: not a recording index: ")
+    assert err.startswith(f"config error: {recordings / 'index.json'}: {reason}")
     assert len(err.splitlines()) == 1
 
 
@@ -819,6 +926,79 @@ def test_broken_recording_is_a_one_line_config_error(workdir, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {index_path if names == 'index' else resp}: ")
     assert len(err.splitlines()) == 1
+
+
+def _broken_inputs(workdir):
+    """name -> (argv, exit code, start of the one stderr line) for inputs that
+    cannot be opened, decoded or used, each naming the file or field."""
+    folder = workdir / "folder"
+    folder.mkdir()
+    left, right = str(workdir / "leipzig_persons.ttl"), str(workdir / "helmstedt_persons.ttl")
+    config = str(workdir / "link_person_names.cfg")
+    gnds = workdir / "gnds.txt"
+    gnds.write_text("118755951\n")
+    recordings = workdir / "recordings"
+    (recordings / "index.json").mkdir(parents=True)
+    graph = parse_turtle("<urn:s:1> <urn:p:1> 1 .")
+    for name in ("head-dir", "head-latin1", "meta-dir"):
+        commit = ChangeStore(workdir / name).commit("urn:x:g", graph, "t", "one", timestamp=1)
+    head_dir, head_latin1 = workdir / "head-dir" / "HEAD", workdir / "head-latin1" / "HEAD"
+    meta = workdir / "meta-dir" / "commits" / commit.id / "meta"
+    for path in (head_dir, meta):
+        path.unlink()
+        path.mkdir()
+    _latin1(head_latin1, "Müller\n")
+    store_file = workdir / "store-file"
+    store_file.write_text("")
+    link = ["link", "--left", left, "--right", right, "--config", config,
+            "--out", str(workdir / "r.csv")]
+    enrich = ["enrich", "--endpoint", "wikidata", "--gnds", str(gnds), "--fixtures",
+              str(workdir), "--out", str(workdir / "wd.nt")]
+    dir_error = f"config error: {folder}: "
+    commit_to = _fuse_argv(workdir, "--store", str(workdir / "new-store"))
+    return {
+        "--config dir": (link + ["--config", str(folder)], 2, dir_error),
+        "--left dir": (link + ["--left", str(folder)], 2, dir_error),
+        "--right dir": (link + ["--right", str(folder)], 2, dir_error),
+        "--gnds dir": (enrich + ["--gnds", str(folder)], 2, dir_error),
+        "--template dir": (enrich + ["--template", str(folder)], 2, dir_error),
+        "index.json dir": (enrich + ["--fixtures", str(recordings)], 2,
+                           f"config error: {recordings / 'index.json'}: "),
+        "HEAD dir": (["log", "--store", str(head_dir.parent)], 1,
+                     f"error: cannot read HEAD: {head_dir}: "),
+        "HEAD latin-1": (["log", "--store", str(head_latin1.parent)], 1,
+                         f"error: cannot read HEAD: {head_latin1}: "),
+        "meta dir": (["checkout", "--store", str(meta.parents[2]), commit.id, "-o",
+                      str(workdir / "g.nt")], 1,
+                     f"error: commit {commit.short_id}: malformed meta: {meta}: "),
+        "log --store file": (["log", "--store", str(store_file)], 2,
+                             f"config error: --store is not a directory: {store_file}"),
+        "fuse --store file": (_fuse_argv(workdir, "--store", str(store_file)), 2,
+                              f"config error: --store is not a directory: {store_file}"),
+        "--author": (commit_to + ["--author", "x\udcff"], 1, "error: commit author is not UTF-8"),
+        "--message": (commit_to + ["--message", "x\udcff"], 1,
+                      "error: commit message is not UTF-8"),
+        "--graph-name": (commit_to + ["--graph-name", "urn:x\udcff"], 1,
+                         "error: commit graph name is not UTF-8"),
+    }
+
+
+def test_broken_inputs_exit_with_one_line_and_no_traceback_from_the_command(workdir):
+    # A subprocess sees what escapes main(); a surrogate in argv reaches it
+    # as the byte that is not UTF-8.
+    cases = _broken_inputs(workdir)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+
+    def command(argv):
+        return subprocess.run([sys.executable, "-m", "kgfuse.cli", *argv], cwd=workdir, env=env,
+                              capture_output=True, timeout=60)
+
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        done = dict(zip(cases, pool.map(command, [argv for argv, _, _ in cases.values()])))
+    for name, (_, code, start) in cases.items():
+        err = done[name].stderr.decode("utf-8", "backslashreplace")
+        assert (done[name].returncode, len(err.splitlines())) == (code, 1), (name, err)
+        assert err.startswith(start) and "Traceback" not in err, (name, err)
 
 
 def test_malformed_link_config_is_a_one_line_config_error(workdir, capsys):

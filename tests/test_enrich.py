@@ -7,6 +7,11 @@ response bodies, independent of the extractor.
 
 from __future__ import annotations
 
+import http.client
+import io
+import urllib.error
+import urllib.request
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,9 +21,11 @@ from kgfuse.enrich import (
     EndpointSpec,
     GndError,
     GndId,
+    HttpTransport,
     MissingRecordingError,
     RecordedTransport,
     SPARQL_ENDPOINT,
+    TransportError,
     build_lookup_query,
     builtin_endpoint,
     dnb_document_url,
@@ -263,6 +270,61 @@ def test_missing_recording_is_a_loud_error(tmp_path):
     transport = RecordedTransport(tmp_path / "recorded")
     with pytest.raises(MissingRecordingError):
         transport.get("https://d-nb.info/gnd/999/about/lds", "text/turtle", 1.0)
+
+
+class _FailingTransport:
+    """Serves `inner`, except that `url` raises `error`."""
+
+    def __init__(self, inner, url, error):
+        self.inner, self.url, self.error = inner, url, error
+
+    def get(self, url, accept, timeout_s):
+        if url == self.url:
+            raise self.error
+        return self.inner.get(url, accept, timeout_s)
+
+
+def test_a_failed_connection_is_that_items_failure(tmp_path):
+    failing = _FailingTransport(
+        _dnb_fixture(tmp_path), "https://d-nb.info/gnd/118535794/about/lds",
+        TransportError("connection refused"),
+    )
+    gnds = [GndId("118755951"), GndId("118535794"), GndId("7")]
+    graph, report = lazy_extract(gnds, _endpoint(max_retries=2), failing, sleep=lambda s: None)
+    assert [i.outcome for i in report.items] == ["ok", "failed", "ok"]
+    assert report.items[1].error_class == "transport-error"
+    assert report.items[1].attempts == 1
+    assert len(graph) == 2
+
+
+class _DroppedResponse(io.BytesIO):
+    status = 200
+
+    def __init__(self, error):
+        super().__init__()
+        self.error = error
+
+    def read(self, *args):
+        raise self.error
+
+
+@pytest.mark.parametrize(
+    "error", [ConnectionResetError(104, "Connection reset by peer"), http.client.IncompleteRead(b"")]
+)
+def test_http_transport_turns_a_dropped_body_into_a_transport_error(monkeypatch, error):
+    monkeypatch.setattr(urllib.request, "urlopen", lambda request, timeout: _DroppedResponse(error))
+    with pytest.raises(TransportError):
+        HttpTransport().get("https://d-nb.info/gnd/7/about/lds", "text/turtle", 1.0)
+
+
+def test_http_transport_returns_an_error_status_with_its_body(monkeypatch):
+    def not_found(request, timeout):
+        raise urllib.error.HTTPError(request.full_url, 404, "Not Found", {}, io.BytesIO(b"gone"))
+
+    monkeypatch.setattr(urllib.request, "urlopen", not_found)
+    assert HttpTransport().get("https://d-nb.info/gnd/7/about/lds", "text/turtle", 1.0) == (
+        404, "gone"
+    )
 
 
 def test_report_csv_has_one_line_per_item(tmp_path):

@@ -6,6 +6,7 @@ import contextlib
 import hashlib
 import io
 import random
+import re
 import tempfile
 from pathlib import Path
 
@@ -295,6 +296,11 @@ def _write_latin1(f):
     f.write_bytes('<urn:s:1> <urn:p:value> "M\u00fcller" .\n'.encode("latin-1"))
 
 
+def _as_directory(f):
+    f.unlink()
+    f.mkdir()
+
+
 _MISMATCH = "content does not match its id"
 _EDITS = {
     # edits that still parse
@@ -307,6 +313,7 @@ _EDITS = {
     "file deleted": ("remove.nt", Path.unlink, "cannot read changeset"),
     "field dropped": ("meta", _drop_timestamp, "malformed meta"),
     "meta not UTF-8": ("meta", _write_latin1, "malformed meta"),
+    "meta a directory": ("meta", _as_directory, "malformed meta"),
 }
 
 
@@ -326,6 +333,20 @@ def test_commit_files_edited_after_commit_are_an_error(tmp_path, capsys, edit):
     assert run(["checkout", "--store", str(path), c2.id, "-o", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: commit {c2.short_id}: {reason}") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("edit", [_as_directory, _write_latin1])
+def test_a_head_that_does_not_read_is_a_one_line_error(tmp_path, capsys, edit):
+    path = tmp_path / "store"
+    ChangeStore(path).commit(GRAPH_NAME, _graph("a"), "t", "one", timestamp=1)
+    edit(path / "HEAD")
+    fresh = ChangeStore(path)
+    for read in (fresh.log, lambda: fresh.commit(GRAPH_NAME, _graph("b"), "t", "two")):
+        with pytest.raises(StoreError, match=f"^cannot read HEAD: {re.escape(str(path / 'HEAD'))}: "):
+            read()
+    assert run(["log", "--store", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read HEAD: {path / 'HEAD'}: ") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("depth", [2, 30])

@@ -78,11 +78,12 @@ def _load_prefixes(path: str | None) -> dict[str, str]:
     return load_prefix_file(path)
 
 
-def _check_store(args) -> None:
-    """A `--store` that exists must be a directory; checked before any output
-    is written."""
-    if args.store is not None and Path(args.store).exists() and not Path(args.store).is_dir():
-        raise UsageError(f"--store is not a directory: {args.store}")
+def _check_directory(args, name: str) -> None:
+    """A directory option (`--store`, `--fixtures`) that names an existing
+    path must name a directory; checked before anything is read or written."""
+    path = getattr(args, name)
+    if path is not None and Path(path).exists() and not Path(path).is_dir():
+        raise UsageError(f"--{name} is not a directory: {path}")
 
 
 def _write_text(path: str, text: str) -> None:
@@ -92,13 +93,24 @@ def _write_text(path: str, text: str) -> None:
         raise UsageError(f"cannot write {path}: {err.strerror}") from None
 
 
-def _maybe_commit(args, graph: Graph, fallback_name: str) -> None:
-    if not getattr(args, "store", None):
-        return
+def _store_to_commit_into(args) -> ChangeStore | None:
+    """The `--store` a result is committed into, or None.  Its head state is
+    read and checked now, so a damaged store fails before any output is
+    written; the commit then finds that state in the store's cache."""
+    _check_directory(args, "store")
+    if not args.store:
+        return None
     store = ChangeStore(args.store)
-    name = graph.name or fallback_name
-    commit = store.commit(name, graph, args.author, args.message)
-    print(f"committed {commit.short_id} to {args.store}")
+    head = store.head_id
+    if head is not None:
+        store.state_lines(head)
+    return store
+
+
+def _maybe_commit(args, store: ChangeStore | None, graph: Graph) -> None:
+    if store is not None:
+        commit = store.commit(graph.name, graph, args.author, args.message)
+        print(f"committed {commit.short_id} to {args.store}")
 
 
 def _add_store_flags(parser: argparse.ArgumentParser) -> None:
@@ -158,7 +170,7 @@ def _overlap_text(stats: fusion.OverlapStats) -> str:
 
 def cmd_fuse(args) -> int:
     _check_inputs(args, ("left", "right", "mapping"), ("left_ns", "right_ns", "target_ns"))
-    _check_store(args)
+    store = _store_to_commit_into(args)
     left = _read_graph(args.left)
     right = _read_graph(args.right)
     renames = {}
@@ -176,7 +188,7 @@ def cmd_fuse(args) -> int:
     print(f"fused {len(left)} + {len(right)} triples into {len(fused)} -> {args.out}")
     for label, a, b in zip(("properties", "classes"), left_vocab, right_vocab):
         print(f"{label}: {_overlap_text(fusion.compute_overlap(a, b))}")
-    _maybe_commit(args, fused, args.graph_name)
+    _maybe_commit(args, store, fused)
     return 0
 
 
@@ -217,12 +229,16 @@ def cmd_lint(args) -> int:
 
 def cmd_enrich(args) -> int:
     _check_inputs(args, ("gnds", "template", "fixtures"))
-    _check_store(args)
+    _check_directory(args, "fixtures")
+    store = _store_to_commit_into(args)
     gnds = []
-    for line in read_text(args.gnds, UsageError).splitlines():
+    for lineno, line in enumerate(read_text(args.gnds, UsageError).splitlines(), 1):
         line = line.strip()
         if line and not line.startswith("#"):
-            gnds.append(normalize_gnd(line))
+            try:
+                gnds.append(normalize_gnd(line))
+            except GndError as err:
+                raise GndError(f"{args.gnds}:{lineno}: {err}") from None
     overrides = {}
     if args.delay is not None:
         overrides["politeness_delay_ms"] = args.delay
@@ -250,14 +266,14 @@ def cmd_enrich(args) -> int:
     )
     if args.report:
         _write_text(args.report, report.to_csv())
-    _maybe_commit(args, graph, endpoint.graph)
+    _maybe_commit(args, store, graph)
     return 0
 
 
 def _open_store(args) -> ChangeStore:
     # a missing store is a config error, not an empty history
     _check_inputs(args, ("store",))
-    _check_store(args)
+    _check_directory(args, "store")
     return ChangeStore(args.store)
 
 

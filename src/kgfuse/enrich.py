@@ -53,9 +53,9 @@ class TransportTimeout(TransportError):
     pass
 
 
-class MissingRecordingError(TransportError):
+class MissingRecordingError(ValueError):
     """The fixture directory cannot serve a request: it holds no recording of
-    the URL, its index is not a recording index, or the recording is broken."""
+    the URL, or the recording is broken."""
 
 
 @dataclass(frozen=True)
@@ -203,74 +203,51 @@ class HttpTransport:
             raise TransportError(str(err)) from err
 
 
-def _request_key(url: str) -> str:
-    return hashlib.sha256(url.encode("utf-8")).hexdigest()[:16]
-
-
 class RecordedTransport:
-    """Replays responses from a directory: index.json plus one file per request.
+    """Replays responses from a directory: one `<key>.json` file per request.
 
-    The index maps the request hash to status, body file, and an optional
-    timeout marker.  Every served request is appended to `requests`.
+    `<key>` is a hash of the URL, and the file holds the JSON object
+    `{"body", "status", "timeout", "url"}` with sorted keys; a true `timeout`
+    replays a timeout.  Every served request is appended to `requests`.
     """
-
-    INDEX = "index.json"
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         self.requests: list[str] = []
-        self._index = self._load_index()
 
-    def _load_index(self) -> dict:
-        path = self.directory / self.INDEX
-        if not path.exists():
-            return {}
-        try:
-            index = json.loads(read_text(path, MissingRecordingError))
-        except ValueError as err:
-            reason = str(err)
-        else:
-            if isinstance(index, dict) and all(isinstance(e, dict) for e in index.values()):
-                return index
-            reason = "expected a JSON object of request entries"
-        raise MissingRecordingError(f"{path}: not a recording index: {reason}")
-
-    def _save_index(self) -> None:
-        self.directory.mkdir(parents=True, exist_ok=True)
-        path = self.directory / self.INDEX
-        path.write_text(
-            json.dumps(self._index, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+    def _path(self, url: str) -> Path:
+        key = hashlib.sha256(url.encode("utf-8")).hexdigest()[:16]
+        return self.directory / f"{key}.json"
 
     def record(
         self, url: str, body: str = "", status: int = 200, timeout: bool = False
     ) -> None:
-        key = _request_key(url)
         self.directory.mkdir(parents=True, exist_ok=True)
-        filename = f"{key}.resp"
-        (self.directory / filename).write_text(body, encoding="utf-8")
-        self._index[key] = {
-            "url": url,
-            "status": status,
-            "file": filename,
-            "timeout": timeout,
-        }
-        self._save_index()
+        recording = {"body": body, "status": status, "timeout": timeout, "url": url}
+        self._path(url).write_text(json.dumps(recording, sort_keys=True) + "\n", encoding="utf-8")
 
     def get(self, url: str, accept: str, timeout_s: float) -> tuple[int, str]:
         self.requests.append(url)
-        entry = self._index.get(_request_key(url))
-        if entry is None:
-            raise MissingRecordingError(f"no recorded response for {url}")
-        if entry.get("timeout"):
-            raise TransportTimeout(f"recorded timeout for {url}")
-        status, filename = entry.get("status"), entry.get("file")
-        if type(status) is not int or not isinstance(filename, str):
-            raise MissingRecordingError(
-                f"{self.directory / self.INDEX}: the entry for {url} needs an integer "
-                "status and a file name"
-            )
-        return status, read_text(self.directory / filename, MissingRecordingError)
+        path = self._path(url)
+        try:
+            text = read_text(path, MissingRecordingError)
+        except FileNotFoundError:
+            raise MissingRecordingError(f"no recorded response for {url}") from None
+        try:
+            recording = json.loads(text)
+        except ValueError as err:
+            reason = str(err)
+        else:
+            if (
+                isinstance(recording, dict)
+                and type(recording.get("status")) is int
+                and isinstance(recording.get("body"), str)
+            ):
+                if recording.get("timeout"):
+                    raise TransportTimeout(f"recorded timeout for {url}")
+                return recording["status"], recording["body"]
+            reason = "expected an object with an integer status and a string body"
+        raise MissingRecordingError(f"{path}: not a recording: {reason}")
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +328,6 @@ def _fetch_once(
                 backoff_s *= 2
                 continue
             return None, ERROR_TIMEOUT, attempts
-        except MissingRecordingError:
-            raise
         except TransportError:
             return None, ERROR_TRANSPORT, attempts
         if status >= 500 and attempts <= endpoint.max_retries:

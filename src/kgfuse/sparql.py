@@ -25,7 +25,19 @@ from decimal import Decimal
 from typing import Iterable, Mapping, Optional, Union
 
 from .prefixes import RDF_TYPE, XSD_BOOLEAN, XSD_INTEGER
-from .rdf import BLANK, IRI, LITERAL, Graph, Term, _TermParser, _Token, iri, literal, ntriples_term
+from .rdf import (
+    BLANK,
+    IRI,
+    LITERAL,
+    Graph,
+    Term,
+    _escape_literal,
+    _TermParser,
+    _Token,
+    iri,
+    literal,
+    ntriples_term,
+)
 
 
 class SparqlError(ValueError):
@@ -595,11 +607,6 @@ class QueryTemplate:
             )
 
 
-def _escape_for_literal(value: str) -> str:
-    out = value.replace("\\", "\\\\").replace('"', '\\"')
-    return out.replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t")
-
-
 def instantiate(template: QueryTemplate, bindings: Mapping[str, str]) -> str:
     """Fill placeholders, escaping each occurrence for its context.
 
@@ -622,7 +629,7 @@ def instantiate(template: QueryTemplate, bindings: Mapping[str, str]) -> str:
         before = text[m.start() - 1] if m.start() > 0 else ""
         after = text[m.end()] if m.end() < len(text) else ""
         if before == '"' and after == '"':
-            out.append(_escape_for_literal(value))
+            out.append(_escape_literal(value))
         elif before == "<" and after == ">":
             bad = sorted({c for c in value if c in _IRI_ILLEGAL or ord(c) < 0x21})
             if bad:

@@ -6,7 +6,6 @@ import contextlib
 import errno
 import hashlib
 import io
-import json
 import os
 import shutil
 import subprocess
@@ -855,6 +854,17 @@ def test_directory_given_as_a_file_is_a_one_line_config_error(workdir, capsys, f
     assert err.startswith(f"config error: {folder}: ") and len(err.splitlines()) == 1
 
 
+def test_a_bad_gnd_line_names_its_file_and_line(workdir, capsys):
+    gnds = workdir / "gnds.txt"
+    gnds.write_text("118755951\nnot-a-gnd\n")
+    code = run(["enrich", "--endpoint", "dnb", "--gnds", str(gnds), "--fixtures", str(workdir),
+                "--out", str(workdir / "dnb.nt")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {gnds}:2: neither a GND number nor a DNB GND URL: 'not-a-gnd'\n"
+    )
+
+
 def test_enrich_without_a_recording_is_a_one_line_config_error(workdir, capsys):
     gnds = workdir / "gnds.txt"
     gnds.write_text("118755951\n")
@@ -870,61 +880,54 @@ def test_enrich_without_a_recording_is_a_one_line_config_error(workdir, capsys):
 _DIRECTORY = "<directory>"
 
 
-@pytest.mark.parametrize("index", ["{not json", "[]", '{"0123456789abcdef": 5}', _DIRECTORY])
-def test_malformed_recording_index_is_a_one_line_config_error(workdir, capsys, index):
+def _enrich_from_one_recording(workdir, capsys, content):
+    """Run `enrich` for one GND whose recording file is replaced by `content`:
+    bytes, _DIRECTORY for a directory, or None for no file.  Returns the exit
+    code, stderr and the recording's path."""
     gnds = workdir / "gnds.txt"
     gnds.write_text("118755951\n")
     recordings = workdir / "recordings"
-    recordings.mkdir()
-    reason = "not a recording index: "
-    if index == _DIRECTORY:
-        (recordings / "index.json").mkdir()
-        reason = os.strerror(errno.EISDIR)
-    else:
-        (recordings / "index.json").write_text(index)
+    RecordedTransport(recordings).record("https://d-nb.info/gnd/118755951/about/lds", body="")
+    (path,) = recordings.iterdir()
+    path.unlink()
+    if content == _DIRECTORY:
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
     code = run(["enrich", "--endpoint", "dnb", "--gnds", str(gnds), "--fixtures",
-                str(recordings), "--out", str(workdir / "dnb.nt")])
+                str(recordings), "--delay", "1", "--out", str(workdir / "dnb.nt")])
+    return code, capsys.readouterr().err, path
+
+
+@pytest.mark.parametrize("text", ["{not json", "[]", '{"0123456789abcdef": 5}', _DIRECTORY])
+def test_malformed_recording_index_is_a_one_line_config_error(workdir, capsys, text):
+    content = text if text == _DIRECTORY else text.encode()
+    code, err, path = _enrich_from_one_recording(workdir, capsys, content)
+    reason = os.strerror(errno.EISDIR) if text == _DIRECTORY else "not a recording: "
     assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"config error: {recordings / 'index.json'}: {reason}")
+    assert err.startswith(f"config error: {path}: {reason}")
     assert len(err.splitlines()) == 1
 
 
-def _as_directory(entry, resp):
-    resp.unlink()
-    resp.mkdir()
-
-
-# Ways a recorded entry or its response file can be unusable, each with the
-# file the error names.
+# What the recording file can hold instead of a recording; each is a config
+# error naming the file, except a missing file, which names the URL.
 _BROKEN_RECORDINGS = {
-    "missing-file": (lambda entry, resp: resp.unlink(), "resp"),
-    "no-file-key": (lambda entry, resp: entry.pop("file"), "index"),
-    "no-status": (lambda entry, resp: entry.pop("status"), "index"),
-    "text-status": (lambda entry, resp: entry.update(status="ok"), "index"),
-    "unreadable": (_as_directory, "resp"),
-    "not-utf8": (lambda entry, resp: resp.write_bytes("Müller".encode("latin-1")), "resp"),
+    "missing-file": None,
+    "no-body": b'{"status": 200}',
+    "no-status": b'{"body": ""}',
+    "text-status": b'{"body": "", "status": "ok"}',
+    "unreadable": _DIRECTORY,
+    "not-utf8": "Müller".encode("latin-1"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_BROKEN_RECORDINGS))
 def test_broken_recording_is_a_one_line_config_error(workdir, capsys, case):
-    breaks, names = _BROKEN_RECORDINGS[case]
-    gnds = workdir / "gnds.txt"
-    gnds.write_text("118755951\n")
-    recordings = workdir / "recordings"
-    RecordedTransport(recordings).record("https://d-nb.info/gnd/118755951/about/lds", body="")
-    index_path = recordings / "index.json"
-    index = json.loads(index_path.read_text())
-    (entry,) = index.values()
-    resp = recordings / entry["file"]
-    breaks(entry, resp)
-    index_path.write_text(json.dumps(index))
-    code = run(["enrich", "--endpoint", "dnb", "--gnds", str(gnds), "--fixtures",
-                str(recordings), "--delay", "1", "--out", str(workdir / "dnb.nt")])
+    content = _BROKEN_RECORDINGS[case]
+    code, err, path = _enrich_from_one_recording(workdir, capsys, content)
     assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"config error: {index_path if names == 'index' else resp}: ")
+    start = "no recorded response for " if content is None else f"{path}: "
+    assert err.startswith(f"config error: {start}")
     assert len(err.splitlines()) == 1
 
 
@@ -938,7 +941,10 @@ def _broken_inputs(workdir):
     gnds = workdir / "gnds.txt"
     gnds.write_text("118755951\n")
     recordings = workdir / "recordings"
-    (recordings / "index.json").mkdir(parents=True)
+    RecordedTransport(recordings).record("https://d-nb.info/gnd/118755951/about/lds")
+    (recording,) = recordings.iterdir()
+    recording.unlink()
+    recording.mkdir()
     graph = parse_turtle("<urn:s:1> <urn:p:1> 1 .")
     for name in ("head-dir", "head-latin1", "meta-dir"):
         commit = ChangeStore(workdir / name).commit("urn:x:g", graph, "t", "one", timestamp=1)
@@ -962,10 +968,14 @@ def _broken_inputs(workdir):
         "--right dir": (link + ["--right", str(folder)], 2, dir_error),
         "--gnds dir": (enrich + ["--gnds", str(folder)], 2, dir_error),
         "--template dir": (enrich + ["--template", str(folder)], 2, dir_error),
-        "index.json dir": (enrich + ["--fixtures", str(recordings)], 2,
-                           f"config error: {recordings / 'index.json'}: "),
+        "recording dir": (["enrich", "--endpoint", "dnb", "--gnds", str(gnds), "--fixtures",
+                           str(recordings), "--out", str(workdir / "dnb.nt")], 2,
+                          f"config error: {recording}: "),
         "HEAD dir": (["log", "--store", str(head_dir.parent)], 1,
                      f"error: cannot read HEAD: {head_dir}: "),
+        "fuse HEAD dir": (_fuse_argv(workdir, "--store", str(head_dir.parent),
+                                     "--out", str(workdir / "head-dir.nt")), 1,
+                          f"error: cannot read HEAD: {head_dir}: "),
         "HEAD latin-1": (["log", "--store", str(head_latin1.parent)], 1,
                          f"error: cannot read HEAD: {head_latin1}: "),
         "meta dir": (["checkout", "--store", str(meta.parents[2]), commit.id, "-o",
@@ -975,6 +985,8 @@ def _broken_inputs(workdir):
                              f"config error: --store is not a directory: {store_file}"),
         "fuse --store file": (_fuse_argv(workdir, "--store", str(store_file)), 2,
                               f"config error: --store is not a directory: {store_file}"),
+        "enrich --fixtures file": (enrich + ["--fixtures", str(store_file)], 2,
+                                   f"config error: --fixtures is not a directory: {store_file}"),
         "--author": (commit_to + ["--author", "x\udcff"], 1, "error: commit author is not UTF-8"),
         "--message": (commit_to + ["--message", "x\udcff"], 1,
                       "error: commit message is not UTF-8"),
@@ -999,6 +1011,8 @@ def test_broken_inputs_exit_with_one_line_and_no_traceback_from_the_command(work
         err = done[name].stderr.decode("utf-8", "backslashreplace")
         assert (done[name].returncode, len(err.splitlines())) == (code, 1), (name, err)
         assert err.startswith(start) and "Traceback" not in err, (name, err)
+    # a damaged store fails before fuse writes its output
+    assert not (workdir / "head-dir.nt").exists()
 
 
 def test_malformed_link_config_is_a_one_line_config_error(workdir, capsys):

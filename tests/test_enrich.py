@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import http.client
 import io
+import json
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -264,6 +266,29 @@ def test_unparseable_body_maps_to_parse_error(tmp_path):
     _, report = lazy_extract([GndId("7")], _endpoint(), transport, sleep=lambda s: None)
     assert report.items[0].outcome == "failed"
     assert report.items[0].error_class == "parse-error"
+
+
+def test_record_writes_only_its_own_file(tmp_path, monkeypatch):
+    directory = tmp_path / "recorded"
+    transport = RecordedTransport(directory)
+    written: list[Path] = []
+    write_text = Path.write_text
+
+    def watched(path, *args, **kwargs):
+        written.append(path)
+        return write_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", watched)
+    for k, (number, body) in enumerate(BODIES.items(), 1):
+        url = f"https://d-nb.info/gnd/{number}/about/lds"
+        transport.record(url, body=body)
+        path = written.pop()
+        assert written == [] and path.parent == directory and path.suffix == ".json"
+        recording = {"body": body, "status": 200, "timeout": False, "url": url}
+        assert path.read_text() == json.dumps(recording, sort_keys=True) + "\n"
+        assert len(list(directory.iterdir())) == k
+    assert not (directory / "index.json").exists()
+    assert RecordedTransport(directory).get(url, "text/turtle", 1.0) == (200, body)
 
 
 def test_missing_recording_is_a_loud_error(tmp_path):

@@ -597,8 +597,12 @@ def test_instantiate_unused_binding():
     assert "extra" in str(exc.value)
 
 
-def test_literal_escaping_round_trips_through_parser():
-    tricky = 'has "quotes" and \\slashes\\'
+@pytest.mark.parametrize(
+    "tricky",
+    ['has "quotes" and \\slashes\\', "C0 \x01 \x0c \r \x1f controls"],
+    ids=["quotes-and-backslashes", "c0-controls"],
+)
+def test_literal_escaping_round_trips_through_parser(tricky):
     text = instantiate(WIKIDATA_TEMPLATE, {"gnd": tricky})
     ast = parse_query(text)
     obj = ast.patterns[0].o

@@ -93,17 +93,16 @@ def _write_text(path: str, text: str) -> None:
         raise UsageError(f"cannot write {path}: {err.strerror}") from None
 
 
-def _store_to_commit_into(args) -> ChangeStore | None:
-    """The `--store` a result is committed into, or None.  Its head state is
-    read and checked now, so a damaged store fails before any output is
-    written; the commit then finds that state in the store's cache."""
+def _store_to_commit_into(args, graph_name: str) -> ChangeStore | None:
+    """The `--store` a result is committed into, or None.  The commit's
+    fields and the store's head state are checked now, so a bad field or a
+    damaged store fails before any output is written; the commit then finds
+    that state in the store's cache."""
     _check_directory(args, "store")
     if not args.store:
         return None
     store = ChangeStore(args.store)
-    head = store.head_id
-    if head is not None:
-        store.state_lines(head)
+    store.check_commit(graph_name, args.author, args.message)
     return store
 
 
@@ -170,7 +169,7 @@ def _overlap_text(stats: fusion.OverlapStats) -> str:
 
 def cmd_fuse(args) -> int:
     _check_inputs(args, ("left", "right", "mapping"), ("left_ns", "right_ns", "target_ns"))
-    store = _store_to_commit_into(args)
+    store = _store_to_commit_into(args, args.graph_name)
     left = _read_graph(args.left)
     right = _read_graph(args.right)
     renames = {}
@@ -230,7 +229,6 @@ def cmd_lint(args) -> int:
 def cmd_enrich(args) -> int:
     _check_inputs(args, ("gnds", "template", "fixtures"))
     _check_directory(args, "fixtures")
-    store = _store_to_commit_into(args)
     gnds = []
     for lineno, line in enumerate(read_text(args.gnds, UsageError).splitlines(), 1):
         line = line.strip()
@@ -252,6 +250,7 @@ def cmd_enrich(args) -> int:
         template = read_text(args.template, UsageError)
         overrides["lookup_template"] = QueryTemplate.from_text(template)
     endpoint = builtin_endpoint(args.endpoint, **overrides)
+    store = _store_to_commit_into(args, endpoint.graph)
     if args.fixtures:
         transport = RecordedTransport(Path(args.fixtures))
     elif args.live:

@@ -422,9 +422,11 @@ def serialize_canonical_lines(lines: Collection[str]) -> str:
 # Lexer and term parsing shared by Turtle and the query language
 # ---------------------------------------------------------------------------
 
+# The text of an IRI: N-Triples forbids these characters in it.
+_IRI_TEXT = r"[^<>\"{}|^`\\\x00-\x20]*"
 # Term patterns, each with one group around what the term keeps; both the
 # lexer and the N-Triples line pattern are built from them.
-_IRIREF = r"<([^<>\"{}|^`\\\x00-\x20]*)>"
+_IRIREF = rf"<({_IRI_TEXT})>"
 # A blank-node label may hold dots but not end in one, as in Turtle.
 _BLANK = r"_:([A-Za-z0-9](?:[A-Za-z0-9_\-.]*[A-Za-z0-9_\-])?)"
 _STRING = r'"((?:[^"\\\n\r]|\\.)*)"'

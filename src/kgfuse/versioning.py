@@ -1,12 +1,13 @@
 """Commit-based changeset store over one named graph.
 
-Each commit records the triples added and removed against its parent as
-sorted N-Triples files plus line-oriented metadata; the commit id is a
-content hash over all of it, so identical histories always produce
-identical ids.  History is linear: one root, every commit has at most one
-child in the stored chain, and the whole store tracks a single graph name.
+Each commit is one file, `commits/<id>`: a header of line-oriented
+metadata, then the sorted N-Triples lines added and removed against its
+parent.  The id is the sha256 of the file's bytes, so identical histories
+always produce identical ids.  History is linear: one root, every commit
+has at most one child in the stored chain, and the whole store tracks a
+single graph name.
 
-Commits are written into a temporary directory and renamed into place
+A commit file is written under a temporary name and renamed into place
 before HEAD moves, so a crash leaves either the previous head or the new
 one, never a half-written commit.
 
@@ -14,9 +15,9 @@ The store works on N-Triples lines as `ntriples_line` writes them: a state
 is the frozenset of its lines (`state_lines`), and replay is set algebra
 over them.  The `kgfuse checkout` and `kgfuse diff` commands answer from
 those lines; triples are parsed only for the library calls that return
-them (`checkout`, `diff`, `read_changeset`).  Every read of a changeset
-recomputes its commit id, so a file edited after commit is an error rather
-than a silently different history.
+them (`checkout`, `diff`, `read_changeset`).  Every read of a commit
+rehashes its file, so a file edited after commit is an error rather than a
+silently different history.
 """
 
 from __future__ import annotations
@@ -29,13 +30,27 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .rdf import _SURROGATE_RE, ABSOLUTE_IRI_RE, Graph, Triple, ntriples_line, parse_ntriples
+from .rdf import (
+    _IRI_TEXT, _SURROGATE_RE, ABSOLUTE_IRI_RE, Graph, Triple, ntriples_line, parse_ntriples,
+)
 
 # States a store handle keeps for later reads; older ones are replayed again.
 _STATE_CACHE_SIZE = 4
 
 # A commit reference shorter than a full id: at least 4 hex digits.
 _SHORT_ID_RE = re.compile(r"[0-9a-f]{4,63}")
+
+# A graph name is stored as it is, so it must be an IRI that N-Triples can
+# write: that keeps line breaks out of it.
+_GRAPH_NAME_RE = re.compile(ABSOLUTE_IRI_RE.pattern + _IRI_TEXT + r"\Z")
+
+# A commit file up to its added lines; "\nremove\n" then ends them.  Lines
+# are split at "\n" only: a message may hold a raw "\r" or U+2028.
+_HEADER_RE = re.compile(
+    "parent (-|[0-9a-f]{64})\ngraph ([^\n]*)\nauthor ([^\n]*)\nmessage ([^\n]*)\n"
+    "timestamp (-?[0-9]+)\nadd\n"
+)
+_REMOVE_MARK = "\nremove\n"
 
 
 class StoreError(RuntimeError):
@@ -127,7 +142,7 @@ def _read_store_file(path: Path, problem: str) -> str:
         raise StoreError(f"{problem}: {path}: {reason}") from None
 
 
-def _commit_id(
+def _commit_parts(
     parent: Optional[str],
     graph_name: str,
     author: str,
@@ -135,29 +150,18 @@ def _commit_id(
     timestamp: int,
     add_text: str,
     remove_text: str,
-) -> str:
-    # The sha256 of every field joined by "\n"; the changeset texts are fed
-    # in as they are, never copied into one joined payload.
-    header = "\n".join(
-        [
-            "parent " + (parent or "-"),
-            "graph " + graph_name,
-            "author " + _escape(author),
-            "message " + _escape(message),
-            "timestamp " + str(timestamp),
-            "add",
-            "",
-        ]
+) -> tuple[bytes, ...]:
+    """The bytes of a commit file in the four parts that are hashed and
+    written one after the other, never copied into one joined payload."""
+    header = (
+        f"parent {parent or '-'}\ngraph {graph_name}\nauthor {_escape(author)}\n"
+        f"message {_escape(message)}\ntimestamp {timestamp}\nadd\n"
     )
-    digest = hashlib.sha256(header.encode("utf-8"))
-    digest.update(add_text.encode("utf-8"))
-    digest.update(b"\nremove\n")
-    digest.update(remove_text.encode("utf-8"))
-    return digest.hexdigest()
+    return tuple(part.encode("utf-8") for part in (header, add_text, _REMOVE_MARK, remove_text))
 
 
 class ChangeStore:
-    """On-disk store: `HEAD` plus one directory per commit under `commits/`."""
+    """On-disk store: `HEAD` plus one file per commit under `commits/`."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
@@ -181,9 +185,6 @@ class ChangeStore:
         tmp.write_text(commit_id + "\n", encoding="utf-8")
         os.replace(tmp, self.path / "HEAD")
 
-    def _commit_path(self, commit_id: str) -> Path:
-        return self.commits_dir / commit_id
-
     def resolve(self, ref: str) -> str:
         """The id of the one commit whose id starts with `ref`.  A full id, or
         anything that is not 4 to 63 hex digits, is returned unscanned, so an
@@ -196,55 +197,59 @@ class ChangeStore:
             raise StoreError(f"ambiguous commit id {ref}: {len(matches)} commits start with it")
         return matches[0] if matches else ref
 
+    def _read_commit_file(self, commit_id: str) -> tuple[Commit, frozenset[str], frozenset[str]]:
+        """A commit with its added and removed lines, read from its one file
+        and checked against its id."""
+        path = os.path.join(self.commits_dir, commit_id)
+        short = commit_id[:12]
+        try:
+            with open(path, "rb") as f:
+                data = f.read()
+        except FileNotFoundError:
+            raise UnknownCommitError(commit_id) from None
+        except IsADirectoryError:
+            raise StoreError(
+                f"commit {short}: {path} is a directory: the store has the old layout of "
+                "one directory per commit, which is not read"
+            ) from None
+        except OSError as err:
+            raise StoreError(f"commit {short}: cannot read {path}: {err.strerror}") from None
+        if hashlib.sha256(data).hexdigest() != commit_id:
+            raise StoreError(f"commit {short}: content does not match its id")
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError:
+            text = ""  # malformed, as below
+        header = _HEADER_RE.match(text)
+        split = text.find(_REMOVE_MARK, header.end()) if header else -1
+        if split < 0:
+            raise StoreError(f"commit {short}: malformed commit: {path}")
+        parent, graph_name, author, message, timestamp = header.groups()
+        commit = Commit(
+            id=commit_id,
+            parent=None if parent == "-" else parent,
+            author=_unescape(author),
+            message=_unescape(message),
+            timestamp=int(timestamp),
+            graph_name=graph_name,
+        )
+        self._commit_cache[commit_id] = commit
+        return (
+            commit,
+            frozenset(filter(None, text[header.end():split].split("\n"))),
+            frozenset(filter(None, text[split + len(_REMOVE_MARK):].split("\n"))),
+        )
+
     def read_commit(self, commit_id: str) -> Commit:
         cached = self._commit_cache.get(commit_id)
         if cached is not None:
             return cached
-        meta = self._commit_path(commit_id) / "meta"
-        if not meta.exists():
-            raise UnknownCommitError(commit_id)
-        malformed = f"commit {commit_id[:12]}: malformed meta"
-        fields: dict[str, str] = {}
-        try:
-            # split at "\n" only: a message may hold a raw "\r" or U+2028
-            for line in _read_store_file(meta, malformed).split("\n"):
-                key, _, value = line.partition("\t")
-                fields[key] = _unescape(value)
-            commit = Commit(
-                id=commit_id,
-                parent=fields["parent"] or None,
-                author=fields["author"],
-                message=fields["message"],
-                timestamp=int(fields["timestamp"]),
-                graph_name=fields["graph"],
-            )
-        except (KeyError, ValueError) as err:
-            raise StoreError(f"{malformed}: {err}") from None
-        self._commit_cache[commit_id] = commit
-        return commit
+        return self._read_commit_file(commit_id)[0]
 
     def _changeset_lines(self, commit_id: str) -> tuple[frozenset[str], frozenset[str]]:
         """The added and removed lines of a commit, checked against its id."""
-        commit = self.read_commit(commit_id)
-        base = self._commit_path(commit_id)
-        problem = f"commit {commit.short_id}: cannot read changeset"
-        add_text = _read_store_file(base / "add.nt", problem)
-        remove_text = _read_store_file(base / "remove.nt", problem)
-        expected = _commit_id(
-            commit.parent,
-            commit.graph_name,
-            commit.author,
-            commit.message,
-            commit.timestamp,
-            add_text,
-            remove_text,
-        )
-        if expected != commit_id:
-            raise StoreError(f"commit {commit.short_id}: content does not match its id")
-        return (
-            frozenset(filter(None, add_text.split("\n"))),
-            frozenset(filter(None, remove_text.split("\n"))),
-        )
+        _, added, removed = self._read_commit_file(commit_id)
+        return added, removed
 
     def read_changeset(self, commit_id: str) -> ChangeSet:
         added, removed = self._changeset_lines(commit_id)
@@ -256,6 +261,28 @@ class ChangeStore:
 
     # -- operations ------------------------------------------------------------
 
+    def check_commit(self, graph_name: str, author: str, message: str) -> Optional[str]:
+        """Check the fields of a commit into this store before anything is
+        written, and return the head it would go onto.  The head state is
+        replayed and checked here too, so a damaged store fails now."""
+        for label, text in (("graph name", graph_name), ("author", author), ("message", message)):
+            if m := _SURROGATE_RE.search(text):
+                raise StoreError(
+                    f"commit {label} is not UTF-8 text "
+                    f"(lone surrogate U+{ord(m.group()):04X}): {text!r}"
+                )
+        if not _GRAPH_NAME_RE.match(graph_name):
+            raise StoreError(
+                f"graph name must be an absolute IRI that N-Triples can write: {graph_name!r}"
+            )
+        head = self.head_id
+        if head is not None:
+            self.state_lines(head)
+            lineage_name = self.read_commit(head).graph_name
+            if graph_name != lineage_name:
+                raise StoreError(f"store tracks graph {lineage_name!r}, got {graph_name!r}")
+        return head
+
     def commit(
         self,
         graph_name: str,
@@ -264,24 +291,8 @@ class ChangeStore:
         message: str,
         timestamp: Optional[int] = None,
     ) -> Commit:
-        for label, text in (("graph name", graph_name), ("author", author), ("message", message)):
-            if m := _SURROGATE_RE.search(text):
-                raise StoreError(
-                    f"commit {label} is not UTF-8 text "
-                    f"(lone surrogate U+{ord(m.group()):04X}): {text!r}"
-                )
-        if not ABSOLUTE_IRI_RE.match(graph_name):
-            raise StoreError(f"graph name must be an absolute IRI: {graph_name!r}")
-        head = self.head_id
-        if head is not None:
-            lineage_name = self.read_commit(head).graph_name
-            if graph_name != lineage_name:
-                raise StoreError(
-                    f"store tracks graph {lineage_name!r}, got {graph_name!r}"
-                )
-            old_state = self.state_lines(head)
-        else:
-            old_state = frozenset()
+        head = self.check_commit(graph_name, author, message)
+        old_state = self.state_lines(head) if head is not None else frozenset()
         new_lines = frozenset(map(ntriples_line, new_state.triples))
         added = new_lines - old_state
         removed = old_state - new_lines
@@ -289,33 +300,21 @@ class ChangeStore:
             raise EmptyDiffError()
         if timestamp is None:
             timestamp = int(time.time())
-        add_text = _lines_to_text(added)
-        remove_text = _lines_to_text(removed)
-        commit_id = _commit_id(head, graph_name, author, message, timestamp, add_text, remove_text)
-        target = self._commit_path(commit_id)
-        if not target.exists():
-            tmp = self.commits_dir / f".tmp-{os.getpid()}-{commit_id[:12]}"
-            tmp.mkdir(parents=True)
-            (tmp / "add.nt").write_text(add_text, encoding="utf-8")
-            (tmp / "remove.nt").write_text(remove_text, encoding="utf-8")
-            meta_lines = [
-                "parent\t" + (head or ""),
-                "graph\t" + _escape(graph_name),
-                "author\t" + _escape(author),
-                "message\t" + _escape(message),
-                "timestamp\t" + str(timestamp),
-            ]
-            (tmp / "meta").write_text("\n".join(meta_lines) + "\n", encoding="utf-8")
-            os.replace(tmp, target)
-        self._write_head(commit_id)
-        commit = Commit(
-            id=commit_id,
-            parent=head,
-            author=author,
-            message=message,
-            timestamp=timestamp,
-            graph_name=graph_name,
+        parts = _commit_parts(
+            head, graph_name, author, message, timestamp,
+            _lines_to_text(added), _lines_to_text(removed),
         )
+        digest = hashlib.sha256()
+        for part in parts:
+            digest.update(part)
+        commit_id = digest.hexdigest()
+        self.commits_dir.mkdir(parents=True, exist_ok=True)
+        tmp = self.commits_dir / f".tmp-{os.getpid()}-{commit_id[:12]}"
+        with open(tmp, "wb") as f:
+            f.writelines(parts)
+        os.replace(tmp, self.commits_dir / commit_id)
+        self._write_head(commit_id)
+        commit = Commit(commit_id, head, author, message, timestamp, graph_name)
         self._commit_cache[commit_id] = commit
         self._remember(commit_id, new_lines)
         return commit
@@ -330,9 +329,9 @@ class ChangeStore:
         cached = self._state_cache.get(commit_id)
         if cached is not None:
             return cached
-        # Walk back to the root or to the nearest cached state; each
-        # changeset is checked against its id on the way, so an edited
-        # parent pointer fails before it can lead anywhere.
+        # Walk back to the root or to the nearest cached state; each commit
+        # file is checked against its id on the way, so an edited parent
+        # pointer fails before it can lead anywhere.
         pending = []
         state: set[str] = set()
         cursor: Optional[str] = commit_id
@@ -341,8 +340,9 @@ class ChangeStore:
             if known is not None:
                 state = set(known)
                 break
-            pending.append(self._changeset_lines(cursor))
-            cursor = self.read_commit(cursor).parent
+            commit, added, removed = self._read_commit_file(cursor)
+            pending.append((added, removed))
+            cursor = commit.parent
         for added, removed in reversed(pending):
             state -= removed
             state |= added
@@ -369,8 +369,7 @@ class ChangeStore:
         entries = []
         cursor = self.head_id
         while cursor is not None:
-            commit = self.read_commit(cursor)
-            added, removed = self._changeset_lines(cursor)
+            commit, added, removed = self._read_commit_file(cursor)
             entries.append(LogEntry(commit=commit, added=len(added), removed=len(removed)))
             cursor = commit.parent
         return entries

@@ -946,11 +946,11 @@ def _broken_inputs(workdir):
     recording.unlink()
     recording.mkdir()
     graph = parse_turtle("<urn:s:1> <urn:p:1> 1 .")
-    for name in ("head-dir", "head-latin1", "meta-dir"):
+    for name in ("head-dir", "head-latin1", "commit-dir", "tracked"):
         commit = ChangeStore(workdir / name).commit("urn:x:g", graph, "t", "one", timestamp=1)
     head_dir, head_latin1 = workdir / "head-dir" / "HEAD", workdir / "head-latin1" / "HEAD"
-    meta = workdir / "meta-dir" / "commits" / commit.id / "meta"
-    for path in (head_dir, meta):
+    commit_dir = workdir / "commit-dir" / "commits" / commit.id
+    for path in (head_dir, commit_dir):
         path.unlink()
         path.mkdir()
     _latin1(head_latin1, "Müller\n")
@@ -978,9 +978,10 @@ def _broken_inputs(workdir):
                           f"error: cannot read HEAD: {head_dir}: "),
         "HEAD latin-1": (["log", "--store", str(head_latin1.parent)], 1,
                          f"error: cannot read HEAD: {head_latin1}: "),
-        "meta dir": (["checkout", "--store", str(meta.parents[2]), commit.id, "-o",
-                      str(workdir / "g.nt")], 1,
-                     f"error: commit {commit.short_id}: malformed meta: {meta}: "),
+        "commit dir": (["checkout", "--store", str(commit_dir.parents[1]), commit.id, "-o",
+                        str(workdir / "g.nt")], 1,
+                       f"error: commit {commit.short_id}: {commit_dir} is a directory: "
+                       "the store has the old layout"),
         "log --store file": (["log", "--store", str(store_file)], 2,
                              f"config error: --store is not a directory: {store_file}"),
         "fuse --store file": (_fuse_argv(workdir, "--store", str(store_file)), 2,
@@ -992,6 +993,14 @@ def _broken_inputs(workdir):
                       "error: commit message is not UTF-8"),
         "--graph-name": (commit_to + ["--graph-name", "urn:x\udcff"], 1,
                          "error: commit graph name is not UTF-8"),
+        "--author into a store": (_fuse_argv(workdir, "--store", str(workdir / "tracked"),
+                                             "--out", str(workdir / "author.nt"),
+                                             "--author", "x\udcff"), 1,
+                                  "error: commit author is not UTF-8"),
+        "--graph-name of another graph": (_fuse_argv(workdir, "--store", str(workdir / "tracked"),
+                                                     "--out", str(workdir / "other-graph.nt"),
+                                                     "--graph-name", "urn:other"), 1,
+                                          "error: store tracks graph 'urn:x:g', got 'urn:other'"),
     }
 
 
@@ -1011,8 +1020,9 @@ def test_broken_inputs_exit_with_one_line_and_no_traceback_from_the_command(work
         err = done[name].stderr.decode("utf-8", "backslashreplace")
         assert (done[name].returncode, len(err.splitlines())) == (code, 1), (name, err)
         assert err.startswith(start) and "Traceback" not in err, (name, err)
-    # a damaged store fails before fuse writes its output
-    assert not (workdir / "head-dir.nt").exists()
+    # a damaged store, or a commit field it refuses, fails before fuse writes its output
+    for out in ("head-dir.nt", "author.nt", "other-graph.nt"):
+        assert not (workdir / out).exists(), out
 
 
 def test_malformed_link_config_is_a_one_line_config_error(workdir, capsys):

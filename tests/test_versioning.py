@@ -128,7 +128,9 @@ def test_lineage_tracks_one_graph_name(tmp_path):
         store.commit("urn:x-store:other", _graph("a", "b"), "t", "two", timestamp=2)
 
 
-@pytest.mark.parametrize("name", ["not-an-iri", "", "/relative/path", "1urn:x"])
+@pytest.mark.parametrize(
+    "name", ["not-an-iri", "", "/relative/path", "1urn:x", "urn:x:a b", "urn:x:a\nb", "urn:x:<g>"]
+)
 def test_commit_rejects_a_graph_name_that_is_not_an_absolute_iri(tmp_path, name):
     store = ChangeStore(tmp_path / "store")
     with pytest.raises(StoreError, match="absolute IRI"):
@@ -270,20 +272,28 @@ def test_commit_ids_are_stable_for_a_fixed_history(tmp_path):
     assert [(e.added, e.removed) for e in log] == [(0, 1), (3, 1), (6, 0)]
 
 
-def _append_statement(f):
+def _edit_text(f, old, new):
     text = f.read_text(encoding="utf-8")
-    f.write_text(text + '<urn:s:1> <urn:p:value> "z" .\n', encoding="utf-8")
+    assert old in text
+    f.write_text(text.replace(old, new, 1), encoding="utf-8")
+
+
+def _append_statement(f):
+    _edit_text(f, "\nadd\n", '\nadd\n<urn:s:1> <urn:p:value> "z" .\n')
+
+
+def _unremove_statement(f):
+    _edit_text(f, "\nremove\n", '\nremove\n<urn:s:1> <urn:p:value> "z" .\n')
 
 
 def _reword_message(f):
-    text = f.read_text(encoding="utf-8")
-    f.write_text(text.replace("\ttwo", "\ttwo!"), encoding="utf-8")
+    _edit_text(f, "\nmessage two\n", "\nmessage two!\n")
 
 
 def _point_parent_at_itself(f):
     lines = f.read_text(encoding="utf-8").split("\n")
-    assert lines[0].startswith("parent\t")
-    lines[0] = "parent\t" + f.parent.name
+    assert lines[0].startswith("parent ")
+    lines[0] = "parent " + f.name
     f.write_text("\n".join(lines), encoding="utf-8")
 
 
@@ -301,38 +311,101 @@ def _as_directory(f):
     f.mkdir()
 
 
-_MISMATCH = "content does not match its id"
+_MISMATCH = "commit {short}: content does not match its id"
+_OLD_LAYOUT = "commit {short}: {path} is a directory: the store has the old layout"
 _EDITS = {
     # edits that still parse
-    "statement added": ("add.nt", _append_statement, _MISMATCH),
-    "statement unremoved": ("remove.nt", _append_statement, _MISMATCH),
-    "message reworded": ("meta", _reword_message, _MISMATCH),
-    "parent loops": ("meta", _point_parent_at_itself, _MISMATCH),
-    # and files that no longer read
-    "not UTF-8": ("add.nt", _write_latin1, "cannot read changeset"),
-    "file deleted": ("remove.nt", Path.unlink, "cannot read changeset"),
-    "field dropped": ("meta", _drop_timestamp, "malformed meta"),
-    "meta not UTF-8": ("meta", _write_latin1, "malformed meta"),
-    "meta a directory": ("meta", _as_directory, "malformed meta"),
+    "statement added": (_append_statement, _MISMATCH),
+    "statement unremoved": (_unremove_statement, _MISMATCH),
+    "message reworded": (_reword_message, _MISMATCH),
+    "parent loops": (_point_parent_at_itself, _MISMATCH),
+    "field dropped": (_drop_timestamp, _MISMATCH),
+    # and files that no longer parse or read
+    "not UTF-8": (_write_latin1, _MISMATCH),
+    "file deleted": (Path.unlink, "unknown commit id: {id}"),
+    "a directory in its place": (_as_directory, _OLD_LAYOUT),
 }
+
+
+def _assert_reads_fail(path, capsys, c1, bad, reason):
+    """Every read of the store at `path` that reaches commit `bad` fails with
+    one line starting with `reason`, from the library and from the CLI."""
+    fresh = ChangeStore(path)
+    for read in (lambda: fresh.checkout(bad.id), lambda: fresh.diff(c1.id, bad.id), fresh.log):
+        with pytest.raises(StoreError, match="^" + re.escape(reason)):
+            read()
+    out = path.parent / "out.nt"
+    assert run(["checkout", "--store", str(path), bad.id, "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {reason}") and len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("edit", sorted(_EDITS))
 def test_commit_files_edited_after_commit_are_an_error(tmp_path, capsys, edit):
-    name, change, reason = _EDITS[edit]
+    change, reason = _EDITS[edit]
     path = tmp_path / "store"
     store = ChangeStore(path)
     c1 = store.commit(GRAPH_NAME, _graph("a", "b"), "t", "one", timestamp=1)
     c2 = store.commit(GRAPH_NAME, _graph("b", "c"), "t", "two", timestamp=2)
-    change(store.commits_dir / c2.id / name)
-    fresh = ChangeStore(path)
-    for read in (lambda: fresh.checkout(c2.id), lambda: fresh.diff(c1.id, c2.id), fresh.log):
-        with pytest.raises(StoreError, match=f"^commit {c2.short_id}: {reason}"):
-            read()
-    out = tmp_path / "out.nt"
-    assert run(["checkout", "--store", str(path), c2.id, "-o", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: commit {c2.short_id}: {reason}") and len(err.splitlines()) == 1
+    target = store.commits_dir / c2.id
+    change(target)
+    reason = reason.format(short=c2.short_id, id=c2.id, path=target)
+    _assert_reads_fail(path, capsys, c1, c2, reason)
+
+
+def test_commit_file_is_its_hashed_content(tmp_path):
+    store = ChangeStore(tmp_path / "store")
+    c1 = store.commit(GRAPH_NAME, _graph("a", "b"), "ann\tlee", "one\ntwo", timestamp=1)
+    c2 = store.commit(GRAPH_NAME, _graph("b", "c"), "t", "two", timestamp=2)
+    assert sorted(p.name for p in store.commits_dir.iterdir()) == sorted([c1.id, c2.id])
+    assert (store.commits_dir / c2.id).read_bytes() == (
+        f"parent {c1.id}\ngraph {GRAPH_NAME}\nauthor t\nmessage two\ntimestamp 2\nadd\n"
+        '<urn:s:1> <urn:p:value> "c" .\n\nremove\n<urn:s:1> <urn:p:value> "a" .\n'
+    ).encode("utf-8")
+    assert (store.commits_dir / c1.id).read_bytes().startswith(
+        f"parent -\ngraph {GRAPH_NAME}\nauthor ann\\tlee\nmessage one\\ntwo\n".encode("utf-8")
+    )
+
+
+_MALFORMED = {
+    "not UTF-8": "parent -\ngraph urn:x:g\nauthor M\xfcller\n".encode("latin-1"),
+    "field dropped": b"parent -\ngraph urn:x:g\nauthor t\nmessage m\nadd\n\nremove\n",
+    "no remove mark": b"parent -\ngraph urn:x:g\nauthor t\nmessage m\ntimestamp 1\nadd\n",
+    "timestamp not a number": b"parent -\ngraph g\nauthor t\nmessage m\ntimestamp 1_0\nadd\n"
+                              b"\nremove\n",
+    "parent not an id": b"parent \ngraph g\nauthor t\nmessage m\ntimestamp 1\nadd\n\nremove\n",
+    "empty": b"",
+}
+
+
+@pytest.mark.parametrize("body", sorted(_MALFORMED))
+def test_a_file_named_by_its_own_hash_but_malformed_is_an_error(tmp_path, capsys, body):
+    path = tmp_path / "store"
+    store = ChangeStore(path)
+    c1 = store.commit(GRAPH_NAME, _graph("a"), "t", "one", timestamp=1)
+    data = _MALFORMED[body]
+    bad = versioning.Commit(hashlib.sha256(data).hexdigest(), None, "t", "m", 1, GRAPH_NAME)
+    (store.commits_dir / bad.id).write_bytes(data)
+    (path / "HEAD").write_text(bad.id + "\n")
+    _assert_reads_fail(path, capsys, c1, bad, f"commit {bad.short_id}: malformed commit: ")
+
+
+def test_a_store_in_the_old_layout_is_a_one_line_error(tmp_path, capsys):
+    # one directory per commit, holding `meta`, `add.nt` and `remove.nt`
+    path = tmp_path / "store"
+    old = path / "commits" / ("ab" * 32)
+    old.mkdir(parents=True)
+    (old / "meta").write_text("parent\t\ngraph\turn:x:g\nauthor\tt\nmessage\tm\ntimestamp\t1\n")
+    (old / "add.nt").write_text('<urn:s:1> <urn:p:value> "a" .\n')
+    (old / "remove.nt").write_text("")
+    (path / "HEAD").write_text(old.name + "\n")
+    reason = _OLD_LAYOUT.format(short=old.name[:12], path=old)
+    commit = versioning.Commit(old.name, None, "t", "m", 1, GRAPH_NAME)
+    _assert_reads_fail(path, capsys, commit, commit, reason)
+    with pytest.raises(StoreError, match="^" + re.escape(reason)):
+        ChangeStore(path).commit(GRAPH_NAME, _graph("b"), "t", "two", timestamp=2)
+    assert sorted(p.name for p in (path / "commits").iterdir()) == [old.name]
 
 
 @pytest.mark.parametrize("edit", [_as_directory, _write_latin1])
@@ -461,8 +534,8 @@ def test_checkout_and_diff_output_is_pinned(tmp_path):
 _SUBJECTS = [iri("urn:s:0"), iri("urn:s:\ufffd"), iri("urn:s:\U00010000"), blank("a"), blank("b")]
 _PREDICATES = [iri("urn:p:0"), iri("urn:p:1")]
 _TEXT = st.lists(
-    st.sampled_from(["a", "_", ":", "_:b0", "\n", "\r", '"', "\\", "\t", "\x01", " ", "\u00fc",
-                     "\ufffd", "\U00010000"]),
+    st.sampled_from(["a", "_", ":", "_:b0", "\n", "\r", "\u2028", '"', "\\", "\t", "\x01", " ",
+                     "\u00fc", "\ufffd", "\U00010000"]),
     max_size=5,
 ).map("".join)
 _TAGS = [
@@ -502,3 +575,28 @@ def test_cli_checkout_and_diff_match_the_library(states):
                 )
                 counts = f"{len(changeset.added)} added, {len(changeset.removed)} removed\n"
                 assert _cli(["diff", "--store", str(path), a, b]) == (0, expected, counts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.frozensets(_TRIPLES, max_size=8), _TEXT, _TEXT), max_size=8))
+def test_commit_files_are_content_addressed_and_replay_the_model(history):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d, "store")
+        model = []
+        previous: frozenset[str] = frozenset()
+        for n, (state, author, message) in enumerate(history):
+            lines = frozenset(map(ntriples_line, state))
+            if lines != previous:
+                c = ChangeStore(path).commit(GRAPH_NAME, Graph(GRAPH_NAME, state), author, message, n)
+                model.append((c, lines, len(lines - previous), len(previous - lines)))
+                previous = lines
+        files = sorted(Path(path, "commits").iterdir()) if model else []
+        assert [f.name for f in files] == sorted(c.id for c, *_ in model)
+        for f in files:
+            assert hashlib.sha256(f.read_bytes()).hexdigest() == f.name
+        for c, lines, _, _ in model:
+            fresh = ChangeStore(path)
+            assert fresh.state_lines(c.id) == lines
+            assert fresh.read_commit(c.id) == c
+        log = [(e.commit, e.added, e.removed) for e in ChangeStore(path).log()]
+        assert log == [(c, added, removed) for c, _, added, removed in reversed(model)]

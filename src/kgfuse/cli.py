@@ -284,22 +284,19 @@ def cmd_log(args) -> int:
 
 def cmd_diff(args) -> int:
     store = _open_store(args)
-    state_a = store.state_lines(store.resolve(args.commit_a))
-    state_b = store.state_lines(store.resolve(args.commit_b))
-    removed = sorted(state_a - state_b)
-    added = sorted(state_b - state_a)
-    for line in removed:
+    changeset = store.diff(store.resolve(args.commit_a), store.resolve(args.commit_b))
+    for line in sorted(changeset.removed):
         print("- " + line)
-    for line in added:
+    for line in sorted(changeset.added):
         print("+ " + line)
-    print(f"{len(added)} added, {len(removed)} removed", file=sys.stderr)
+    print(f"{len(changeset.added)} added, {len(changeset.removed)} removed", file=sys.stderr)
     return 0
 
 
 def cmd_checkout(args) -> int:
     store = _open_store(args)
     commit_id = store.resolve(args.commit)
-    lines = store.state_lines(commit_id)
+    lines = store.checkout(commit_id)
     _write_text(args.out, serialize_canonical_lines(lines))
     print(f"wrote {len(lines)} triple(s) at {commit_id[:12]} to {args.out}")
     return 0

@@ -155,7 +155,6 @@ def shift_namespace(
         g.name,
         (Triple(terms.get(t.s, t.s), terms.get(t.p, t.p), terms.get(t.o, t.o)) for t in g.triples),
     )
-    out.prefixes.update(g.prefixes)
     if len(out) != len(g):
         raise FusionError(
             f"namespace shift merged {len(g) - len(out)} triple(s); "

@@ -25,7 +25,6 @@ from .rdf import IRI, LITERAL, Graph, Triple, iri
 
 ACCEPTED = "accepted"
 REVIEW = "review"
-REJECTED = "rejected"
 
 _TOKEN_SPLIT_RE = re.compile(r"[\s\-,.]+")
 

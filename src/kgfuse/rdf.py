@@ -60,7 +60,8 @@ class Term:
     form depending on `kind`.  Language tags are lower-cased on
     construction so equality and hashing are case-insensitive, and
     `^^xsd:string` collapses to the plain literal form.  The hash is
-    computed once, after that normalization.  Text holding a lone surrogate
+    computed once, after that normalization.  A literal's datatype must be
+    an absolute IRI, as every IRI term must.  Text holding a lone surrogate
     is rejected: it has no UTF-8 form, so no output could be written.
     """
 
@@ -95,6 +96,8 @@ class Term:
                     raise RdfError("rdf:langString literal requires a language tag")
                 if datatype == XSD_STRING:
                     object.__setattr__(self, "datatype", None)
+                elif datatype is not None and not ABSOLUTE_IRI_RE.match(datatype):
+                    raise RdfError(f"datatype IRI is not absolute: {datatype!r}")
         else:
             raise RdfError(f"unknown term kind: {self.kind!r}")
         if not (
@@ -198,7 +201,7 @@ def _index_triple(spo: _Index, pos: _Index, t: Triple) -> None:
 
 
 class Graph:
-    """A named set of triples with SPO and POS indexes and a prefix map.
+    """A named set of triples with SPO and POS indexes.
 
     The two indexes answer every pattern: SPO those with the subject bound,
     POS the rest.  Only a pattern that binds the object alone reads one leaf
@@ -216,14 +219,10 @@ class Graph:
         if name is not None and not ABSOLUTE_IRI_RE.match(name):
             raise RdfError(f"graph name must be an absolute IRI: {name!r}")
         self.name = name
-        self.prefixes: dict[str, str] = {}
         self._triples: set[Triple] = set(triples)
         # (SPO, POS), None until the first probe.  Each leaf maps the last
         # term of its index to the stored triple.
         self._index: tuple[_Index, _Index] | None = None
-
-    def bind(self, prefix: str, namespace: str) -> None:
-        self.prefixes[prefix] = namespace
 
     def add(self, triple: Triple) -> bool:
         """Insert a triple; returns False if it was already present."""
@@ -313,9 +312,7 @@ class Graph:
         return sum(key in leaf for leaf in leaves)
 
     def copy(self, name: str | None = None) -> "Graph":
-        g = Graph(name if name is not None else self.name, self._triples)
-        g.prefixes.update(self.prefixes)
-        return g
+        return Graph(name if name is not None else self.name, self._triples)
 
     @staticmethod
     def union(graphs: Iterable["Graph"], name: str | None = None) -> "Graph":
@@ -342,7 +339,6 @@ class Graph:
                 mapping[label] = f"{label}_{n}"
                 taken.add(mapping[label])
             seen |= own
-            out.prefixes.update(g.prefixes)
             out.add_all(
                 Triple(_relabel(t.s, mapping), t.p, _relabel(t.o, mapping)) if mapping else t
                 for t in g._triples
@@ -647,7 +643,7 @@ class _TurtleParser(_TermParser):
         self.graph = Graph()
         # one object per distinct term, however often the document repeats it
         self.terms: dict[Term, Term] = {}
-        super().__init__(text, self.graph.prefixes, base)
+        super().__init__(text, {}, base)
 
     def _share(self, term: Term) -> Term:
         return self.terms.setdefault(term, term)
@@ -674,7 +670,7 @@ class _TurtleParser(_TermParser):
         if not pname.value.endswith(":"):
             self._fail("prefix declaration must end with ':'", pname)
         iriref = self._expect("IRIREF")
-        self.graph.bind(pname.value[:-1], self._resolve(iriref))
+        self.prefixes[pname.value[:-1]] = self._resolve(iriref)
         self._expect("DOT")
 
     def _base_directive(self):
@@ -806,8 +802,6 @@ def parse_ntriples(text: str, name: str | None = None) -> Graph:
             elif o_blank is not None:
                 obj = blank(o_blank)
             else:
-                if o_dtype is not None and not ABSOLUTE_IRI_RE.match(o_dtype):
-                    raise RdfError(f"IRI is not absolute: {o_dtype!r}")
                 obj = literal(
                     _unescape(o_lit, lineno, 1, TurtleSyntaxError),
                     language=o_lang,

@@ -11,12 +11,12 @@ A commit file is written under a temporary name and renamed into place
 before HEAD moves, so a crash leaves either the previous head or the new
 one, never a half-written commit.
 
-The store works on N-Triples lines as `ntriples_line` writes them: a state
-is the frozenset of its lines (`state_lines`), and replay is set algebra
-over them.  The `kgfuse checkout` and `kgfuse diff` commands answer from
-those lines; triples are parsed only for the library calls that return
-them (`checkout`, `diff`, `read_changeset`).  Every read of a commit
-rehashes its file, so a file edited after commit is an error rather than a
+The store works on N-Triples lines as `ntriples_line` writes them and
+never parses them: `checkout` returns a state as the frozenset of its
+lines, `diff` and `read_changeset` return a `ChangeSet` of lines, and
+replay is set algebra over them.  `read_changeset` is the one reader of a
+commit file: `checkout`, `log` and `read_commit` all go through it, and it
+rehashes the file, so a file edited after commit is an error rather than a
 silently different history.
 """
 
@@ -30,9 +30,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .rdf import (
-    _IRI_TEXT, _SURROGATE_RE, ABSOLUTE_IRI_RE, Graph, Triple, ntriples_line, parse_ntriples,
-)
+from .rdf import _IRI_TEXT, _SURROGATE_RE, ABSOLUTE_IRI_RE, Graph, ntriples_line
+# unused here; bench/tracing.py looks it up in this module
+from .rdf import parse_ntriples  # noqa: F401
 
 # States a store handle keeps for later reads; older ones are replayed again.
 _STATE_CACHE_SIZE = 4
@@ -45,10 +45,11 @@ _SHORT_ID_RE = re.compile(r"[0-9a-f]{4,63}")
 _GRAPH_NAME_RE = re.compile(ABSOLUTE_IRI_RE.pattern + _IRI_TEXT + r"\Z")
 
 # A commit file up to its added lines; "\nremove\n" then ends them.  Lines
-# are split at "\n" only: a message may hold a raw "\r" or U+2028.
+# are split at "\n" only: a message may hold a raw "\r" or U+2028.  A
+# timestamp of more than 19 digits could never be formatted (`_stamp`).
 _HEADER_RE = re.compile(
     "parent (-|[0-9a-f]{64})\ngraph ([^\n]*)\nauthor ([^\n]*)\nmessage ([^\n]*)\n"
-    "timestamp (-?[0-9]+)\nadd\n"
+    "timestamp (-?[0-9]{1,19})\nadd\n"
 )
 _REMOVE_MARK = "\nremove\n"
 
@@ -84,15 +85,19 @@ class Commit:
 
 @dataclass(frozen=True)
 class ChangeSet:
-    added: frozenset[Triple]
-    removed: frozenset[Triple]
-    graph_name: str
+    """N-Triples lines added and removed; `commit` is the commit whose file
+    holds them, None for a `diff`."""
+
+    added: frozenset[str]
+    removed: frozenset[str]
+    commit: Optional[Commit] = None
 
     def __post_init__(self):
         if self.added & self.removed:
-            raise StoreError("a changeset cannot add and remove the same triple")
+            where = f"commit {self.commit.short_id}: " if self.commit else ""
+            raise StoreError(f"{where}a changeset cannot add and remove the same line")
 
-    def apply(self, state: frozenset[Triple]) -> frozenset[Triple]:
+    def apply(self, state: frozenset[str]) -> frozenset[str]:
         return (state - self.removed) | self.added
 
 
@@ -106,10 +111,6 @@ class LogEntry:
 def _lines_to_text(lines: Iterable[str]) -> str:
     ordered = sorted(lines)
     return "\n".join(ordered) + ("\n" if ordered else "")
-
-
-def _triples(lines: Iterable[str]) -> frozenset[Triple]:
-    return parse_ntriples("\n".join(lines)).triples
 
 
 def _escape(value: str) -> str:
@@ -130,6 +131,15 @@ def _unescape(value: str) -> str:
             out.append(value[i])
             i += 1
     return "".join(out)
+
+
+def _stamp(timestamp: int) -> Optional[str]:
+    """A commit time as `format_log` writes it, or None if `time.gmtime`
+    cannot format it."""
+    try:
+        return time.strftime("%Y-%m-%d %H:%M:%S", time.gmtime(timestamp))
+    except (OverflowError, OSError, ValueError):
+        return None
 
 
 def _read_store_file(path: Path, problem: str) -> str:
@@ -197,9 +207,9 @@ class ChangeStore:
             raise StoreError(f"ambiguous commit id {ref}: {len(matches)} commits start with it")
         return matches[0] if matches else ref
 
-    def _read_commit_file(self, commit_id: str) -> tuple[Commit, frozenset[str], frozenset[str]]:
-        """A commit with its added and removed lines, read from its one file
-        and checked against its id."""
+    def read_changeset(self, commit_id: str) -> ChangeSet:
+        """A commit's added and removed lines, with the commit, read from its
+        one file and checked against its id."""
         path = os.path.join(self.commits_dir, commit_id)
         short = commit_id[:12]
         try:
@@ -222,42 +232,29 @@ class ChangeStore:
             text = ""  # malformed, as below
         header = _HEADER_RE.match(text)
         split = text.find(_REMOVE_MARK, header.end()) if header else -1
-        if split < 0:
+        if split < 0 or _stamp(int(header.group(5))) is None:
             raise StoreError(f"commit {short}: malformed commit: {path}")
         parent, graph_name, author, message, timestamp = header.groups()
-        commit = Commit(
-            id=commit_id,
-            parent=None if parent == "-" else parent,
-            author=_unescape(author),
-            message=_unescape(message),
-            timestamp=int(timestamp),
-            graph_name=graph_name,
+        changeset = ChangeSet(
+            added=frozenset(filter(None, text[header.end():split].split("\n"))),
+            removed=frozenset(filter(None, text[split + len(_REMOVE_MARK):].split("\n"))),
+            commit=Commit(
+                id=commit_id,
+                parent=None if parent == "-" else parent,
+                author=_unescape(author),
+                message=_unescape(message),
+                timestamp=int(timestamp),
+                graph_name=graph_name,
+            ),
         )
-        self._commit_cache[commit_id] = commit
-        return (
-            commit,
-            frozenset(filter(None, text[header.end():split].split("\n"))),
-            frozenset(filter(None, text[split + len(_REMOVE_MARK):].split("\n"))),
-        )
+        self._commit_cache[commit_id] = changeset.commit
+        return changeset
 
     def read_commit(self, commit_id: str) -> Commit:
         cached = self._commit_cache.get(commit_id)
         if cached is not None:
             return cached
-        return self._read_commit_file(commit_id)[0]
-
-    def _changeset_lines(self, commit_id: str) -> tuple[frozenset[str], frozenset[str]]:
-        """The added and removed lines of a commit, checked against its id."""
-        _, added, removed = self._read_commit_file(commit_id)
-        return added, removed
-
-    def read_changeset(self, commit_id: str) -> ChangeSet:
-        added, removed = self._changeset_lines(commit_id)
-        return ChangeSet(
-            added=_triples(added),
-            removed=_triples(removed),
-            graph_name=self.read_commit(commit_id).graph_name,
-        )
+        return self.read_changeset(commit_id).commit
 
     # -- operations ------------------------------------------------------------
 
@@ -277,7 +274,7 @@ class ChangeStore:
             )
         head = self.head_id
         if head is not None:
-            self.state_lines(head)
+            self.checkout(head)
             lineage_name = self.read_commit(head).graph_name
             if graph_name != lineage_name:
                 raise StoreError(f"store tracks graph {lineage_name!r}, got {graph_name!r}")
@@ -292,7 +289,7 @@ class ChangeStore:
         timestamp: Optional[int] = None,
     ) -> Commit:
         head = self.check_commit(graph_name, author, message)
-        old_state = self.state_lines(head) if head is not None else frozenset()
+        old_state = self.checkout(head) if head is not None else frozenset()
         new_lines = frozenset(map(ntriples_line, new_state.triples))
         added = new_lines - old_state
         removed = old_state - new_lines
@@ -300,6 +297,8 @@ class ChangeStore:
             raise EmptyDiffError()
         if timestamp is None:
             timestamp = int(time.time())
+        if _stamp(timestamp) is None:
+            raise StoreError(f"commit timestamp is out of range: {timestamp}")
         parts = _commit_parts(
             head, graph_name, author, message, timestamp,
             _lines_to_text(added), _lines_to_text(removed),
@@ -324,7 +323,7 @@ class ChangeStore:
         if len(self._state_cache) > _STATE_CACHE_SIZE:
             del self._state_cache[next(iter(self._state_cache))]
 
-    def state_lines(self, commit_id: str) -> frozenset[str]:
+    def checkout(self, commit_id: str) -> frozenset[str]:
         """The N-Triples lines of the graph at `commit_id`."""
         cached = self._state_cache.get(commit_id)
         if cached is not None:
@@ -340,37 +339,30 @@ class ChangeStore:
             if known is not None:
                 state = set(known)
                 break
-            commit, added, removed = self._read_commit_file(cursor)
-            pending.append((added, removed))
-            cursor = commit.parent
-        for added, removed in reversed(pending):
-            state -= removed
-            state |= added
+            changeset = self.read_changeset(cursor)
+            pending.append(changeset)
+            cursor = changeset.commit.parent
+        for changeset in reversed(pending):
+            state -= changeset.removed
+            state |= changeset.added
         frozen = frozenset(state)
         self._remember(commit_id, frozen)
         return frozen
 
-    def checkout(self, commit_id: str) -> Graph:
-        commit = self.read_commit(commit_id)
-        return parse_ntriples("\n".join(self.state_lines(commit_id)), name=commit.graph_name)
-
     def diff(self, a: str, b: str) -> ChangeSet:
-        state_a = self.state_lines(a)
-        state_b = self.state_lines(b)
-        graph_name = self.read_commit(b).graph_name
-        return ChangeSet(
-            added=_triples(state_b - state_a),
-            removed=_triples(state_a - state_b),
-            graph_name=graph_name,
-        )
+        """The lines that take the state at `a` to the state at `b`."""
+        state_a = self.checkout(a)
+        state_b = self.checkout(b)
+        return ChangeSet(added=state_b - state_a, removed=state_a - state_b)
 
     def log(self) -> list[LogEntry]:
         """Head-to-root entries with changeset sizes recounted from disk."""
         entries = []
         cursor = self.head_id
         while cursor is not None:
-            commit, added, removed = self._read_commit_file(cursor)
-            entries.append(LogEntry(commit=commit, added=len(added), removed=len(removed)))
+            changeset = self.read_changeset(cursor)
+            commit = changeset.commit
+            entries.append(LogEntry(commit, len(changeset.added), len(changeset.removed)))
             cursor = commit.parent
         return entries
 
@@ -379,9 +371,8 @@ def format_log(entries: Iterable[LogEntry]) -> str:
     lines = []
     for entry in entries:
         c = entry.commit
-        stamp = time.strftime("%Y-%m-%d %H:%M:%S", time.gmtime(c.timestamp))
         lines.append(
-            f"{c.short_id}  {stamp}Z  +{entry.added} -{entry.removed}  "
+            f"{c.short_id}  {_stamp(c.timestamp)}Z  +{entry.added} -{entry.removed}  "
             f"{c.author}: {c.message}"
         )
     return "\n".join(lines) + ("\n" if lines else "")

@@ -141,7 +141,6 @@ def test_person_snippet_three_triples_one_subject():
         )
         in g
     )
-    assert g.prefixes["leipzig"] == "http://example.org/catalogus/leipzig/"
 
 
 def test_object_lists_and_typed_literals():
@@ -371,7 +370,7 @@ def _outcome(parse, text: str, base: str | None):
         g = parse(text, base)
     except RdfError as err:
         return type(err), str(err)
-    return g.triples, g.prefixes
+    return g.triples
 
 
 @settings(max_examples=300)
@@ -394,6 +393,14 @@ def test_ntriples_white_space_is_only_space_and_tab(space):
         with pytest.raises(TurtleSyntaxError):
             parse_turtle(doc)
     assert len(parse_ntriples(' \t<urn:s:1> <urn:p:1> "x" .\t ')) == 1
+
+
+@pytest.mark.parametrize("datatype", ["dt", "", "/dir/dt", "#integer"])
+def test_a_literal_datatype_must_be_an_absolute_iri(datatype):
+    # checked where the term is built, so no graph, commit or output holds one
+    with pytest.raises(RdfError, match=f"^datatype IRI is not absolute: {datatype!r}$"):
+        literal("x", datatype=datatype)
+    assert literal("x", datatype="urn:dt:x").datatype == "urn:dt:x"
 
 
 def test_ntriples_rejects_a_relative_datatype_iri():

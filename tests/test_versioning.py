@@ -1,4 +1,8 @@
-"""Commit store checks: diff/checkout/log against set-difference and replay oracles."""
+"""Commit store checks: diff/checkout/log against set-difference and replay oracles.
+
+The store speaks N-Triples lines, so each oracle states its expected triples
+as the lines `ntriples_line` writes for them (`_lines`).
+"""
 
 from __future__ import annotations
 
@@ -14,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgfuse import fixtures, versioning
+from kgfuse import fixtures, rdf, versioning
 from kgfuse.cli import run
 from kgfuse.fusion import shift_namespace
 from kgfuse.prefixes import PCP_NS, XSD_NS
@@ -28,6 +32,10 @@ from kgfuse.versioning import (
 )
 
 GRAPH_NAME = "urn:x-store:test"
+
+
+def _lines(triples) -> frozenset[str]:
+    return frozenset(map(ntriples_line, triples))
 
 
 def _graph(*values: str) -> Graph:
@@ -67,8 +75,9 @@ def test_rename_fix_changeset_matches_set_difference_oracle(tmp_path):
     commit = store.commit(GRAPH_NAME, after, "historian", "rename fixes", timestamp=20)
     changeset = store.read_changeset(commit.id)
     # oracle: plain set differences of the two states
-    assert changeset.added == after.triples - before.triples
-    assert changeset.removed == before.triples - after.triples
+    assert changeset.added == _lines(after.triples - before.triples)
+    assert changeset.removed == _lines(before.triples - after.triples)
+    assert changeset.commit == commit
     assert len(changeset.added) == len(changeset.removed)
     assert len(changeset.added) > 0
 
@@ -89,8 +98,9 @@ def test_diff_root_to_head_equals_full_state_difference(tmp_path):
     store.commit(GRAPH_NAME, g2, "t", "two", timestamp=2)
     c3 = store.commit(GRAPH_NAME, g3, "t", "three", timestamp=3)
     d = store.diff(c1.id, c3.id)
-    assert d.added == g3.triples - g1.triples
-    assert d.removed == g1.triples - g3.triples
+    assert d.added == _lines(g3.triples - g1.triples)
+    assert d.removed == _lines(g1.triples - g3.triples)
+    assert d.commit is None
     # antisymmetry
     inverse = store.diff(c3.id, c1.id)
     assert inverse.added == d.removed and inverse.removed == d.added
@@ -98,10 +108,11 @@ def test_diff_root_to_head_equals_full_state_difference(tmp_path):
 
 def test_diff_applied_to_state_a_reproduces_state_b(tmp_path):
     store = ChangeStore(tmp_path / "store")
-    c1 = store.commit(GRAPH_NAME, _graph("a", "b"), "t", "one", timestamp=1)
-    c2 = store.commit(GRAPH_NAME, _graph("b", "x", "y"), "t", "two", timestamp=2)
+    g1, g2 = _graph("a", "b"), _graph("b", "x", "y")
+    c1 = store.commit(GRAPH_NAME, g1, "t", "one", timestamp=1)
+    c2 = store.commit(GRAPH_NAME, g2, "t", "two", timestamp=2)
     d = store.diff(c1.id, c2.id)
-    assert d.apply(store.checkout(c1.id).triples) == store.checkout(c2.id).triples
+    assert d.apply(_lines(g1.triples)) == store.checkout(c2.id) == _lines(g2.triples)
 
 
 def test_checkout_root_and_head(tmp_path):
@@ -110,9 +121,9 @@ def test_checkout_root_and_head(tmp_path):
     g2 = _graph("b", "c", "d")
     c1 = store.commit(GRAPH_NAME, g1, "t", "one", timestamp=1)
     c2 = store.commit(GRAPH_NAME, g2, "t", "two", timestamp=2)
-    assert store.checkout(c1.id) == g1
-    assert store.checkout(c2.id) == g2
-    assert store.checkout(store.head_id).name == GRAPH_NAME
+    assert store.checkout(c1.id) == _lines(g1.triples)
+    assert store.checkout(c2.id) == _lines(g2.triples)
+    assert store.read_commit(store.head_id).graph_name == GRAPH_NAME
 
 
 def test_unknown_commit_id(tmp_path):
@@ -163,7 +174,7 @@ def test_replay_oracle_on_random_history(tmp_path):
         current = target
         g = _graph(*sorted(current))
         c = store.commit(GRAPH_NAME, g, "t", f"step {len(commit_ids)}", timestamp=timestamp)
-        states.append(g.triples)
+        states.append(_lines(g.triples))
         commit_ids.append(c.id)
         timestamp += 1
     # oracle: left-fold the stored changesets and compare at every commit
@@ -173,7 +184,7 @@ def test_replay_oracle_on_random_history(tmp_path):
         changeset = store.read_changeset(cid)
         replayed = changeset.apply(replayed)
         assert replayed == states[idx]
-        assert store.checkout(cid).triples == states[idx]
+        assert store.checkout(cid) == states[idx]
         # minimality: the changeset is exactly the symmetric difference
         assert len(changeset.added) + len(changeset.removed) == len(previous ^ states[idx])
         previous = states[idx]
@@ -228,7 +239,7 @@ def test_commit_round_trip_for_fixture_graphs(tmp_path):
         store = ChangeStore(tmp_path / f"store{idx}")
         named = g.copy(name=GRAPH_NAME)
         c = store.commit(GRAPH_NAME, named, "t", f"import {name}", timestamp=idx + 1)
-        assert store.checkout(c.id) == named, name
+        assert store.checkout(c.id) == _lines(named.triples), name
 
 
 def _escaped_history() -> list[tuple[frozenset, str, str]]:
@@ -267,7 +278,7 @@ def test_commit_ids_are_stable_for_a_fixed_history(tmp_path):
         "5fd1539af1effd169333935de6d3d06f4b90b4560db6017012c7880efc54e9e5",
     ]
     for cid, (state, _, _) in zip(ids, _escaped_history()):
-        assert ChangeStore(tmp_path / "store").checkout(cid).triples == state
+        assert ChangeStore(tmp_path / "store").checkout(cid) == _lines(state)
     log = ChangeStore(tmp_path / "store").log()
     assert [(e.added, e.removed) for e in log] == [(0, 1), (3, 1), (6, 0)]
 
@@ -329,15 +340,19 @@ _EDITS = {
 
 def _assert_reads_fail(path, capsys, c1, bad, reason):
     """Every read of the store at `path` that reaches commit `bad` fails with
-    one line starting with `reason`, from the library and from the CLI."""
+    one line starting with `reason`, from the library and from the CLI; the
+    store's HEAD is `bad` or one of its descendants."""
     fresh = ChangeStore(path)
     for read in (lambda: fresh.checkout(bad.id), lambda: fresh.diff(c1.id, bad.id), fresh.log):
         with pytest.raises(StoreError, match="^" + re.escape(reason)):
             read()
     out = path.parent / "out.nt"
-    assert run(["checkout", "--store", str(path), bad.id, "-o", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {reason}") and len(err.splitlines()) == 1
+    store = ["--store", str(path)]
+    for argv in (["checkout", *store, bad.id, "-o", str(out)], ["log", *store]):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {reason}") and len(captured.err.splitlines()) == 1
     assert not out.exists()
 
 
@@ -376,6 +391,12 @@ _MALFORMED = {
                               b"\nremove\n",
     "parent not an id": b"parent \ngraph g\nauthor t\nmessage m\ntimestamp 1\nadd\n\nremove\n",
     "empty": b"",
+    # timestamps that `time.gmtime` cannot format: too large for time_t, and
+    # a year past the C library's range
+    "timestamp overflows": b"parent -\ngraph urn:x:g\nauthor t\nmessage m\n"
+                           b"timestamp 100000000000000000000\nadd\n\nremove\n",
+    "timestamp year out of range": b"parent -\ngraph urn:x:g\nauthor t\nmessage m\n"
+                                   b"timestamp 4611686018427387904\nadd\n\nremove\n",
 }
 
 
@@ -389,6 +410,36 @@ def test_a_file_named_by_its_own_hash_but_malformed_is_an_error(tmp_path, capsys
     (store.commits_dir / bad.id).write_bytes(data)
     (path / "HEAD").write_text(bad.id + "\n")
     _assert_reads_fail(path, capsys, c1, bad, f"commit {bad.short_id}: malformed commit: ")
+
+
+def test_a_file_named_by_its_own_hash_that_adds_and_removes_a_line_is_an_error(tmp_path, capsys):
+    path = tmp_path / "store"
+    store = ChangeStore(path)
+    c1 = store.commit(GRAPH_NAME, _graph("a"), "t", "one", timestamp=1)
+    line = '<urn:s:1> <urn:p:value> "b" .\n'
+    data = f"parent {c1.id}\ngraph {GRAPH_NAME}\nauthor t\nmessage m\ntimestamp 2\nadd\n{line}" \
+           f"\nremove\n{line}"
+    data = data.encode("utf-8")
+    bad = versioning.Commit(hashlib.sha256(data).hexdigest(), c1.id, "t", "m", 2, GRAPH_NAME)
+    (store.commits_dir / bad.id).write_bytes(data)
+    (path / "HEAD").write_text(bad.id + "\n")
+    reason = f"commit {bad.short_id}: a changeset cannot add and remove the same line"
+    _assert_reads_fail(path, capsys, c1, bad, reason)
+
+
+@pytest.mark.parametrize("timestamp", [10**20, 2**62, -(2**62)])
+def test_commit_rejects_a_timestamp_that_cannot_be_formatted(tmp_path, capsys, timestamp):
+    path = tmp_path / "store"
+    with pytest.raises(StoreError, match=f"^commit timestamp is out of range: {timestamp}$"):
+        ChangeStore(path).commit(GRAPH_NAME, _graph("a"), "t", "one", timestamp=timestamp)
+    assert not path.exists()
+    c1 = ChangeStore(path).commit(GRAPH_NAME, _graph("a"), "t", "one", timestamp=1)
+    with pytest.raises(StoreError, match="out of range"):
+        ChangeStore(path).commit(GRAPH_NAME, _graph("b"), "t", "two", timestamp=timestamp)
+    assert [p.name for p in (path / "commits").iterdir()] == [c1.id]
+    assert ChangeStore(path).head_id == c1.id
+    assert run(["log", "--store", str(path)]) == 0
+    assert capsys.readouterr().out.startswith(f"{c1.short_id}  1970-01-01 00:00:01Z  +1 -0  ")
 
 
 def test_a_store_in_the_old_layout_is_a_one_line_error(tmp_path, capsys):
@@ -423,23 +474,21 @@ def test_a_head_that_does_not_read_is_a_one_line_error(tmp_path, capsys, edit):
 
 
 @pytest.mark.parametrize("depth", [2, 30])
-def test_fresh_checkout_parses_once_and_commit_never(tmp_path, monkeypatch, depth):
-    calls = []
-    parse = versioning.parse_ntriples
+def test_the_store_never_parses(tmp_path, monkeypatch, depth):
+    def parse(*args, **kwargs):
+        raise AssertionError("the store parsed N-Triples")
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return parse(*args, **kwargs)
-
-    monkeypatch.setattr(versioning, "parse_ntriples", counted)
+    monkeypatch.setattr(rdf, "parse_ntriples", parse)
+    monkeypatch.setattr(versioning, "parse_ntriples", parse)
     path = tmp_path / "store"
     for step in range(depth):
         # a fresh handle per commit replays the head state from disk
         state = _graph(*(f"v{i}" for i in range(step % 7, step + 3)))
         head = ChangeStore(path).commit(GRAPH_NAME, state, "t", f"step {step}", timestamp=step)
-    assert calls == []
-    assert ChangeStore(path).checkout(head.id) == state
-    assert len(calls) == 1
+    fresh = ChangeStore(path)
+    assert fresh.checkout(head.id) == _lines(state.triples)
+    assert fresh.diff(head.id, head.id) == versioning.ChangeSet(frozenset(), frozenset())
+    assert len(fresh.log()) == depth
 
 
 def test_line_separators_in_literals_and_metadata_round_trip(tmp_path):
@@ -449,7 +498,7 @@ def test_line_separators_in_literals_and_metadata_round_trip(tmp_path):
     g = _graph("a\x85b", "c\u2028d", "e\u2029f", "plain")
     c = ChangeStore(path).commit(GRAPH_NAME, g, "ann\rlee", "fix\u2028dates", timestamp=1)
     fresh = ChangeStore(path)
-    assert fresh.checkout(c.id) == g
+    assert fresh.checkout(c.id) == _lines(g.triples)
     assert fresh.read_commit(c.id) == c
     assert [(e.added, e.removed) for e in fresh.log()] == [(4, 0)]
 
@@ -550,30 +599,30 @@ _TRIPLES = st.builds(
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.frozensets(_TRIPLES, max_size=8), min_size=1, max_size=4))
-def test_cli_checkout_and_diff_match_the_library(states):
+def test_cli_checkout_and_diff_match_the_model(states):
     with tempfile.TemporaryDirectory() as d:
         path = Path(d, "store")
         store = ChangeStore(path)
-        ids = []
+        model = {}
         for n, state in enumerate(states):
             with contextlib.suppress(EmptyDiffError):
-                ids.append(store.commit(GRAPH_NAME, Graph(GRAPH_NAME, state), "t", "m", n).id)
+                model[store.commit(GRAPH_NAME, Graph(GRAPH_NAME, state), "t", "m", n).id] = state
         out = Path(d, "out.nt")
-        for cid in ids:
-            graph = store.checkout(cid)
+        for cid, state in model.items():
             code, stdout, _ = _cli(["checkout", "--store", str(path), cid, "-o", str(out)])
             assert code == 0
-            assert out.read_bytes() == serialize_canonical(graph).encode("utf-8")
-            assert stdout.startswith(f"wrote {len(graph)} triple(s) ")
-        for a in ids:
-            for b in ids:
-                changeset = store.diff(a, b)
+            assert out.read_bytes() == serialize_canonical(Graph(triples=state)).encode("utf-8")
+            assert stdout.startswith(f"wrote {len(state)} triple(s) ")
+        for a, state_a in model.items():
+            for b, state_b in model.items():
+                removed = _lines(state_a) - _lines(state_b)
+                added = _lines(state_b) - _lines(state_a)
                 expected = "".join(
                     f"{sign} {line}\n"
-                    for sign, triples in (("-", changeset.removed), ("+", changeset.added))
-                    for line in sorted(map(ntriples_line, triples))
+                    for sign, lines in (("-", removed), ("+", added))
+                    for line in sorted(lines)
                 )
-                counts = f"{len(changeset.added)} added, {len(changeset.removed)} removed\n"
+                counts = f"{len(added)} added, {len(removed)} removed\n"
                 assert _cli(["diff", "--store", str(path), a, b]) == (0, expected, counts)
 
 
@@ -596,7 +645,7 @@ def test_commit_files_are_content_addressed_and_replay_the_model(history):
             assert hashlib.sha256(f.read_bytes()).hexdigest() == f.name
         for c, lines, _, _ in model:
             fresh = ChangeStore(path)
-            assert fresh.state_lines(c.id) == lines
+            assert fresh.checkout(c.id) == lines
             assert fresh.read_commit(c.id) == c
         log = [(e.commit, e.added, e.removed) for e in ChangeStore(path).log()]
         assert log == [(c, added, removed) for c, _, added, removed in reversed(model)]

@@ -11,13 +11,10 @@ response files from a fixture directory so no test touches the network.
 from __future__ import annotations
 
 import hashlib
-import http.client
 import json
 import re
 import time
-import urllib.error
 import urllib.parse
-import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Protocol
@@ -178,11 +175,19 @@ class Transport(Protocol):
 
 
 class HttpTransport:
-    """urllib-based GET client."""
+    """urllib-based GET client.
+
+    Its HTTP modules are imported on the first request: they pull in `ssl`
+    and `email`, which no other command needs.
+    """
 
     user_agent = "kgfuse/0.1"
 
     def get(self, url: str, accept: str, timeout_s: float) -> tuple[int, str]:
+        import http.client
+        import urllib.error
+        import urllib.request
+
         request = urllib.request.Request(
             url, headers={"Accept": accept, "User-Agent": self.user_agent}
         )

@@ -18,7 +18,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple
 
 from .prefixes import DEFAULT_PREFIXES, OWL_SAMEAS, RDF_TYPE, read_text
 from .rdf import IRI, LITERAL, Graph, Triple, iri
@@ -51,8 +51,9 @@ class LinkConfig:
             raise LinkConfigError("at least one property pair is required")
 
 
-@dataclass(frozen=True)
-class PairEvidence:
+class PairEvidence(NamedTuple):
+    """The best-scoring value pair of one compared property pair."""
+
     source_property: str
     target_property: str
     source_value: str
@@ -60,8 +61,7 @@ class PairEvidence:
     score: float
 
 
-@dataclass(frozen=True)
-class LinkCandidate:
+class LinkCandidate(NamedTuple):
     source: str
     target: str
     score: float
@@ -81,14 +81,6 @@ def cosine(a: frozenset[str] | set[str], b: frozenset[str] | set[str]) -> float:
     return len(a & b) / math.sqrt(len(a) * len(b))
 
 
-def _typed_instances(g: Graph, class_iri: str) -> list[str]:
-    return sorted(
-        t.s.value
-        for t in g.match(None, iri(RDF_TYPE), iri(class_iri))
-        if t.s.kind == IRI
-    )
-
-
 # A profile maps each compared property to its literal values, in sorted
 # order and each with its token set, so that a value is read and tokenized
 # once per instance rather than once per scored pair.
@@ -100,36 +92,29 @@ Profile = Mapping[str, tuple[tuple[str, frozenset[str]], ...]]
 _ROUNDING_MARGIN = 1e-9
 
 
-def _profile(g: Graph, instance: str, props: set[str]) -> Profile:
-    values: dict[str, list[str]] = {}
-    for t in g.match(iri(instance), None, None):
-        if t.p.value in props and t.o.kind == LITERAL:
-            values.setdefault(t.p.value, []).append(t.o.value)
-    return {
-        prop: tuple((v, tokenize_name(v)) for v in sorted(vals))
-        for prop, vals in values.items()
-    }
-
-
-def _score_pair(
-    source: Profile, target: Profile, cfg: LinkConfig
-) -> tuple[float, tuple[PairEvidence, ...]]:
-    best = 0.0
-    evidence = []
-    for sprop, tprop in cfg.compare_properties:
-        svalues = source.get(sprop)
-        tvalues = target.get(tprop)
-        if not svalues or not tvalues:
-            continue  # missing values contribute 0
-        pair_best: Optional[PairEvidence] = None
-        for sval, stoks in svalues:
-            for tval, ttoks in tvalues:
-                score = cosine(stoks, ttoks)
-                if pair_best is None or score > pair_best.score:
-                    pair_best = PairEvidence(sprop, tprop, sval, tval, score)
-        evidence.append(pair_best)
-        best = max(best, pair_best.score)
-    return best, tuple(evidence)
+def _instances(g: Graph, class_iri: str, props: set[str]) -> tuple[list[str], list[Profile]]:
+    """The IRIs typed `class_iri`, sorted, and the profile of each, read in
+    one pass over the triples: a graph that is only linked never builds its
+    indexes."""
+    typed = set()
+    values: dict[str, dict[str, list[str]]] = {}
+    for t in g.triples:
+        if t.s.kind != IRI:
+            continue
+        prop = t.p.value
+        if prop == RDF_TYPE and t.o.kind == IRI and t.o.value == class_iri:
+            typed.add(t.s.value)
+        if prop in props and t.o.kind == LITERAL:
+            values.setdefault(t.s.value, {}).setdefault(prop, []).append(t.o.value)
+    instances = sorted(typed)
+    profiles = [
+        {
+            prop: tuple((v, tokenize_name(v)) for v in sorted(vals))
+            for prop, vals in values.get(instance, {}).items()
+        }
+        for instance in instances
+    ]
+    return instances, profiles
 
 
 def _prefix_filtered_pairs(
@@ -194,23 +179,39 @@ def find_links(ga: Graph, gb: Graph, cfg: LinkConfig) -> list[LinkCandidate]:
     which is exact; review 0 scores every pair.  Output is sorted by
     descending score, then by the IRI pair.
     """
-    sources = _typed_instances(ga, cfg.source_class)
-    targets = _typed_instances(gb, cfg.target_class)
-    sprops = {s for s, _ in cfg.compare_properties}
-    tprops = {t for _, t in cfg.compare_properties}
-    sprofiles = [_profile(ga, s, sprops) for s in sources]
-    tprofiles = [_profile(gb, t, tprops) for t in targets]
+    sources, sprofiles = _instances(ga, cfg.source_class, {s for s, _ in cfg.compare_properties})
+    targets, tprofiles = _instances(gb, cfg.target_class, {t for _, t in cfg.compare_properties})
     if cfg.review_threshold > 0.0:
         pairs: Iterable[tuple[int, int]] = _prefix_filtered_pairs(sprofiles, tprofiles, cfg)
     else:
         pairs = itertools.product(range(len(sources)), range(len(targets)))
+    # One tuple of value columns per instance, aligned with compare_properties;
+    # a missing property is an empty column and contributes 0.
+    props = cfg.compare_properties
+    scolumns = [tuple(p.get(s, ()) for s, _ in props) for p in sprofiles]
+    tcolumns = [tuple(p.get(t, ()) for _, t in props) for p in tprofiles]
+    review, accept = cfg.review_threshold, cfg.accept_threshold
     candidates = []
     for i, j in pairs:
-        score, evidence = _score_pair(sprofiles[i], tprofiles[j], cfg)
-        if score < cfg.review_threshold:
-            continue
-        status = ACCEPTED if score >= cfg.accept_threshold else REVIEW
-        candidates.append(LinkCandidate(sources[i], targets[j], score, evidence, status))
+        best = 0.0
+        evidence = []
+        for (sprop, tprop), svalues, tvalues in zip(props, scolumns[i], tcolumns[j]):
+            if not svalues or not tvalues:
+                continue
+            # the first value pair with the highest cosine is the evidence
+            top = -1.0
+            for sval, stoks in svalues:
+                for tval, ttoks in tvalues:
+                    # a module global, so a wrapper set on the module sees each call
+                    score = cosine(stoks, ttoks)
+                    if score > top:
+                        top, stop, ttop = score, sval, tval
+            evidence.append(PairEvidence(sprop, tprop, stop, ttop, top))
+            if top > best:
+                best = top
+        if best >= review:
+            status = ACCEPTED if best >= accept else REVIEW
+            candidates.append(LinkCandidate(sources[i], targets[j], best, tuple(evidence), status))
     candidates.sort(key=lambda c: (-c.score, c.source, c.target))
     return candidates
 
@@ -226,29 +227,32 @@ def emit_review_report(candidates: Iterable[LinkCandidate]) -> str:
             "source_values", "target_values",
         ]
     )
-    for c in candidates:
-        best = max(c.evidence, key=lambda e: e.score) if c.evidence else None
-        source_values = "; ".join(sorted({e.source_value for e in c.evidence}))
-        target_values = "; ".join(sorted({e.target_value for e in c.evidence}))
-        writer.writerow(
-            [
-                c.source,
-                c.target,
-                repr(c.score),
-                c.status,
-                best.source_property if best else "",
-                best.target_property if best else "",
-                source_values,
-                target_values,
-            ]
-        )
+    writer.writerows(_report_row(c) for c in candidates)
     return buf.getvalue()
+
+
+def _report_row(c: LinkCandidate) -> tuple[str, ...]:
+    if not c.evidence:
+        return c.source, c.target, repr(c.score), c.status, "", "", "", ""
+    sprops, tprops, svalues, tvalues, scores = zip(*c.evidence)
+    best = scores.index(max(scores))  # the first evidence with the top score
+    return (
+        c.source,
+        c.target,
+        repr(c.score),
+        c.status,
+        sprops[best],
+        tprops[best],
+        "; ".join(sorted(set(svalues))),
+        "; ".join(sorted(set(tvalues))),
+    )
 
 
 def sameas_triples(candidates: Iterable[LinkCandidate]) -> list[Triple]:
     """owl:sameAs statements for the accepted candidates."""
+    same_as = iri(OWL_SAMEAS)
     return [
-        Triple(iri(c.source), iri(OWL_SAMEAS), iri(c.target))
+        Triple(iri(c.source), same_as, iri(c.target))
         for c in candidates
         if c.status == ACCEPTED
     ]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Collection, Iterable, Iterator, Optional
+from typing import Collection, Iterable, Iterator, NamedTuple, Optional
 from urllib.parse import urljoin
 
 from .prefixes import RDF_LANGSTRING, RDF_TYPE, XSD_BOOLEAN, XSD_DECIMAL, XSD_INTEGER, XSD_STRING
@@ -206,7 +206,8 @@ class Graph:
     The two indexes answer every pattern: SPO those with the subject bound,
     POS the rest.  Only a pattern that binds the object alone reads one leaf
     per predicate.  The first `match` or `count` builds both in one pass over
-    the triples; from then on `add` keeps them current.
+    the triples, along with the number of triples of each predicate; from
+    then on `add` keeps them current.  `count()` of the whole graph needs none.
 
     Mutation is not synchronized: build a graph in one place, then share it
     read-only; parsing and serialization are pure functions.  Threads may
@@ -220,9 +221,10 @@ class Graph:
             raise RdfError(f"graph name must be an absolute IRI: {name!r}")
         self.name = name
         self._triples: set[Triple] = set(triples)
-        # (SPO, POS), None until the first probe.  Each leaf maps the last
-        # term of its index to the stored triple.
-        self._index: tuple[_Index, _Index] | None = None
+        # (SPO, POS, triples per predicate), None until the first probe that
+        # needs them.  Each leaf maps the last term of its index to the
+        # stored triple.
+        self._index: tuple[_Index, _Index, dict[Term, int]] | None = None
 
     def add(self, triple: Triple) -> bool:
         """Insert a triple; returns False if it was already present."""
@@ -230,7 +232,9 @@ class Graph:
             return False
         self._triples.add(triple)
         if self._index is not None:
-            _index_triple(*self._index, triple)
+            spo, pos, sizes = self._index
+            _index_triple(spo, pos, triple)
+            sizes[triple.p] = sizes.get(triple.p, 0) + 1
         return True
 
     def add_all(self, triples: Iterable[Triple]) -> int:
@@ -257,6 +261,18 @@ class Graph:
     def triples(self) -> frozenset[Triple]:
         return frozenset(self._triples)
 
+    def _indexes(self) -> tuple[_Index, _Index, dict[Term, int]]:
+        """SPO, POS and the number of triples of each predicate, built on
+        the first call."""
+        if self._index is None:
+            spo: _Index = {}
+            pos: _Index = {}
+            for t in self._triples:
+                _index_triple(spo, pos, t)
+            sizes = {p: sum(map(len, by_o.values())) for p, by_o in pos.items()}
+            self._index = spo, pos, sizes
+        return self._index
+
     def _leaves(
         self, s: Term | None, p: Term | None, o: Term | None
     ) -> tuple[Iterable[dict[Term, Triple]], Term | None]:
@@ -265,15 +281,9 @@ class Graph:
         With `s` bound the leaves come from SPO and the second value is `o`,
         the key to read in each leaf (None: all of it).  Otherwise they come
         from POS and each whole leaf agrees: one predicate, or every
-        predicate's leaf for `o`.  The first call builds both indexes.
+        predicate's leaf for `o`.
         """
-        if self._index is None:
-            spo: _Index = {}
-            pos: _Index = {}
-            for t in self._triples:
-                _index_triple(spo, pos, t)
-            self._index = spo, pos
-        spo, pos = self._index
+        spo, pos, _ = self._indexes()
         if s is not None:
             by_p = spo.get(s, {})
             return (by_p.values() if p is None else [by_p.get(p, {})]), o
@@ -306,6 +316,8 @@ class Graph:
         o: Term | None = None,
     ) -> int:
         """Number of triples `match(s, p, o)` would return, read off the index sizes."""
+        if s is None and o is None:
+            return len(self._triples) if p is None else self._indexes()[2].get(p, 0)
         leaves, key = self._leaves(s, p, o)
         if key is None:
             return sum(map(len, leaves))
@@ -429,15 +441,16 @@ _STRING = r'"((?:[^"\\\n\r]|\\.)*)"'
 _LANGTAG = r"@([A-Za-z]+(?:-[A-Za-z0-9]+)*)"
 _DTYPE_SEP = r"\^\^"
 
-# The first alternative that matches wins: DECIMAL must precede INTEGER,
-# PNAME precede KEYWORD, and the directives precede LANGTAG.  Right after a
-# closing quote `@base` and `@prefix` are language tags, not directives.
+# Each match is one token with the white space and comments before it.  The
+# first alternative that matches wins: DECIMAL must precede INTEGER, PNAME
+# precede KEYWORD, and the directives precede LANGTAG.  Right after a closing
+# quote `@base` and `@prefix` are language tags, not directives.  EOF matches
+# only at the end of the text, after its trailing white space.
 _LEXER_RE = re.compile(
-    "|".join(
+    r"(?:[ \t\r\n]+|#[^\r\n]*)*(?:"
+    + "|".join(
         f"(?P<{name}>{pattern})"
         for name, pattern in (
-            ("WS", r"[ \t\r\n]+"),
-            ("COMMENT", r"#[^\r\n]*"),
             ("PREFIX_DIR", r'(?<!")@prefix\b'),
             ("BASE_DIR", r'(?<!")@base\b'),
             ("IRIREF", _IRIREF),
@@ -460,8 +473,10 @@ _LEXER_RE = re.compile(
             ("SEMI", r";"),
             ("COMMA", r","),
             ("UNKNOWN", r"(?s:.)"),
+            ("EOF", r"\Z"),
         )
     )
+    + ")"
 )
 
 _STRING_ESCAPES = {
@@ -479,17 +494,26 @@ _STRING_ESCAPES = {
 _HEX_ESCAPES = {"u": re.compile(r"[0-9A-Fa-f]{4}"), "U": re.compile(r"[0-9A-Fa-f]{8}")}
 
 
-@dataclass
-class _Token:
+class _Token(NamedTuple):
     type: str
     value: str
-    line: int
-    column: int
+    offset: int  # where `value` starts in the text
 
     @property
     def keyword(self) -> str:
         """The lower-cased value of a KEYWORD token, else ''."""
         return self.value.lower() if self.type == "KEYWORD" else ""
+
+
+def _line_column(text: str, offset: int) -> tuple[int, int]:
+    """The 1-based line and column of `offset` in `text`.
+
+    CR, LF and CRLF each end one line, as in `_nt_lines`.
+    """
+    line = 1 + text.count("\n", 0, offset) + text.count("\r", 0, offset)
+    line -= text.count("\r\n", 0, offset)
+    line_start = max(text.rfind("\n", 0, offset), text.rfind("\r", 0, offset)) + 1
+    return line, offset - line_start + 1
 
 
 def _unescape(raw: str, line: int, column: int, error: type[Exception]) -> str:
@@ -524,29 +548,18 @@ def _unescape(raw: str, line: int, column: int, error: type[Exception]) -> str:
 
 
 def _lex(text: str) -> list[_Token]:
-    """Tokens of a Turtle document or a query, without white space and comments.
+    """Tokens of a Turtle document or a query, without white space and
+    comments, ending in one EOF token.
 
     Never raises: a character no other alternative matches becomes a
     one-character UNKNOWN token, and each parser rejects the tokens it does
     not accept where it meets them, so the query parser can still name an
     unsupported keyword that comes first (the FILTER of `FILTER(?o > 3)`).
     """
-    tokens: list[_Token] = []
-    line = 1
-    line_start = 0
+    tokens = []
     for m in _LEXER_RE.finditer(text):
         kind = m.lastgroup
-        if kind == "WS":
-            value = m.group()
-            ends = value.count("\n")
-            if "\r" in value:  # CR, LF and CRLF each end one line, as in _nt_lines
-                ends += value.count("\r") - value.count("\r\n")
-            if ends:
-                line += ends
-                line_start = m.start() + max(value.rfind("\n"), value.rfind("\r")) + 1
-        elif kind != "COMMENT":
-            tokens.append(_Token(kind, m.group(), line, m.start() - line_start + 1))
-    tokens.append(_Token("EOF", "", line, len(text) - line_start + 1))
+        tokens.append(_Token(kind, m.group(kind), m.start(kind)))
     return tokens
 
 
@@ -560,6 +573,7 @@ class _TermParser:
     error: type[Exception]
 
     def __init__(self, text: str, prefixes: dict[str, str], base: str | None):
+        self.text = text
         self.tokens = _lex(text)
         self.pos = 0
         self.prefixes = prefixes
@@ -573,8 +587,12 @@ class _TermParser:
         self.pos += 1
         return tok
 
+    def _at(self, tok: _Token) -> tuple[int, int]:
+        """The line and column where `tok` starts."""
+        return _line_column(self.text, tok.offset)
+
     def _fail(self, message: str, tok: _Token):
-        raise self.error(message, tok.line, tok.column, tok.value)
+        raise self.error(message, *self._at(tok), tok.value)
 
     def _expect(self, type_: str, message: str | None = None) -> _Token:
         tok = self._next()
@@ -587,7 +605,7 @@ class _TermParser:
         if ABSOLUTE_IRI_RE.match(value):
             return value
         if self.base is None:
-            raise RelativeIriError(value, tok.line, tok.column)
+            raise RelativeIriError(value, *self._at(tok))
         return urljoin(self.base, value)
 
     def _pname_to_iri(self, tok: _Token) -> str:
@@ -607,7 +625,9 @@ class _TermParser:
     def _literal(self, tok: _Token) -> Term | None:
         """The literal `tok` starts, with its language tag or datatype, else None."""
         if tok.type == "STRING":
-            lexical = _unescape(tok.value[1:-1], tok.line, tok.column, self.error)
+            lexical = tok.value[1:-1]
+            if "\\" in lexical:
+                lexical = _unescape(lexical, *self._at(tok), self.error)
             nxt = self._peek()
             if nxt.type == "LANGTAG":
                 self._next()
@@ -636,6 +656,10 @@ class _TermParser:
 _NOT_TURTLE = frozenset({"VAR", "LBRACE", "RBRACE", "LPAREN", "RPAREN", "STAR", "UNKNOWN"})
 
 
+# The tokens of the terms that `_TurtleParser._named` builds, besides `a`.
+_NODE_TOKENS = frozenset({"IRIREF", "PNAME", "BLANK"})
+
+
 class _TurtleParser(_TermParser):
     error = TurtleSyntaxError
 
@@ -643,10 +667,26 @@ class _TurtleParser(_TermParser):
         self.graph = Graph()
         # one object per distinct term, however often the document repeats it
         self.terms: dict[Term, Term] = {}
+        # The term of each IRI, prefixed-name, `a` or blank-node token, by
+        # its text, which also tells its type: `<`, `_:`, a colon, or `a`.
+        # A directive can change what such a token means, so each one clears it.
+        self.named: dict[str, Term] = {}
         super().__init__(text, {}, base)
 
     def _share(self, term: Term) -> Term:
         return self.terms.setdefault(term, term)
+
+    def _named(self, tok: _Token) -> Term:
+        term = self.named.get(tok.value)
+        if term is None:
+            if tok.type == "BLANK":
+                term = blank(tok.value[2:])
+            elif tok.type == "KEYWORD":
+                term = iri(RDF_TYPE)
+            else:
+                term = iri(self._iri(tok))
+            term = self.named[tok.value] = self._share(term)
+        return term
 
     def _fail(self, message: str, tok: _Token):
         if tok.type in _NOT_TURTLE:
@@ -671,53 +711,47 @@ class _TurtleParser(_TermParser):
             self._fail("prefix declaration must end with ':'", pname)
         iriref = self._expect("IRIREF")
         self.prefixes[pname.value[:-1]] = self._resolve(iriref)
+        self.named.clear()
         self._expect("DOT")
 
     def _base_directive(self):
         self._expect("BASE_DIR")
         iriref = self._expect("IRIREF")
         self.base = self._resolve(iriref)
+        self.named.clear()
         self._expect("DOT")
 
     def _subject(self) -> Term:
         tok = self._next()
-        if tok.type == "BLANK":
-            return blank(tok.value[2:])
-        value = self._iri(tok)
-        if value is None:
+        if tok.type not in _NODE_TOKENS:
             self._fail("expected subject (IRI, prefixed name, or blank node)", tok)
-        return iri(value)
+        return self._named(tok)
 
     def _predicate(self) -> Term:
         tok = self._next()
-        if tok.type == "KEYWORD" and tok.value == "a":
-            return iri(RDF_TYPE)
-        value = self._iri(tok)
-        if value is None:
+        if not (tok.type in ("IRIREF", "PNAME") or tok.type == "KEYWORD" and tok.value == "a"):
             self._fail("expected predicate (IRI, prefixed name, or 'a')", tok)
-        return iri(value)
+        return self._named(tok)
 
     def _object(self) -> Term:
         tok = self._next()
-        if tok.type == "BLANK":
-            return blank(tok.value[2:])
-        value = self._iri(tok)
-        if value is not None:
-            return iri(value)
+        if tok.type in _NODE_TOKENS:
+            return self._named(tok)
         term = self._literal(tok)
-        if term is not None:
-            return term
-        if tok.type == "KEYWORD" and tok.value in ("true", "false"):
-            return literal(tok.value, datatype=XSD_BOOLEAN)
-        self._fail("expected object term", tok)
+        if term is None:
+            if tok.type == "KEYWORD" and tok.value in ("true", "false"):
+                term = literal(tok.value, datatype=XSD_BOOLEAN)
+            else:
+                self._fail("expected object term", tok)
+        return self._share(term)
 
     def _triples_block(self):
-        subject = self._share(self._subject())
+        add = self.graph._triples.add  # the graph is not probed while parsing
+        subject = self._subject()
         while True:
-            predicate = self._share(self._predicate())
+            predicate = self._predicate()
             while True:
-                obj = self._share(self._object())
-                self.graph.add(Triple(subject, predicate, obj))
+                add(Triple(subject, predicate, self._object()))
                 if self._peek().type == "COMMA":
                     self._next()
                     continue

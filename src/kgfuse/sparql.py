@@ -189,7 +189,7 @@ class _QueryParser(_TermParser):
         if tok.type == "KEYWORD":
             kw = tok.keyword
             if kw in _UNSUPPORTED:
-                raise UnsupportedFeatureError(kw.upper(), tok.line, tok.column)
+                raise UnsupportedFeatureError(kw.upper(), *self._at(tok))
 
     def _expect_keyword(self, word: str) -> _Token:
         tok = self._next()
@@ -276,9 +276,7 @@ class _QueryParser(_TermParser):
                 seen.add(bind.target)
             else:
                 if binds:
-                    raise UnsupportedFeatureError(
-                        "triple pattern after BIND", tok.line, tok.column
-                    )
+                    raise UnsupportedFeatureError("triple pattern after BIND", *self._at(tok))
                 pattern = self._triple_pattern()
                 patterns.append(pattern)
                 seen.update(pattern.variables())
@@ -497,20 +495,20 @@ def _plan(patterns: list[TriplePattern], g: Graph) -> list[tuple[TriplePattern, 
         g.count(*(None if isinstance(x, Var) else x for x in (pt.s, pt.p, pt.o)))
         for pt in patterns
     ]
+    variables = [pt.variables() for pt in patterns]  # once per position each holds
     bound: set[str] = set()
 
     def rank(i: int):
-        pattern = patterns[i]
-        positions = (pattern.s, pattern.p, pattern.o)
-        n_bound = sum(1 for x in positions if not isinstance(x, Var) or x.name in bound)
-        return (bound.isdisjoint(pattern.variables()), -n_bound, estimates[i], i)
+        names = variables[i]
+        n_bound = 3 - len(names) + sum(name in bound for name in names)
+        return (bound.isdisjoint(names), -n_bound, estimates[i], i)
 
     remaining = list(range(len(patterns)))
     order = []
     while remaining:
         best = min(remaining, key=rank)
         remaining.remove(best)
-        bound.update(patterns[best].variables())
+        bound.update(variables[best])
         order.append((patterns[best], estimates[best]))
     return order
 

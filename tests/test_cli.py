@@ -1231,3 +1231,19 @@ def test_template_files_of_any_content_exit_cleanly(template):
                         str(recordings), "--template", str(path), "--out", str(Path(d, "wd.nt"))])
     assert code in (0, 1, 2)
     assert len(err.getvalue().splitlines()) <= 1
+
+
+def test_importing_the_cli_loads_no_http_ssl_or_email_module():
+    # Only `enrich` against a live endpoint needs them; HttpTransport imports
+    # them on its first request.
+    heavy = ["http.client", "urllib.request", "urllib.error", "ssl", "email"]
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import kgfuse.cli\n"
+        f"loaded = sorted(m for m in {heavy!r} if m in set(sys.modules) - before)\n"
+        "sys.exit(' '.join(loaded) or None)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, timeout=60)
+    assert done.returncode == 0, done.stderr.decode()

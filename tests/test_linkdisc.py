@@ -9,6 +9,7 @@ against an independent path.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
 import random
 
@@ -182,42 +183,64 @@ def _synthetic_config(review: float = 0.5, accept: float = 0.8):
     )
 
 
+def _oracle_tokens(value: str) -> set[str]:
+    cleaned = value.lower()
+    for ch in ",.-":
+        cleaned = cleaned.replace(ch, " ")
+    return {piece for piece in cleaned.split() if piece}
+
+
+def _oracle_cosine(sval: str, tval: str) -> float:
+    a, b = _oracle_tokens(sval), _oracle_tokens(tval)
+    return len(a & b) / math.sqrt(len(a) * len(b)) if a and b else 0.0
+
+
+def _oracle_values(g: Graph, inst: str, prop: str) -> list[str]:
+    return sorted(
+        t.o.value
+        for t in g.triples
+        if t.s.value == inst and t.s.kind == "iri" and t.p.value == prop and t.o.kind == "literal"
+    )
+
+
+def _oracle_typed(g: Graph, cls: str) -> list[str]:
+    return sorted(
+        t.s.value
+        for t in g.triples
+        if t.p.value == RDF_TYPE and t.o.kind == "iri" and t.o.value == cls and t.s.kind == "iri"
+    )
+
+
 def _oracle_links(ga: Graph, gb: Graph, cfg: LinkConfig):
-    def toks(value: str) -> set[str]:
-        cleaned = value.lower()
-        for ch in ",.-":
-            cleaned = cleaned.replace(ch, " ")
-        return {piece for piece in cleaned.split() if piece}
-
-    def values(g: Graph, inst: str, prop: str) -> list[str]:
-        return sorted(
-            t.o.value
-            for t in g.triples
-            if t.s.value == inst and t.s.kind == "iri" and t.p.value == prop and t.o.kind == "literal"
-        )
-
-    def typed(g: Graph, cls: str) -> list[str]:
-        return sorted(
-            t.s.value
-            for t in g.triples
-            if t.p.value == RDF_TYPE and t.o.kind == "iri" and t.o.value == cls and t.s.kind == "iri"
-        )
-
     rows = []
-    for s in typed(ga, cfg.source_class):
-        for t in typed(gb, cfg.target_class):
+    for s in _oracle_typed(ga, cfg.source_class):
+        for t in _oracle_typed(gb, cfg.target_class):
             best = 0.0
             for sprop, tprop in cfg.compare_properties:
-                for sval in values(ga, s, sprop):
-                    for tval in values(gb, t, tprop):
-                        a, b = toks(sval), toks(tval)
-                        if a and b:
-                            best = max(best, len(a & b) / math.sqrt(len(a) * len(b)))
+                for sval in _oracle_values(ga, s, sprop):
+                    for tval in _oracle_values(gb, t, tprop):
+                        best = max(best, _oracle_cosine(sval, tval))
             if best >= cfg.review_threshold:
                 status = ACCEPTED if best >= cfg.accept_threshold else "review"
                 rows.append((s, t, best, status))
     rows.sort(key=lambda r: (-r[2], r[0], r[1]))
     return rows
+
+
+def _oracle_evidence(ga: Graph, gb: Graph, cfg: LinkConfig, s: str, t: str) -> tuple:
+    """Per compared property pair with values on both sides: the first value
+    pair, in sorted order, whose cosine no later pair exceeds."""
+    evidence = []
+    for sprop, tprop in cfg.compare_properties:
+        best = None
+        for sval in _oracle_values(ga, s, sprop):
+            for tval in _oracle_values(gb, t, tprop):
+                score = _oracle_cosine(sval, tval)
+                if best is None or score > best[-1]:
+                    best = (sprop, tprop, sval, tval, score)
+        if best is not None:
+            evidence.append(best)
+    return tuple(evidence)
 
 
 def test_find_links_matches_exhaustive_oracle_on_synthetic_corpus():
@@ -362,6 +385,106 @@ def test_prefix_filter_matches_oracle_and_exhaustive_report(data):
     exhaustive = find_links(ga, gb, dataclasses.replace(cfg, review_threshold=0.0))
     kept = [c for c in exhaustive if c.score >= review]
     assert emit_review_report(found) == emit_review_report(kept)
+
+
+TIE_TOKENS = ["anna", "maria", "hans", "georg"]
+
+
+@st.composite
+def _tied_value(draw):
+    """1-3 tokens of a four-token pool: equal token sets in another order, and
+    equal overlaps of equal sizes, give many tied cosines."""
+    tokens = draw(st.lists(st.sampled_from(TIE_TOKENS), min_size=1, max_size=3, unique=True))
+    return draw(st.sampled_from([" ", "-", ", "])).join(t.title() for t in tokens)
+
+
+@st.composite
+def _many_valued_catalogue(draw, ns: str, props: tuple[str, ...]):
+    g = Graph()
+    for i in range(draw(st.integers(1, 4))):
+        inst = iri(f"{ns}{i}")
+        g.add(Triple(inst, iri(RDF_TYPE), iri(ns + "Person")))
+        for prop in props:
+            for value in draw(st.lists(_tied_value(), min_size=2, max_size=4, unique=True)):
+                g.add(Triple(inst, iri(prop), literal(value)))
+    return g
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_evidence_is_the_first_top_value_pair_of_each_property_pair(data):
+    props_a = ("urn:a:p0", "urn:a:p1")
+    props_b = ("urn:b:p0", "urn:b:p1")
+    ga = data.draw(_many_valued_catalogue("urn:a:", props_a))
+    gb = data.draw(_many_valued_catalogue("urn:b:", props_b))
+    pairs = tuple((s, t) for s in props_a for t in props_b)
+    review = data.draw(st.sampled_from([0.0, 1 / math.sqrt(6), 0.5, 2 / 3, 1.0]))
+    cfg = LinkConfig("urn:a:Person", "urn:b:Person", pairs, max(review, 0.8), review)
+
+    found = find_links(ga, gb, cfg)
+    assert [(c.source, c.target, c.evidence) for c in found] == [
+        (s, t, _oracle_evidence(ga, gb, cfg, s, t)) for s, t, _, _ in _oracle_links(ga, gb, cfg)
+    ]
+
+
+def test_a_tie_keeps_the_first_value_pair_in_sorted_order():
+    ga, gb = Graph(), Graph()
+    ga.add(Triple(iri("urn:a:1"), iri(RDF_TYPE), iri("urn:a:Person")))
+    gb.add(Triple(iri("urn:b:1"), iri(RDF_TYPE), iri("urn:b:Person")))
+    for value in ("Maria Anna", "Hans"):
+        ga.add(Triple(iri("urn:a:1"), iri("urn:a:name"), literal(value)))
+    for value in ("Anna Maria", "Anna-Maria", "Hans Georg"):
+        gb.add(Triple(iri("urn:b:1"), iri("urn:b:name"), literal(value)))
+    cfg = LinkConfig("urn:a:Person", "urn:b:Person", (("urn:a:name", "urn:b:name"),), 0.8, 0.5)
+    [found] = find_links(ga, gb, cfg)
+    # "Maria Anna" scores 1.0 against both "Anna Maria" and "Anna-Maria"
+    assert found.evidence == (("urn:a:name", "urn:b:name", "Maria Anna", "Anna Maria", 1.0),)
+
+
+def test_link_records_are_named_tuples_that_equal_plain_tuples():
+    [found] = [
+        c
+        for c in find_links(fixtures.persons_leipzig(), fixtures.persons_helmstedt(), PERSON_CONFIG)
+        if c.status == ACCEPTED
+    ]
+    assert not hasattr(found, "__dict__") and not hasattr(found.evidence[0], "__dict__")
+    source, target, score, evidence, status = found
+    assert found == (source, target, score, evidence, status)
+    assert found._fields == ("source", "target", "score", "evidence", "status")
+    assert evidence[0]._fields == (
+        "source_property", "target_property", "source_value", "target_value", "score"
+    )
+
+
+def _many_valued_side(rng: random.Random, ns: str, n: int) -> Graph:
+    g = Graph()
+    for i in range(n):
+        inst = iri(f"{ns}{i:02d}")
+        g.add(Triple(inst, iri(RDF_TYPE), iri(ns + "Person")))
+        for prop in ("name", "alias"):
+            for _ in range(rng.randint(2, 3)):
+                tokens = rng.sample(NAME_TOKENS[:5], rng.randint(1, 3))
+                name = rng.choice([" ", ", "]).join(tokens).title()  # a comma is quoted
+                g.add(Triple(inst, iri(ns + prop), literal(name)))
+    return g
+
+
+REPORT_ROWS = 144
+REPORT_SHA256 = "0b689d4975067ca40b7bbdcbd4d42bf61ef624528a5517e68d550327d165af46"
+
+
+def test_review_report_bytes_are_fixed_for_a_many_valued_corpus():
+    rng = random.Random(4242)
+    ga = _many_valued_side(rng, "urn:a:", 12)
+    gb = _many_valued_side(rng, "urn:b:", 12)
+    props_a, props_b = ("urn:a:name", "urn:a:alias"), ("urn:b:name", "urn:b:alias")
+    cfg = LinkConfig(
+        "urn:a:Person", "urn:b:Person", tuple((s, t) for s in props_a for t in props_b), 0.8, 0.4
+    )
+    report = emit_review_report(find_links(ga, gb, cfg)).encode("utf-8")
+    # a golden digest: scores, evidence, tie-breaks, value lists and CSV quoting
+    assert len(report.splitlines()) == REPORT_ROWS + 1
+    assert hashlib.sha256(report).hexdigest() == REPORT_SHA256
 
 
 # --- report and sameAs ----------------------------------------------------------------

@@ -209,6 +209,144 @@ def test_undeclared_prefix_fails():
         parse_turtle("ex:a ex:p ex:o .")
 
 
+# A name's term is built once per document, until a directive changes what
+# names mean; these check that the directive wins over the earlier term.
+
+def test_a_prefix_redeclared_mid_document_applies_from_there_on():
+    g = parse_turtle(
+        "@prefix ex: <http://e.org/a/> .\nex:s ex:p ex:o .\n"
+        "@prefix ex: <http://e.org/b/> .\nex:s ex:p ex:o .\n"
+    )
+    assert serialize_canonical(g) == (
+        "<http://e.org/a/s> <http://e.org/a/p> <http://e.org/a/o> .\n"
+        "<http://e.org/b/s> <http://e.org/b/p> <http://e.org/b/o> .\n"
+    )
+
+
+def test_a_base_change_applies_to_the_relative_iris_after_it():
+    g = parse_turtle(
+        "@base <http://e.org/x/> .\n<s> <p> <o> .\n"
+        "@base <http://f.org/y/> .\n<s> <p> <o> , <../q> .\n"
+    )
+    assert serialize_canonical(g) == (
+        "<http://e.org/x/s> <http://e.org/x/p> <http://e.org/x/o> .\n"
+        "<http://f.org/y/s> <http://f.org/y/p> <http://f.org/q> .\n"
+        "<http://f.org/y/s> <http://f.org/y/p> <http://f.org/y/o> .\n"
+    )
+
+
+def test_an_undeclared_prefix_after_a_known_name_is_reported_at_its_token():
+    with pytest.raises(TurtleSyntaxError) as exc:
+        parse_turtle("@prefix ex: <http://e.org/> .\nex:s ex:p ex:o .\nex:s zz:p ex:o .\n")
+    assert str(exc.value) == "undeclared prefix 'zz' at 3:6 (near 'zz:p')"
+
+
+_PREFIX_NAMES = ["", "ex", "a", "b"]
+_NAMESPACES = ["http://e.org/1/", "http://e.org/2#", "urn:x:"]
+_BASES = ["http://b.org/1/", "http://b.org/2/d/"]
+_LOCALS = ["s", "p", "o", "x-1", "a.b", "_u", "9"]
+_GAPS = [" ", "\n", "\r\n", "\r", "\t", " # note\n", "\n\n"]
+
+
+@st.composite
+def _prefix_heavy_turtle(draw):
+    """A Turtle document that redeclares prefixes and the base as it goes, and
+    its N-Triples form, built from the bindings in force at each name."""
+    prefixes: dict[str, str] = {}
+    base = None
+    turtle: list[str] = []
+    lines: list[str] = []
+
+    def gap():
+        return draw(st.sampled_from(_GAPS))
+
+    def named(allow_blank: bool, allow_a: bool) -> tuple[str, str]:
+        forms = ["iri"] + ["pname"] * 3 * bool(prefixes) + ["relative"] * bool(base)
+        forms += ["blank"] * allow_blank + ["a"] * allow_a
+        form = draw(st.sampled_from(forms))
+        local = draw(st.sampled_from(_LOCALS))
+        if form == "pname":
+            prefix = draw(st.sampled_from(sorted(prefixes)))
+            return f"{prefix}:{local}", f"<{prefixes[prefix]}{local}>"
+        if form == "relative":
+            return f"<{local}>", f"<{base}{local}>"
+        if form == "blank":
+            return f"_:b{local[0]}", f"_:b{local[0]}"
+        if form == "a":
+            return "a", f"<{RDF_TYPE}>"
+        return f"<urn:n:{local}>", f"<urn:n:{local}>"
+
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["prefix", "base", "triples", "triples", "triples"]))
+        if kind == "prefix":
+            name = draw(st.sampled_from(_PREFIX_NAMES))
+            prefixes[name] = draw(st.sampled_from(_NAMESPACES))
+            turtle.append(f"@prefix {name}: <{prefixes[name]}>{gap()}.")
+        elif kind == "base":
+            base = draw(st.sampled_from(_BASES))
+            turtle.append(f"@base{gap()}<{base}> .")
+        else:
+            s_text, s_nt = named(allow_blank=True, allow_a=False)
+            predicates = []
+            for _ in range(draw(st.integers(1, 3))):
+                p_text, p_nt = named(allow_blank=False, allow_a=True)
+                objects = []
+                for _ in range(draw(st.integers(1, 3))):
+                    if draw(st.booleans()):
+                        o_text, o_nt = named(allow_blank=True, allow_a=False)
+                    else:
+                        o_text = o_nt = f'"{draw(st.sampled_from(_LOCALS))}"'
+                    objects.append(o_text)
+                    lines.append(f"{s_nt} {p_nt} {o_nt} .")
+                predicates.append(f"{p_text}{gap()}{f'{gap()},{gap()}'.join(objects)}")
+            turtle.append(f"{s_text}{gap()}{f'{gap()};{gap()}'.join(predicates)}{gap()}.")
+    return gap().join(turtle), "\n".join(lines)
+
+
+@settings(max_examples=300)
+@given(_prefix_heavy_turtle())
+def test_prefix_heavy_turtle_parses_to_its_ntriples_form(doc):
+    turtle, ntriples = doc
+    assert parse_turtle(turtle) == parse_ntriples(ntriples)
+
+
+def _reference_line_column(text: str, offset: int) -> tuple[int, int]:
+    line, column, i = 1, 1, 0
+    while i < offset:
+        if text[i] == "\r" and i + 1 < offset and text[i + 1] == "\n":
+            i += 2
+        elif text[i] in "\r\n":
+            i += 1
+        else:
+            column += 1
+            i += 1
+            continue
+        line, column = line + 1, 1
+    return line, column
+
+
+_GAP_RE = re.compile(r"(?:[ \t\r\n]+|#[^\r\n]*)*")
+
+
+@settings(max_examples=300)
+@given(
+    st.text(alphabet=' \t\r\n#"<>:._-;,@^?{ab1\\\u2028\x85', max_size=60)
+    | st.lists(st.sampled_from(["@prefix", "ex:a", "<urn:x>", '"s"', "\r\n", "\r", "\n", " ", "# c",
+                                "_:b1", "1.5", "^^", "@de", ".", ";"]), max_size=20).map("".join)
+)
+def test_token_positions_count_cr_lf_and_crlf_before_their_offset(text):
+    tokens = rdf._lex(text)
+    parser = _TurtleParser(text, None)
+    end = 0
+    for tok in tokens:
+        # only white space and comments lie between tokens
+        assert _GAP_RE.fullmatch(text, end, tok.offset), (text, tok)
+        assert text.startswith(tok.value, tok.offset)
+        assert parser._at(tok) == _reference_line_column(text, tok.offset)
+        end = tok.offset + len(tok.value)
+    assert tokens[-1].type == "EOF" and end == len(text)
+
+
 # --- canonical serialization ------------------------------------------------
 
 def test_empty_graph_serializes_to_empty_document():
@@ -611,7 +749,7 @@ def test_lazily_built_indexes_answer_as_a_linear_scan(initial, ops):
             triples, probe_other, other_first = arg
             other = Graph(triples=triples)
             if probe_other:
-                other.count()
+                other.match()  # builds its indexes; count() of all needs none
             g = Graph.union([other, g] if other_first else [g, other])
             model |= set(triples)
         else:

@@ -27,7 +27,7 @@ from .fusion import FusionError
 from .linkdisc import LinkConfigError
 from .prefixes import DEFAULT_PREFIXES, PrefixFileError, load_prefix_file, read_text
 from .rdf import (
-    ABSOLUTE_IRI_RE,
+    IRI_RE,
     Graph,
     RdfError,
     parse_turtle,
@@ -44,8 +44,8 @@ class UsageError(Exception):
 
 def _check_inputs(args, paths: tuple[str, ...], namespaces: tuple[str, ...] = ()) -> None:
     """One config error naming every path option given whose path does not
-    exist and every namespace option that is not an absolute IRI, before any
-    input is read."""
+    exist and every namespace option that is not an absolute IRI N-Triples
+    can write, before any input is read."""
     problems = []
     for name in paths:
         path = getattr(args, name)
@@ -53,8 +53,10 @@ def _check_inputs(args, paths: tuple[str, ...], namespaces: tuple[str, ...] = ()
             problems.append(f"--{name} path does not exist: {path}")
     for name in namespaces:
         value = getattr(args, name)
-        if not ABSOLUTE_IRI_RE.match(value):
-            problems.append(f"--{name.replace('_', '-')} is not an absolute IRI: {value!r}")
+        if not IRI_RE.match(value):
+            problems.append(
+                f"--{name.replace('_', '-')} is not an absolute IRI N-Triples can write: {value!r}"
+            )
     if problems:
         raise UsageError("; ".join(problems))
 

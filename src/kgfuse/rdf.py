@@ -16,7 +16,6 @@ lexical form, which keeps diffs and version changesets reversible.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Collection, Iterable, Iterator, NamedTuple, Optional
 from urllib.parse import urljoin
 
@@ -28,6 +27,26 @@ LITERAL = "literal"
 
 ABSOLUTE_IRI_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
 _SURROGATE_RE = re.compile("[\ud800-\udfff]")
+
+# The text of an IRI: N-Triples forbids these characters in it.
+_IRI_TEXT = r"[^<>\"{}|^`\\\x00-\x20]*"
+# Term patterns, each with one group around what the term keeps; both the
+# lexer and the N-Triples line pattern are built from them.
+_IRIREF = rf"<({_IRI_TEXT})>"
+_BLANK_LABEL = r"[A-Za-z0-9](?:[A-Za-z0-9_\-.]*[A-Za-z0-9_\-])?"
+# A blank-node label may hold dots but not end in one, as in Turtle.
+_BLANK = rf"_:({_BLANK_LABEL})"
+_STRING = r'"((?:[^"\\\n\r]|\\.)*)"'
+_LANGTAG_BODY = r"[A-Za-z]+(?:-[A-Za-z0-9]+)*"
+_LANGTAG = rf"@({_LANGTAG_BODY})"
+_DTYPE_SEP = r"\^\^"
+
+# An IRI that N-Triples can write: absolute, with none of the characters it
+# forbids.  Terms, graph names in the changeset store and `fuse`
+# namespaces are checked with it.
+IRI_RE = re.compile(ABSOLUTE_IRI_RE.pattern + _IRI_TEXT + r"\Z")
+_BLANK_LABEL_RE = re.compile(_BLANK_LABEL + r"\Z")
+_LANGTAG_BODY_RE = re.compile(_LANGTAG_BODY + r"\Z")
 
 
 class RdfError(ValueError):
@@ -52,77 +71,86 @@ class RelativeIriError(RdfError):
         super().__init__(f"relative IRI {iri!r} and no base was given at {line}:{column}")
 
 
-@dataclass(frozen=True, slots=True)
-class Term:
-    """An RDF term: IRI, blank node, or literal.
-
-    `value` holds the IRI, the blank-node label, or the literal lexical
-    form depending on `kind`.  Language tags are lower-cased on
-    construction so equality and hashing are case-insensitive, and
-    `^^xsd:string` collapses to the plain literal form.  The hash is
-    computed once, after that normalization.  A literal's datatype must be
-    an absolute IRI, as every IRI term must.  Text holding a lone surrogate
-    is rejected: it has no UTF-8 form, so no output could be written.
-    """
-
+class _TermFields(NamedTuple):
     kind: str
     value: str
     language: Optional[str] = None
     datatype: Optional[str] = None
-    _hash: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.kind == IRI:
-            if not ABSOLUTE_IRI_RE.match(self.value):
-                raise RdfError(f"IRI is not absolute: {self.value!r}")
-            if self.language or self.datatype:
+
+class Term(_TermFields):
+    """An RDF term: IRI, blank node, or literal.
+
+    A named tuple of `kind`, `value`, `language` and `datatype`, so it
+    hashes, compares equal to a plain tuple of its fields and sorts like
+    one.  `value` holds the IRI, the blank-node label, or the literal
+    lexical form depending on `kind`.  Language tags are lower-cased on
+    construction so equality and hashing are case-insensitive, an empty
+    tag or datatype is none, and `^^xsd:string` collapses to the plain
+    literal form.  Every term built can be written as N-Triples and read
+    back equal: an IRI, the datatype IRI of a literal included, must be
+    absolute and hold no character N-Triples forbids in an IRI, a language
+    tag and a blank-node label must have their N-Triples form, and text
+    holding a lone surrogate, which has no UTF-8 form, is rejected.
+    `_make` and `_replace` check their fields as the constructor does.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, kind: str, value: str, language: str | None = None, datatype: str | None = None
+    ):
+        if kind == IRI:
+            if not IRI_RE.match(value):
+                raise _iri_error("IRI", value)
+            if language or datatype:
                 raise RdfError("IRI term cannot carry language or datatype")
-        elif self.kind == BLANK:
-            if not self.value:
+        elif kind == BLANK:
+            if not value:
                 raise RdfError("blank node label must be non-empty")
-            if self.language or self.datatype:
+            if language or datatype:
                 raise RdfError("blank term cannot carry language or datatype")
-        elif self.kind == LITERAL:
-            language = self.language
-            datatype = self.datatype
+        elif kind == LITERAL:
             if language:
-                object.__setattr__(self, "language", language.lower())
+                language = language.lower()
                 if datatype == RDF_LANGSTRING:
-                    object.__setattr__(self, "datatype", None)
+                    datatype = None
                 elif datatype is not None:
                     raise RdfError("literal cannot have both language and datatype")
             else:
                 if datatype == RDF_LANGSTRING:
                     raise RdfError("rdf:langString literal requires a language tag")
                 if datatype == XSD_STRING:
-                    object.__setattr__(self, "datatype", None)
-                elif datatype is not None and not ABSOLUTE_IRI_RE.match(datatype):
-                    raise RdfError(f"datatype IRI is not absolute: {datatype!r}")
+                    datatype = None
+                elif datatype is not None and not IRI_RE.match(datatype):
+                    raise _iri_error("datatype IRI", datatype)
         else:
-            raise RdfError(f"unknown term kind: {self.kind!r}")
-        if not (
-            self.value.isascii()
-            and (self.language or "").isascii()
-            and (self.datatype or "").isascii()
-        ):
-            for text in (self.value, self.language, self.datatype):
+            raise RdfError(f"unknown term kind: {kind!r}")
+        if not (value.isascii() and (language or "").isascii() and (datatype or "").isascii()):
+            for text in (value, language, datatype):
                 if text and (m := _SURROGATE_RE.search(text)):
                     raise RdfError(
-                        f"{self.kind} term holds lone surrogate U+{ord(m.group()):04X}: {text!r}"
+                        f"{kind} term holds lone surrogate U+{ord(m.group()):04X}: {text!r}"
                     )
-        object.__setattr__(
-            self, "_hash", hash((self.kind, self.value, self.language, self.datatype))
-        )
+        if kind == BLANK and not _BLANK_LABEL_RE.match(value):
+            raise RdfError(f"blank node label is not one N-Triples can write: {value!r}")
+        if language and not _LANGTAG_BODY_RE.match(language):
+            raise RdfError(f"language tag is not one N-Triples can write: {language!r}")
+        return tuple.__new__(cls, (kind, value, language or None, datatype or None))
 
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        # rebuilt, not restored: string hashes differ between processes
-        return Term, (self.kind, self.value, self.language, self.datatype)
+    @classmethod
+    def _make(cls, fields: Iterable) -> "Term":
+        return cls(*fields)
 
     def __repr__(self):
         return f"Term({ntriples_term(self)})"
+
+
+def _iri_error(what: str, text: str) -> RdfError:
+    """Why `text`, which `IRI_RE` does not match, is not an IRI of a term."""
+    if ABSOLUTE_IRI_RE.match(text):
+        return RdfError(f"{what} holds a character N-Triples cannot write: {text!r}")
+    return RdfError(f"{what} is not absolute: {text!r}")
 
 
 def iri(value: str) -> Term:
@@ -137,25 +165,29 @@ def literal(lexical: str, language: str | None = None, datatype: str | None = No
     return Term(LITERAL, lexical, language, datatype)
 
 
-@dataclass(frozen=True, slots=True)
-class Triple:
+class _TripleFields(NamedTuple):
     s: Term
     p: Term
     o: Term
-    _hash: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.s.kind not in (IRI, BLANK):
-            raise RdfError(f"triple subject must be IRI or blank, got {self.s!r}")
-        if self.p.kind != IRI:
-            raise RdfError(f"triple predicate must be IRI, got {self.p!r}")
-        object.__setattr__(self, "_hash", hash((self.s, self.p, self.o)))
 
-    def __hash__(self):
-        return self._hash
+class Triple(_TripleFields):
+    """A named tuple of subject `s`, predicate `p` and object `o`: an IRI
+    or blank subject and an IRI predicate.  `_make` and `_replace` check
+    their fields as the constructor does."""
 
-    def __reduce__(self):
-        return Triple, (self.s, self.p, self.o)
+    __slots__ = ()
+
+    def __new__(cls, s: Term, p: Term, o: Term):
+        if s.kind not in (IRI, BLANK):
+            raise RdfError(f"triple subject must be IRI or blank, got {s!r}")
+        if p.kind != IRI:
+            raise RdfError(f"triple predicate must be IRI, got {p!r}")
+        return tuple.__new__(cls, (s, p, o))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> "Triple":
+        return cls(*fields)
 
     def __repr__(self):
         return f"Triple({ntriples_line(self)!r})"
@@ -176,9 +208,10 @@ def _escape_literal(text: str) -> str:
 
 
 def ntriples_term(term: Term) -> str:
-    if term.kind == IRI:
+    kind = term.kind
+    if kind == IRI:
         return f"<{term.value}>"
-    if term.kind == BLANK:
+    if kind == BLANK:
         return f"_:{term.value}"
     body = f'"{_escape_literal(term.value)}"'
     if term.language:
@@ -189,7 +222,13 @@ def ntriples_term(term: Term) -> str:
 
 
 def ntriples_line(triple: Triple) -> str:
-    return f"{ntriples_term(triple.s)} {ntriples_term(triple.p)} {ntriples_term(triple.o)} ."
+    # `Triple` checks that s is an IRI or a blank node and p an IRI, so only
+    # o goes through `ntriples_term`: a call costs more than a named-tuple
+    # field read, and this runs once per triple written.
+    s, p, o = triple
+    if s.kind == IRI:
+        return f"<{s.value}> <{p.value}> {ntriples_term(o)} ."
+    return f"_:{s.value} <{p.value}> {ntriples_term(o)} ."
 
 
 _Index = dict[Term, dict[Term, dict[Term, Triple]]]
@@ -268,7 +307,9 @@ class Graph:
             spo: _Index = {}
             pos: _Index = {}
             for t in self._triples:
-                _index_triple(spo, pos, t)
+                s, p, o = t
+                spo.setdefault(s, {}).setdefault(p, {})[o] = t
+                pos.setdefault(p, {}).setdefault(o, {})[s] = t
             sizes = {p: sum(map(len, by_o.values())) for p, by_o in pos.items()}
             self._index = spo, pos, sizes
         return self._index
@@ -429,17 +470,6 @@ def serialize_canonical_lines(lines: Collection[str]) -> str:
 # ---------------------------------------------------------------------------
 # Lexer and term parsing shared by Turtle and the query language
 # ---------------------------------------------------------------------------
-
-# The text of an IRI: N-Triples forbids these characters in it.
-_IRI_TEXT = r"[^<>\"{}|^`\\\x00-\x20]*"
-# Term patterns, each with one group around what the term keeps; both the
-# lexer and the N-Triples line pattern are built from them.
-_IRIREF = rf"<({_IRI_TEXT})>"
-# A blank-node label may hold dots but not end in one, as in Turtle.
-_BLANK = r"_:([A-Za-z0-9](?:[A-Za-z0-9_\-.]*[A-Za-z0-9_\-])?)"
-_STRING = r'"((?:[^"\\\n\r]|\\.)*)"'
-_LANGTAG = r"@([A-Za-z]+(?:-[A-Za-z0-9]+)*)"
-_DTYPE_SEP = r"\^\^"
 
 # Each match is one token with the white space and comments before it.  The
 # first alternative that matches wins: DECIMAL must precede INTEGER, PNAME
@@ -836,11 +866,9 @@ def parse_ntriples(text: str, name: str | None = None) -> Graph:
             elif o_blank is not None:
                 obj = blank(o_blank)
             else:
-                obj = literal(
-                    _unescape(o_lit, lineno, 1, TurtleSyntaxError),
-                    language=o_lang,
-                    datatype=o_dtype,
-                )
+                if "\\" in o_lit:
+                    o_lit = _unescape(o_lit, lineno, 1, TurtleSyntaxError)
+                obj = literal(o_lit, language=o_lang, datatype=o_dtype)
             terms[o_text] = obj
         add(Triple(subject, predicate, obj))
     return g

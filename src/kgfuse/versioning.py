@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .rdf import _IRI_TEXT, _SURROGATE_RE, ABSOLUTE_IRI_RE, Graph, ntriples_line
+from .rdf import _SURROGATE_RE, IRI_RE, Graph, ntriples_line
 # unused here; bench/tracing.py looks it up in this module
 from .rdf import parse_ntriples  # noqa: F401
 
@@ -39,10 +39,6 @@ _STATE_CACHE_SIZE = 4
 
 # A commit reference shorter than a full id: at least 4 hex digits.
 _SHORT_ID_RE = re.compile(r"[0-9a-f]{4,63}")
-
-# A graph name is stored as it is, so it must be an IRI that N-Triples can
-# write: that keeps line breaks out of it.
-_GRAPH_NAME_RE = re.compile(ABSOLUTE_IRI_RE.pattern + _IRI_TEXT + r"\Z")
 
 # A commit file up to its added lines; "\nremove\n" then ends them.  Lines
 # are split at "\n" only: a message may hold a raw "\r" or U+2028.  A
@@ -268,7 +264,8 @@ class ChangeStore:
                     f"commit {label} is not UTF-8 text "
                     f"(lone surrogate U+{ord(m.group()):04X}): {text!r}"
                 )
-        if not _GRAPH_NAME_RE.match(graph_name):
+        # stored as it is: an IRI N-Triples can write holds no line break
+        if not IRI_RE.match(graph_name):
             raise StoreError(
                 f"graph name must be an absolute IRI that N-Triples can write: {graph_name!r}"
             )

@@ -456,6 +456,27 @@ def test_enrich_from_recorded_fixtures_and_versioning_flow(workdir, capsys):
     assert parse_turtle(checkout_file.read_text()) == g
 
 
+def test_each_enrich_into_a_store_commits_its_batch_as_the_whole_state(workdir, capsys):
+    recorded = workdir / "recorded"
+    transport = RecordedTransport(recorded)
+    store = workdir / "store"
+    for gnd, label in (("118755951", "Heinrichs"), ("118535794", "Matthias")):
+        url = f"https://d-nb.info/gnd/{gnd}"
+        body = f'<{url}> <http://www.w3.org/2000/01/rdf-schema#label> "{label}" .\n'
+        transport.record(f"{url}/about/lds", body=body)
+        gnds = workdir / f"{gnd}.txt"
+        gnds.write_text(f"{gnd}\n")
+        argv = ["enrich", "--endpoint", "dnb", "--gnds", str(gnds), "--fixtures", str(recorded),
+                "--out", str(workdir / f"{gnd}.nt"), "--delay", "1", "--store", str(store)]
+        assert run(argv) == 0
+    # the second batch replaced the first: its commit removes the first triple
+    head = ChangeStore(store).log()[0].commit.id
+    assert run(["checkout", "--store", str(store), head, "-o", str(workdir / "head.nt")]) == 0
+    assert (workdir / "head.nt").read_bytes() == (workdir / "118535794.nt").read_bytes()
+    change = ChangeStore(store).read_changeset(head)
+    assert [line.split()[2] for line in change.removed] == ['"Heinrichs"']
+
+
 def test_enrich_without_transport_choice_is_config_error(workdir, capsys):
     gnds = workdir / "gnds.txt"
     gnds.write_text("118755951\n")
@@ -668,6 +689,40 @@ def test_fuse_rejects_relative_namespace(workdir, capsys):
     )
     assert code == 2
     assert "absolute IRI" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "renames, target_ns, code, err",
+    [
+        (
+            "surname\tsur name\n",
+            PCP_NS,
+            1,
+            "error: IRI holds a character N-Triples cannot write: "
+            "'http://purl.org/pcp-on-web/ontology#sur name'\n",
+        ),
+        (
+            "",
+            "http://purl.org/pcp on-web/ontology#",
+            2,
+            "config error: --target-ns is not an absolute IRI N-Triples can write: "
+            "'http://purl.org/pcp on-web/ontology#'\n",
+        ),
+    ],
+    ids=["rename", "namespace"],
+)
+def test_fuse_into_an_iri_ntriples_cannot_write_is_a_one_line_error_and_no_output(
+    workdir, capsys, renames, target_ns, code, err
+):
+    # kgfuse could not read such an output back: `align` would fail on it
+    mapping = workdir / "bad-renames.tsv"
+    mapping.write_text(renames, encoding="utf-8")
+    store = workdir / "store"
+    argv = _fuse_argv(workdir, "--mapping", str(mapping), "--target-ns", target_ns, "--store", str(store))
+    assert run(argv) == code
+    assert capsys.readouterr().err == err
+    assert not (workdir / "fused.nt").exists()
+    assert not (store / "HEAD").exists()
 
 
 def test_enrich_with_custom_template(workdir, capsys):

@@ -17,15 +17,23 @@ import sys
 import tracemalloc
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kgfuse import fixtures, rdf
-from kgfuse.prefixes import RDF_TYPE, RDFS_LABEL, XSD_DATE, XSD_INTEGER, XSD_STRING
+from kgfuse.prefixes import (
+    RDF_LANGSTRING,
+    RDF_TYPE,
+    RDFS_LABEL,
+    XSD_DATE,
+    XSD_INTEGER,
+    XSD_STRING,
+)
 from kgfuse.rdf import (
     Graph,
     RdfError,
     RelativeIriError,
+    Term,
     Triple,
     TurtleSyntaxError,
     _nt_lines,
@@ -119,6 +127,136 @@ def test_predicate_must_be_iri():
         Triple(iri("urn:s"), literal("p"), iri("urn:o"))
     with pytest.raises(RdfError):
         Triple(literal("s"), iri("urn:p"), iri("urn:o"))
+
+
+# Term fields that construct and fields that do not: characters N-Triples
+# forbids in an IRI, in a blank label or in a language tag, line breaks, a
+# lone surrogate, empty text, and the datatypes a literal normalizes away.
+_PLAIN = "aZ9_-.:/#\u00e9"
+_TRICKY = _PLAIN + ' <>"{}|^`\\\n\r\t\x00\x7f\x85\u2028\ud800'
+_TEXT = st.text(alphabet=_PLAIN, max_size=6) | st.text(alphabet=_TRICKY, max_size=6)
+_TERM_FIELDS = st.tuples(
+    st.sampled_from(["iri", "blank", "literal", "literal", "uri"]),
+    st.tuples(st.sampled_from(["", "urn:x:", "http://e.org/a#", "a"]), _TEXT).map("".join),
+    st.none() | st.sampled_from(["", "de", "EN-us"]) | st.text(alphabet="aZ9- _\n", max_size=6),
+    st.none()
+    | st.sampled_from(["", XSD_STRING, RDF_LANGSTRING, XSD_INTEGER])
+    | st.tuples(st.sampled_from(["urn:dt:", "dt"]), _TEXT).map("".join),
+)
+
+
+def _term_or_none(fields):
+    try:
+        return Term(*fields)
+    except RdfError:
+        return None
+
+
+def _copy(text):
+    """An equal string that is not the same object."""
+    return None if text is None else "".join(list(text))
+
+
+@given(_TERM_FIELDS, _TERM_FIELDS)
+def test_terms_and_triples_from_equal_fields_are_equal_and_hash_equal(fields, o_fields):
+    term = _term_or_none(fields)
+    assume(term is not None)
+    again = Term(*map(_copy, fields))
+    assert term == again and hash(term) == hash(again)
+    assert Term._make(fields) == term and term == tuple(term)
+    obj = _term_or_none(o_fields) or literal("o")
+    s = term if term.kind != "literal" else blank("b")
+    triple = Triple(s, iri("urn:p:1"), obj)
+    same = Triple(Term(*map(_copy, s)), iri(_copy("urn:p:1")), Term(*map(_copy, obj)))
+    assert triple == same and hash(triple) == hash(same) and triple == (s, iri("urn:p:1"), obj)
+
+
+@given(_TERM_FIELDS)
+def test_terms_and_triples_round_trip_through_pickle(fields):
+    term = _term_or_none(fields)
+    assume(term is not None)
+    s = term if term.kind != "literal" else blank("b")
+    triple = Triple(s, iri("urn:p:1"), term)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        for value in (term, triple):
+            back = pickle.loads(pickle.dumps(value, protocol))
+            assert back == value and type(back) is type(value) and hash(back) == hash(value)
+    assert type(pickle.loads(pickle.dumps(triple)).o) is Term
+
+
+@given(_TERM_FIELDS)
+def test_make_and_replace_check_fields_as_the_constructor_does(fields):
+    term = _term_or_none(fields)
+    start = literal("x", language="de")
+    if term is None:
+        with pytest.raises(RdfError):
+            Term._make(fields)
+        with pytest.raises(RdfError):
+            start._replace(**dict(zip(Term._fields, fields)))
+    else:
+        assert Term._make(fields) == term
+        assert start._replace(**dict(zip(Term._fields, fields))) == term
+        assert type(start._replace(value="y")) is Term
+
+
+def test_make_and_replace_check_triple_positions():
+    t = Triple(iri("urn:s:1"), iri("urn:p:1"), literal("x"))
+    with pytest.raises(RdfError, match="triple subject must be IRI or blank"):
+        t._replace(s=literal("s"))
+    with pytest.raises(RdfError, match="triple predicate must be IRI"):
+        Triple._make((t.s, blank("p"), t.o))
+    assert t._replace(o=blank("o")) == Triple(t.s, t.p, blank("o"))
+    assert type(Triple._make(t)) is Triple
+
+
+_S = ("iri", "urn:s", None, None)
+_P = ("iri", "urn:p", None, None)
+
+
+@settings(max_examples=300)
+@given(_TERM_FIELDS, _TERM_FIELDS, _TERM_FIELDS)
+@example(_S, ("iri", "urn:x:sur name", None, None), ("literal", "", None, None))
+@example(("iri", "http://x/a>b", None, None), _P, ("literal", "", None, None))
+@example(("blank", "a b", None, None), _P, ("literal", "x", "en us", None))
+@example(_S, _P, ("literal", "", None, "urn:d t"))
+@example(_S, _P, ("literal", "x", "", None))
+def test_every_triple_that_constructs_reads_back_from_its_ntriples_line(s, p, o):
+    # each position keeps a drawn term that constructs and that it accepts
+    s, p, o = (_term_or_none(fields) for fields in (s, p, o))
+    triple = Triple(
+        s if s is not None and s.kind != "literal" else blank("s"),
+        p if p is not None and p.kind == "iri" else iri("urn:p:1"),
+        o if o is not None else literal("o"),
+    )
+    assert parse_ntriples(ntriples_line(triple)).triples == {triple}
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: iri("http://x/a>b"), "IRI holds a character N-Triples cannot write"),
+        (lambda: iri("urn:x:sur name"), "IRI holds a character N-Triples cannot write"),
+        (lambda: literal("x", datatype="urn:d t"), "datatype IRI holds a character"),
+        (lambda: literal("x", language="en us"), "language tag is not one N-Triples can write"),
+        (lambda: blank("a b"), "blank node label is not one N-Triples can write"),
+        (lambda: blank("a."), "blank node label is not one N-Triples can write"),
+    ],
+)
+def test_a_term_ntriples_cannot_write_is_an_rdf_error(build, message):
+    with pytest.raises(RdfError, match=f"^{message}"):
+        build()
+
+
+def test_terms_are_tuples_of_their_fields():
+    assert iri("urn:x:1") == ("iri", "urn:x:1", None, None)
+    assert literal("x", language="DE") == ("literal", "x", "de", None)
+    assert literal("x", language="") == literal("x")
+    assert sorted([iri("urn:x:2"), blank("b"), iri("urn:x:1")]) == [
+        blank("b"), iri("urn:x:1"), iri("urn:x:2")
+    ]
+    s, p, o = t = Triple(iri("urn:s:1"), iri("urn:p:1"), literal("x"))
+    assert (s, p, o) == (t.s, t.p, t.o)
+    assert repr(t.o) == 'Term("x")' and repr(t) == "Triple('<urn:s:1> <urn:p:1> \"x\" .')"
 
 
 # --- parsing ---------------------------------------------------------------
@@ -653,13 +791,20 @@ def test_match_returns_the_stored_triples_and_builds_none(monkeypatch):
     stored = {t: t for t in _random_graph(random.Random(7)).triples}
     g = Graph(triples=stored)
     built = []
-    validate = Triple.__post_init__
-    monkeypatch.setattr(Triple, "__post_init__", lambda t: built.append(t) or validate(t))
+    new = Triple.__new__
+
+    def counted(cls, *fields):
+        built.append(fields)
+        return new(cls, *fields)
+
+    monkeypatch.setattr(Triple, "__new__", staticmethod(counted))
     terms = [None] + sorted({x for t in stored for x in (t.s, t.p, t.o)}, key=repr)
     for s, p, o in itertools.product(terms, repeat=3):
         assert all(stored[t] is t for t in g.match(s, p, o))
     assert g.match(literal("0"), iri("urn:p:0"), literal("0")) == []
     assert built == []
+    Triple(iri("urn:s:0"), iri("urn:p:0"), literal("0"))  # the count sees a triple built
+    assert len(built) == 1
 
 
 def test_ntriples_line_keeps_no_cache():

@@ -422,9 +422,10 @@ def _canonical_blank_map(triples: Iterable[Triple]) -> dict[str, str]:
             labels.add(t.o.value)
     if not labels:
         return {}
-    # Signature first; the original label breaks ties, which keeps the
-    # relabeling a pure function of the triple set.
-    order = sorted(labels, key=lambda b: (_blank_signature(b, outgoing), b))
+    # Signature first; the original label breaks ties, shorter labels first,
+    # which keeps the relabeling a pure function of the triple set and makes
+    # `_:b2` sort before `_:b10`, so canonical output relabels to itself.
+    order = sorted(labels, key=lambda b: (_blank_signature(b, outgoing), len(b), b))
     return {old: f"b{i}" for i, old in enumerate(order)}
 
 

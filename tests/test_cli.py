@@ -613,7 +613,7 @@ def test_checkout_and_diff_take_the_printed_short_id(workdir, capsys):
     assert outputs[0] == outputs[1] == outputs[2]
     assert f"at {c2.short_id} to " in outputs[0][1].out
     with pytest.raises(versioning.UnknownCommitError):
-        ChangeStore(store).read_commit(c2.short_id)
+        ChangeStore(store).read_changeset(c2.short_id).commit
 
 
 @pytest.mark.parametrize("ref", ["abcd", "abcd0", "ffff", "xyz0", "abc"])
@@ -627,6 +627,22 @@ def test_an_ambiguous_or_unknown_short_id_is_a_one_line_error(workdir, capsys, r
     reason = f"ambiguous commit id {ref}: 2 commits" if ref.startswith("abcd") else "unknown commit id"
     assert err.startswith(f"error: {reason}") and len(err.splitlines()) == 1
     assert not (workdir / "g.nt").exists()
+
+
+@pytest.mark.parametrize("ref", ["", ".", "..", "../HEAD", "HEAD"])
+def test_a_reference_that_is_not_an_id_is_an_unknown_commit(workdir, capsys, ref):
+    # none of these may reach the filesystem: "" and "." name commits/
+    # itself, and "../HEAD" a file outside it
+    store = workdir / "store"
+    _, c2 = _two_commits(store)
+    out = workdir / "g.nt"
+    for argv in (["checkout", "--store", str(store), ref, "-o", str(out)],
+                 ["diff", "--store", str(store), ref, c2.id]):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: unknown commit id: {ref}\n"
+    assert not out.exists()
 
 
 def test_count_alias_that_is_already_in_scope_is_a_domain_error(workdir, capsys):

@@ -556,6 +556,39 @@ def test_blank_relabeling_is_idempotent():
     assert once == twice
 
 
+def test_canonical_output_with_ten_or_more_tied_blank_nodes_is_a_fixed_point():
+    # every _:n has the same signature and so does every _:m; the ties must
+    # not be broken so that _:b10 sorts before _:b2
+    out = serialize_canonical(
+        parse_turtle("".join(f"_:n{i} <urn:p> _:m{i} .\n" for i in range(12)))
+    )
+    assert "_:b14 <urn:p> _:b2 .\n" in out
+    assert serialize_canonical(parse_turtle(out)) == out
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 30),
+            st.sampled_from([iri("urn:p:1"), iri("urn:p:2")]),
+            st.one_of(st.integers(0, 30), st.sampled_from([literal("x"), iri("urn:o:1")])),
+        ),
+        max_size=40,
+    )
+)
+def test_canonical_output_relabels_to_itself_under_tied_blank_nodes(items):
+    # few predicates and objects, so many blank nodes share a signature
+    g = Graph(
+        triples=[
+            Triple(blank(f"x{s}"), p, blank(f"x{o}") if isinstance(o, int) else o)
+            for s, p, o in items
+        ]
+    )
+    out = serialize_canonical(g)
+    assert serialize_canonical(parse_ntriples(out)) == out
+
+
 def test_parse_ntriples_reads_canonical_output():
     for g in fixtures.corpus().values():
         assert parse_ntriples(serialize_canonical(g)).triples == parse_turtle(

@@ -11,6 +11,7 @@ import hashlib
 import io
 import random
 import re
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -123,7 +124,7 @@ def test_checkout_root_and_head(tmp_path):
     c2 = store.commit(GRAPH_NAME, g2, "t", "two", timestamp=2)
     assert store.checkout(c1.id) == _lines(g1.triples)
     assert store.checkout(c2.id) == _lines(g2.triples)
-    assert store.read_commit(store.head_id).graph_name == GRAPH_NAME
+    assert store.read_changeset(store.head_id).commit.graph_name == GRAPH_NAME
 
 
 def test_unknown_commit_id(tmp_path):
@@ -231,7 +232,7 @@ def test_messages_with_tabs_and_newlines_round_trip(tmp_path):
     store = ChangeStore(tmp_path / "store")
     message = "line one\nline two\twith tab"
     c = store.commit(GRAPH_NAME, _graph("a"), "t", message, timestamp=1)
-    assert store.read_commit(c.id).message == message
+    assert store.read_changeset(c.id).commit.message == message
 
 
 def test_commit_round_trip_for_fixture_graphs(tmp_path):
@@ -499,7 +500,7 @@ def test_line_separators_in_literals_and_metadata_round_trip(tmp_path):
     c = ChangeStore(path).commit(GRAPH_NAME, g, "ann\rlee", "fix\u2028dates", timestamp=1)
     fresh = ChangeStore(path)
     assert fresh.checkout(c.id) == _lines(g.triples)
-    assert fresh.read_commit(c.id) == c
+    assert fresh.read_changeset(c.id).commit == c
     assert [(e.added, e.removed) for e in fresh.log()] == [(4, 0)]
 
 
@@ -511,6 +512,21 @@ def test_state_cache_stays_bounded(tmp_path):
     ]
     for n, cid in enumerate(ids):
         assert len(store.checkout(cid)) == n + 1
+    assert len(store._state_cache) <= versioning._STATE_CACHE_SIZE
+    # a log reads every commit file and keeps none of them
+    assert len(store.log()) == len(ids)
+    assert set(vars(store)) == {"path", "commits_dir", "_state_cache"}
+    assert len(store._state_cache) <= versioning._STATE_CACHE_SIZE
+    # a commit onto a head whose entry was evicted replays it, and writes
+    # the commit a fresh handle writes
+    for cid in ids[: versioning._STATE_CACHE_SIZE]:
+        store.checkout(cid)
+    assert ids[-1] not in store._state_cache
+    shutil.copytree(store.path, tmp_path / "copy")
+    g = _graph("v0", "w")
+    c = store.commit(GRAPH_NAME, g, "t", "m", timestamp=12)
+    assert c.parent == ids[-1]
+    assert c == ChangeStore(tmp_path / "copy").commit(GRAPH_NAME, g, "t", "m", timestamp=12)
     assert len(store._state_cache) <= versioning._STATE_CACHE_SIZE
 
 
@@ -646,6 +662,6 @@ def test_commit_files_are_content_addressed_and_replay_the_model(history):
         for c, lines, _, _ in model:
             fresh = ChangeStore(path)
             assert fresh.checkout(c.id) == lines
-            assert fresh.read_commit(c.id) == c
+            assert fresh.read_changeset(c.id).commit == c
         log = [(e.commit, e.added, e.removed) for e in ChangeStore(path).log()]
         assert log == [(c, added, removed) for c, _, added, removed in reversed(model)]

@@ -4,8 +4,11 @@ Identifiers arrive either as bare GND numbers or as the national library's
 URL form; both normalize to the bare number.  Extraction fetches one
 identifier at a time, strictly in input order, waiting the configured
 politeness delay between requests, and never lets one failing item abort
-the batch.  Transports are injectable: the recorded transport replays
-response files from a fixture directory so no test touches the network.
+the batch.  An endpoint with a lookup template is a SPARQL endpoint that
+is sent the instantiated query; one without fetches the linked-data
+document of each identifier under its base URL.  Transports are injectable:
+the recorded transport replays response files from a fixture directory so
+no test touches the network.
 """
 
 from __future__ import annotations
@@ -27,9 +30,6 @@ DNB_GND_NAMESPACE = "https://d-nb.info/gnd"
 
 _GND_RE = re.compile(r"^\d$|^\d[\d-]*[\dX]$")
 _GND_URL_RE = re.compile(r"^https?://d-nb\.info/gnd/([^/?#]+)/?$")
-
-SPARQL_ENDPOINT = "sparql-endpoint"
-LINKED_DATA_DOCUMENT = "linked-data-document"
 
 _ACCEPT_RDF = "text/turtle, application/n-triples;q=0.9"
 
@@ -98,8 +98,14 @@ DBPEDIA_LOOKUP = QueryTemplate.from_text(
 
 @dataclass(frozen=True)
 class EndpointSpec:
+    """Where and how politely to look identifiers up.
+
+    With a `lookup_template` the endpoint is a SPARQL endpoint at `base_url`,
+    sent the template filled with the GND number; without one it fetches the
+    document `<base_url>/<gnd>/about/lds`.
+    """
+
     name: str
-    kind: str
     base_url: str
     lookup_template: Optional[QueryTemplate] = None
     politeness_delay_ms: int = 1000
@@ -107,21 +113,12 @@ class EndpointSpec:
     max_retries: int = 2
 
     def __post_init__(self):
-        if self.kind not in (SPARQL_ENDPOINT, LINKED_DATA_DOCUMENT):
-            raise EndpointConfigError(f"unknown endpoint kind: {self.kind!r}")
         if self.politeness_delay_ms <= 0 or self.timeout_ms <= 0:
             raise EndpointConfigError("politeness delay and timeout must be positive")
         if self.max_retries < 0:
             raise EndpointConfigError("max_retries cannot be negative")
-        if self.kind == LINKED_DATA_DOCUMENT and self.lookup_template is not None:
-            raise EndpointConfigError(
-                f"endpoint {self.name!r} fetches documents and takes no lookup template"
-            )
-        if self.kind == SPARQL_ENDPOINT:
-            if self.lookup_template is None:
-                raise EndpointConfigError("sparql endpoints need a lookup template")
-            if "gnd" not in self.lookup_template.placeholders:
-                raise EndpointConfigError("lookup template must reference {gnd}")
+        if self.lookup_template is not None and "gnd" not in self.lookup_template.placeholders:
+            raise EndpointConfigError("lookup template must reference {gnd}")
 
     @property
     def graph(self) -> str:
@@ -131,38 +128,36 @@ class EndpointSpec:
 def builtin_endpoint(name: str, **overrides) -> EndpointSpec:
     """dnb / wikidata / dbpedia with their usual URLs and lookup shapes."""
     table = {
-        "dnb": dict(kind=LINKED_DATA_DOCUMENT, base_url=DNB_GND_NAMESPACE),
+        "dnb": dict(base_url=DNB_GND_NAMESPACE),
         "wikidata": dict(
-            kind=SPARQL_ENDPOINT,
-            base_url="https://query.wikidata.org/sparql",
-            lookup_template=WIKIDATA_LOOKUP,
+            base_url="https://query.wikidata.org/sparql", lookup_template=WIKIDATA_LOOKUP
         ),
-        "dbpedia": dict(
-            kind=SPARQL_ENDPOINT,
-            base_url="https://dbpedia.org/sparql",
-            lookup_template=DBPEDIA_LOOKUP,
-        ),
+        "dbpedia": dict(base_url="https://dbpedia.org/sparql", lookup_template=DBPEDIA_LOOKUP),
     }
     if name not in table:
         raise EndpointConfigError(
             f"unknown endpoint {name!r}; expected one of {sorted(table)}"
         )
     params = dict(table[name])
+    if "lookup_template" not in params and overrides.get("lookup_template") is not None:
+        raise EndpointConfigError(
+            f"endpoint {name!r} fetches documents and takes no lookup template"
+        )
     params.update(overrides)
     return EndpointSpec(name=name, **params)
 
 
 def build_lookup_query(endpoint: EndpointSpec, gnd: GndId) -> str:
-    if endpoint.kind != SPARQL_ENDPOINT:
+    if endpoint.lookup_template is None:
         raise EndpointConfigError(f"endpoint {endpoint.name!r} is not a SPARQL endpoint")
     return instantiate(endpoint.lookup_template, {"gnd": gnd.number})
 
 
 def request_url(endpoint: EndpointSpec, gnd: GndId) -> str:
-    if endpoint.kind == SPARQL_ENDPOINT:
-        query = build_lookup_query(endpoint, gnd)
-        return endpoint.base_url + "?" + urllib.parse.urlencode({"query": query})
-    return dnb_document_url(gnd, endpoint.base_url)
+    if endpoint.lookup_template is None:
+        return dnb_document_url(gnd, endpoint.base_url)
+    query = build_lookup_query(endpoint, gnd)
+    return endpoint.base_url + "?" + urllib.parse.urlencode({"query": query})
 
 
 # ---------------------------------------------------------------------------
@@ -311,15 +306,20 @@ class ExtractionReport:
         return buf.getvalue()
 
 
-def _fetch_once(
+def _extract_one(
     endpoint: EndpointSpec,
     url: str,
     transport: Transport,
     sleep: Callable[[float], None],
-) -> tuple[Optional[tuple[int, str]], Optional[str], int]:
-    """GET with retries on timeout/5xx; returns (response, error_class, attempts).
-    Any other transport failure is that item's error, not retried; a missing
-    recording is the caller's error."""
+) -> tuple[str, Optional[str], int, Optional[Graph]]:
+    """GET `url` and decide the item: (outcome, error_class, attempts, graph).
+
+    A timeout or 5xx status is retried up to `max_retries` times, waiting
+    the politeness delay and doubling it before each retry.  Any other
+    transport failure is the item's error, not retried; a missing recording
+    is the caller's error.  The graph is returned only when it holds triples,
+    that is when the outcome is ok.
+    """
     timeout_s = endpoint.timeout_ms / 1000.0
     backoff_s = endpoint.politeness_delay_ms / 1000.0
     attempts = 0
@@ -328,18 +328,26 @@ def _fetch_once(
         try:
             status, body = transport.get(url, _ACCEPT_RDF, timeout_s)
         except TransportTimeout:
-            if attempts <= endpoint.max_retries:
-                sleep(backoff_s)
-                backoff_s *= 2
-                continue
-            return None, ERROR_TIMEOUT, attempts
+            status = None
         except TransportError:
-            return None, ERROR_TRANSPORT, attempts
-        if status >= 500 and attempts <= endpoint.max_retries:
-            sleep(backoff_s)
-            backoff_s *= 2
-            continue
-        return (status, body), None, attempts
+            return FAILED, ERROR_TRANSPORT, attempts, None
+        if attempts > endpoint.max_retries or (status is not None and status < 500):
+            break
+        sleep(backoff_s)
+        backoff_s *= 2
+    if status is None:
+        return FAILED, ERROR_TIMEOUT, attempts, None
+    if status == 404:
+        return NOT_FOUND, None, attempts, None
+    if status != 200:
+        return FAILED, ERROR_HTTP, attempts, None
+    try:
+        parsed = parse_response_body(body)
+    except RdfError:
+        return FAILED, ERROR_PARSE, attempts, None
+    if not parsed:
+        return NOT_FOUND, None, attempts, None
+    return OK, None, attempts, parsed
 
 
 def lazy_extract(
@@ -364,33 +372,15 @@ def lazy_extract(
             sleep(delay_s)
         url = request_url(endpoint, gnd)
         started = time.perf_counter()
-        response, error_class, attempts = _fetch_once(endpoint, url, transport, sleep)
-        outcome = FAILED
-        count = 0
-        if response is not None:
-            status, body = response
-            if status == 404:
-                outcome, error_class = NOT_FOUND, None
-            elif status != 200:
-                outcome, error_class = FAILED, ERROR_HTTP
-            else:
-                try:
-                    parsed = parse_response_body(body)
-                except RdfError:
-                    outcome, error_class = FAILED, ERROR_PARSE
-                else:
-                    count = len(parsed)
-                    if count == 0:
-                        outcome = NOT_FOUND
-                    else:
-                        outcome = OK
-                        parsed_graphs.append(parsed)
+        outcome, error_class, attempts, parsed = _extract_one(endpoint, url, transport, sleep)
+        if parsed is not None:
+            parsed_graphs.append(parsed)
         report.items.append(
             ExtractionItem(
                 gnd=gnd.number,
                 url=url,
                 outcome=outcome,
-                triple_count=count,
+                triple_count=len(parsed) if parsed is not None else 0,
                 error_class=error_class,
                 attempts=attempts,
                 elapsed_s=time.perf_counter() - started,

@@ -203,6 +203,8 @@ def lint_vocabulary(
     label = iri(RDFS_LABEL)
     comment = iri(RDFS_COMMENT)
     issues: list[LintIssue] = []
+    # A mixed label's two halves take the first two required languages.
+    tags = [f"@{lang}" for lang in required_languages[:2]] + ["", ""]
     roles = [(sorted(properties), False), (sorted(classes), True)]
     for terms, is_class in roles:
         for term_iri in terms:
@@ -229,10 +231,7 @@ def lint_vocabulary(
                                 term_iri,
                                 "multilingual-label",
                                 f"single label mixes languages: {l.value!r}",
-                                suggested_fix=(
-                                    f'"{left}"@{required_languages[0]} and '
-                                    f'"{right}"@{required_languages[1]}'
-                                ),
+                                suggested_fix=f'"{left}"{tags[0]} and "{right}"{tags[1]}',
                             )
                         )
             if not comments:

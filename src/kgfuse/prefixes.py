@@ -30,7 +30,6 @@ XSD_INTEGER = XSD_NS + "integer"
 XSD_DECIMAL = XSD_NS + "decimal"
 XSD_BOOLEAN = XSD_NS + "boolean"
 XSD_DATE = XSD_NS + "date"
-XSD_DATETIME = XSD_NS + "dateTime"
 
 # Namespaces of the bundled catalogue fixtures and of the fused target
 # vocabulary.  These mirror the shapes the toolkit is normally run on and

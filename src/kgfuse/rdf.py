@@ -833,15 +833,15 @@ def _nt_lines(text: str) -> list[str]:
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
-def parse_ntriples(text: str, name: str | None = None) -> Graph:
+def parse_ntriples(text: str) -> Graph:
     """Strict N-Triples: one statement per line, no directives.
 
     White space is space and tab, every IRI must be absolute, and a
-    blank-node label cannot end in `.`.  Returns a graph named `name`.  Each
-    distinct term text is built into a `Term` once per call, so equal terms
-    are shared.  The graph's indexes are left to its first probe.
+    blank-node label cannot end in `.`.  Each distinct term text is built
+    into a `Term` once per call, so equal terms are shared.  The graph's
+    indexes are left to its first probe.
     """
-    g = Graph(name)
+    g = Graph()
     add = g._triples.add  # no index to keep current yet
     terms: dict[str, Term] = {}
     for lineno, raw in enumerate(_nt_lines(text), 1):

@@ -587,22 +587,17 @@ _IRI_ILLEGAL = set(' <>"{}|^`\\')
 
 @dataclass(frozen=True)
 class QueryTemplate:
-    """SPARQL text with `{name}` placeholders."""
+    """SPARQL text with `{name}` placeholders, which are read off the text."""
 
     text: str
-    placeholders: frozenset[str]
+    placeholders: frozenset[str] = field(init=False)
 
     @classmethod
     def from_text(cls, text: str) -> "QueryTemplate":
-        return cls(text, frozenset(_PLACEHOLDER_RE.findall(text)))
+        return cls(text)
 
     def __post_init__(self):
-        found = frozenset(_PLACEHOLDER_RE.findall(self.text))
-        if found != self.placeholders:
-            raise TemplateError(
-                f"declared placeholders {sorted(self.placeholders)} do not match "
-                f"text placeholders {sorted(found)}"
-            )
+        object.__setattr__(self, "placeholders", frozenset(_PLACEHOLDER_RE.findall(self.text)))
 
 
 def instantiate(template: QueryTemplate, bindings: Mapping[str, str]) -> str:

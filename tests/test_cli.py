@@ -406,6 +406,22 @@ def test_lint_without_strict_exits_0(workdir):
     assert run(["lint", "--graph", str(workdir / "quality.ttl")]) == 0
 
 
+@pytest.mark.parametrize(
+    "languages, suggestion",
+    [
+        ("de", '"Matrikel"@de and "matriculation"'),
+        ("", '"Matrikel" and "matriculation"'),
+        ("de,en", '"Matrikel"@de and "matriculation"@en'),
+    ],
+)
+def test_lint_tags_a_mixed_label_with_the_languages_given(workdir, capsys, languages, suggestion):
+    args = ["lint", "--graph", str(workdir / "quality.ttl"), "--languages", languages]
+    assert run(args) == 0
+    mixed = [line for line in capsys.readouterr().out.splitlines() if "multilingual-label" in line]
+    assert len(mixed) == 1 and mixed[0].endswith(f"(suggest: {suggestion})")
+    assert run(args + ["--strict"]) == 1
+
+
 def test_enrich_from_recorded_fixtures_and_versioning_flow(workdir, capsys):
     recorded = workdir / "recorded"
     transport = RecordedTransport(recorded)

@@ -26,8 +26,8 @@ from kgfuse.enrich import (
     HttpTransport,
     MissingRecordingError,
     RecordedTransport,
-    SPARQL_ENDPOINT,
     TransportError,
+    TransportTimeout,
     build_lookup_query,
     builtin_endpoint,
     dnb_document_url,
@@ -112,15 +112,17 @@ def test_custom_sparql_endpoint_requires_gnd_placeholder():
     with pytest.raises(EndpointConfigError):
         EndpointSpec(
             name="custom",
-            kind=SPARQL_ENDPOINT,
             base_url="https://example.org/sparql",
             lookup_template=QueryTemplate.from_text("select * where {?s ?p ?o}"),
         )
 
 
-def test_sparql_endpoint_requires_template():
+def test_an_endpoint_without_a_template_fetches_documents():
+    endpoint = EndpointSpec(name="x", base_url="https://example.org/gnd")
+    assert request_url(endpoint, GndId("7")) == "https://example.org/gnd/7/about/lds"
     with pytest.raises(EndpointConfigError):
-        EndpointSpec(name="x", kind=SPARQL_ENDPOINT, base_url="https://example.org/sparql")
+        build_lookup_query(endpoint, GndId("7"))
+    assert builtin_endpoint("dnb", lookup_template=None) == builtin_endpoint("dnb")
 
 
 def test_document_endpoint_rejects_a_lookup_template():
@@ -368,3 +370,114 @@ def test_report_csv_is_byte_deterministic_across_runs(tmp_path):
     _, first = lazy_extract(gnds, _endpoint(), transport, sleep=lambda s: None)
     _, second = lazy_extract(gnds, _endpoint(), transport, sleep=lambda s: None)
     assert first.to_csv() == second.to_csv()
+
+
+# --- the extractor against a model ------------------------------------------------------
+
+# One scripted response per attempt: a status with a body, or an exception.
+_RETRYABLE = {"5xx", "timeout"}
+_MODEL_OUTCOME = {  # response kind -> (outcome, error_class); "ok" counts its triples
+    "ok": ("ok", None),
+    "empty": ("not-found", None),
+    "unparseable": ("failed", "parse-error"),
+    "404": ("not-found", None),
+    "5xx": ("failed", "http-status"),
+    "timeout": ("failed", "timeout"),
+    "transport": ("failed", "transport-error"),
+}
+
+
+def _scripted_response(kind: str, number: str, triples: int, status: int):
+    if kind == "ok":
+        return 200, "".join(
+            f'<https://d-nb.info/gnd/{number}> <urn:p:{k}> "v{k}" .\n' for k in range(triples)
+        )
+    if kind == "empty":
+        return 200, ""
+    if kind == "unparseable":
+        return 200, "<<< not turtle >>>"
+    if kind == "404":
+        return 404, "not here"
+    if kind == "5xx":
+        return status, "server error"
+    if kind == "timeout":
+        return TransportTimeout("scripted timeout")
+    return TransportError("scripted connection failure")
+
+
+class _ScriptedTransport:
+    """Serves each URL its scripted responses in order, one per request."""
+
+    def __init__(self, scripts: dict[str, list]):
+        self.scripts = {url: list(script) for url, script in scripts.items()}
+        self.requests: list[str] = []
+
+    def get(self, url, accept, timeout_s):
+        self.requests.append(url)
+        response = self.scripts[url].pop(0)
+        if isinstance(response, Exception):
+            raise response
+        return response
+
+
+@st.composite
+def _extraction_runs(draw):
+    max_retries = draw(st.integers(0, 3))
+    delay_ms = draw(st.integers(1, 50))
+    items = []
+    for k in range(draw(st.integers(0, 5))):
+        script = draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(sorted(_MODEL_OUTCOME)),
+                    st.integers(1, 3),
+                    st.integers(500, 599),
+                ),
+                min_size=max_retries + 1,
+                max_size=max_retries + 1,
+            )
+        )
+        items.append((str(k + 1), script))
+    return max_retries, delay_ms, items
+
+
+@given(_extraction_runs())
+def test_lazy_extract_agrees_with_a_model_of_retries_and_outcomes(run):
+    max_retries, delay_ms, items = run
+    delay_s = delay_ms / 1000
+    urls = {number: f"https://d-nb.info/gnd/{number}/about/lds" for number, _ in items}
+    transport = _ScriptedTransport(
+        {
+            urls[number]: [_scripted_response(kind, number, n, s) for kind, n, s in script]
+            for number, script in items
+        }
+    )
+    endpoint = _endpoint(max_retries=max_retries, politeness_delay_ms=delay_ms)
+    sleeps: list[float] = []
+    graph, report = lazy_extract(
+        [GndId(number) for number, _ in items], endpoint, transport, sleep=sleeps.append
+    )
+
+    # The model: an item stops at its first response that is not retryable,
+    # or at its last allowed attempt; each retry first waits the politeness
+    # delay doubled once per earlier retry.
+    expected_items, expected_sleeps, expected_requests = [], [], []
+    for position, (number, script) in enumerate(items):
+        final = next(
+            (k for k, (kind, _, _) in enumerate(script) if kind not in _RETRYABLE),
+            max_retries,
+        )
+        kind, triples, _ = script[final]
+        outcome, error_class = _MODEL_OUTCOME[kind]
+        expected_items.append(
+            (number, outcome, error_class, final + 1, triples if kind == "ok" else 0)
+        )
+        expected_sleeps += [delay_s] * (position > 0) + [delay_s * 2**k for k in range(final)]
+        expected_requests += [urls[number]] * (final + 1)
+
+    assert [
+        (i.gnd, i.outcome, i.error_class, i.attempts, i.triple_count) for i in report.items
+    ] == expected_items
+    assert sleeps == expected_sleeps
+    assert transport.requests == expected_requests
+    assert len(graph) == sum(item[4] for item in expected_items)

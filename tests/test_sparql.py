@@ -616,6 +616,8 @@ def test_iri_context_rejects_illegal_characters():
         instantiate(template, {"gnd": "has space"})
 
 
-def test_placeholder_set_must_match_text():
-    with pytest.raises(Exception):
+def test_placeholders_are_read_off_the_text():
+    assert QueryTemplate("select {x} where { ?s <urn:{y}> {x} }").placeholders == {"x", "y"}
+    assert QueryTemplate.from_text("select *").placeholders == frozenset()
+    with pytest.raises(TypeError):
         QueryTemplate("select {x}", frozenset({"x", "y"}))

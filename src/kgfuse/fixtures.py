@@ -106,20 +106,20 @@ def _catalogue(
     Coverage values carry a per-catalogue marker so the synthetic records
     never cross-match between the two sides.
     """
-    g = persons.copy(name=namespace.rstrip("/#"))
+    triples = set(persons.triples)
     rdf_type = iri(RDF_TYPE)
     instances = []
     for i, name in enumerate(class_names):
         inst = iri(f"{namespace}record{i:03d}")
         instances.append(inst)
-        g.add(Triple(inst, rdf_type, iri(namespace + name)))
+        triples.add(Triple(inst, rdf_type, iri(namespace + name)))
     # Annotations sit on the Family-typed record, away from Person matching.
-    g.add(Triple(instances[2], iri(RDFS_LABEL), literal(f"{marker} bestandsnotiz")))
-    g.add(Triple(instances[2], iri(RDFS_COMMENT), literal(f"{marker} deckungseintrag")))
+    triples.add(Triple(instances[2], iri(RDFS_LABEL), literal(f"{marker} bestandsnotiz")))
+    triples.add(Triple(instances[2], iri(RDFS_COMMENT), literal(f"{marker} deckungseintrag")))
     for j, name in enumerate(property_names):
         subject = instances[j % len(instances)]
-        g.add(Triple(subject, iri(namespace + name), literal(f"{marker}feld{j:03d}")))
-    return g
+        triples.add(Triple(subject, iri(namespace + name), literal(f"{marker}feld{j:03d}")))
+    return Graph(namespace.rstrip("/#"), triples)
 
 
 def leipzig_catalogue() -> Graph:

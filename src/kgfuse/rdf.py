@@ -3,12 +3,14 @@
 The lexer and the term grammar here (IRIs, prefixed names, literals) also
 serve the query parser in `sparql`.
 
-The graph keeps its triples in a set.  The first `match` or `count` builds
-two nested-dict indexes (SPO and POS) whose leaves hold the stored triples,
-so every pattern with a bound subject or predicate is answered without a
-full scan and without building a triple; a graph that is only parsed,
-merged and written never pays for them.  `Graph.match` returns triples in
-index order; canonical order is decided only where output is written.
+A graph is built once, from its name and its triples, and is immutable:
+the parsers, `Graph.union` and the fixture catalogues each collect a set
+and make one `Graph` of it.  The first `match` or `count` builds two
+nested-dict indexes (SPO and POS) whose leaves hold the stored triples, so
+every pattern with a bound subject or predicate is answered without a full
+scan and without building a triple; a graph that is only parsed, merged
+and written never pays for them.  `Graph.match` returns triples in index
+order; canonical order is decided only where output is written.
 Everything here is deliberately syntactic: literals compare by exact
 lexical form, which keeps diffs and version changesets reversible.
 """
@@ -28,8 +30,11 @@ LITERAL = "literal"
 ABSOLUTE_IRI_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
 _SURROGATE_RE = re.compile("[\ud800-\udfff]")
 
-# The text of an IRI: N-Triples forbids these characters in it.
-_IRI_TEXT = r"[^<>\"{}|^`\\\x00-\x20]*"
+# The characters N-Triples forbids in an IRI, as the body of a character class.
+_IRI_FORBIDDEN = r"<>\"{}|^`\\\x00-\x20"
+_IRI_FORBIDDEN_RE = re.compile(rf"[{_IRI_FORBIDDEN}]")
+# The text of an IRI.
+_IRI_TEXT = rf"[^{_IRI_FORBIDDEN}]*"
 # Term patterns, each with one group around what the term keeps; both the
 # lexer and the N-Triples line pattern are built from them.
 _IRIREF = rf"<({_IRI_TEXT})>"
@@ -42,8 +47,7 @@ _LANGTAG = rf"@({_LANGTAG_BODY})"
 _DTYPE_SEP = r"\^\^"
 
 # An IRI that N-Triples can write: absolute, with none of the characters it
-# forbids.  Terms, graph names in the changeset store and `fuse`
-# namespaces are checked with it.
+# forbids.  Terms, graph names and `fuse` namespaces are checked with it.
 IRI_RE = re.compile(ABSOLUTE_IRI_RE.pattern + _IRI_TEXT + r"\Z")
 _BLANK_LABEL_RE = re.compile(_BLANK_LABEL + r"\Z")
 _LANGTAG_BODY_RE = re.compile(_LANGTAG_BODY + r"\Z")
@@ -86,8 +90,9 @@ class Term(_TermFields):
     one.  `value` holds the IRI, the blank-node label, or the literal
     lexical form depending on `kind`.  Language tags are lower-cased on
     construction so equality and hashing are case-insensitive, an empty
-    tag or datatype is none, and `^^xsd:string` collapses to the plain
-    literal form.  Every term built can be written as N-Triples and read
+    language tag is none, and `^^xsd:string` collapses to the plain
+    literal form; an empty datatype is not an absolute IRI, so it is
+    rejected.  Every term built can be written as N-Triples and read
     back equal: an IRI, the datatype IRI of a literal included, must be
     absolute and hold no character N-Triples forbids in an IRI, a language
     tag and a blank-node label must have their N-Triples form, and text
@@ -234,71 +239,48 @@ def ntriples_line(triple: Triple) -> str:
 _Index = dict[Term, dict[Term, dict[Term, Triple]]]
 
 
-def _index_triple(spo: _Index, pos: _Index, t: Triple) -> None:
-    spo.setdefault(t.s, {}).setdefault(t.p, {})[t.o] = t
-    pos.setdefault(t.p, {}).setdefault(t.o, {})[t.s] = t
-
-
 class Graph:
-    """A named set of triples with SPO and POS indexes.
+    """A named, immutable set of triples with SPO and POS indexes.
 
-    The two indexes answer every pattern: SPO those with the subject bound,
-    POS the rest.  Only a pattern that binds the object alone reads one leaf
-    per predicate.  The first `match` or `count` builds both in one pass over
-    the triples, along with the number of triples of each predicate; from
-    then on `add` keeps them current.  `count()` of the whole graph needs none.
+    A graph is built once, from its name and its triples, and never changes:
+    `triples` is a frozenset, and a new graph is a new `Graph`.  The two
+    indexes answer every pattern: SPO those with the subject bound, POS the
+    rest.  Only a pattern that binds the object alone reads one leaf per
+    predicate.  The first `match` or `count` builds both in one pass over
+    the triples, along with the number of triples of each predicate.
+    `count()` of the whole graph needs none.
 
-    Mutation is not synchronized: build a graph in one place, then share it
-    read-only; parsing and serialization are pure functions.  Threads may
-    probe a shared graph before its indexes exist: each first probe builds
-    both and publishes them in one assignment, so none reads a half-built
-    index (two racing probes may both build them).
+    Threads may share a graph.  Each first probe builds both indexes and
+    publishes them in one assignment, so none reads a half-built index (two
+    racing probes may both build them).
     """
 
     def __init__(self, name: str | None = None, triples: Iterable[Triple] = ()):
-        if name is not None and not ABSOLUTE_IRI_RE.match(name):
-            raise RdfError(f"graph name must be an absolute IRI: {name!r}")
+        if name is not None and not IRI_RE.match(name):
+            raise RdfError(
+                f"graph name must be an absolute IRI that N-Triples can write: {name!r}"
+            )
         self.name = name
-        self._triples: set[Triple] = set(triples)
+        self.triples: frozenset[Triple] = frozenset(triples)
         # (SPO, POS, triples per predicate), None until the first probe that
         # needs them.  Each leaf maps the last term of its index to the
         # stored triple.
         self._index: tuple[_Index, _Index, dict[Term, int]] | None = None
 
-    def add(self, triple: Triple) -> bool:
-        """Insert a triple; returns False if it was already present."""
-        if triple in self._triples:
-            return False
-        self._triples.add(triple)
-        if self._index is not None:
-            spo, pos, sizes = self._index
-            _index_triple(spo, pos, triple)
-            sizes[triple.p] = sizes.get(triple.p, 0) + 1
-        return True
-
-    def add_all(self, triples: Iterable[Triple]) -> int:
-        return sum(1 for t in triples if self.add(t))
-
     def __len__(self) -> int:
-        return len(self._triples)
+        return len(self.triples)
 
     def __contains__(self, triple: Triple) -> bool:
-        return triple in self._triples
+        return triple in self.triples
 
     def __iter__(self) -> Iterator[Triple]:
         """The triples in canonical order, sorted on each call."""
-        return iter(sorted(self._triples, key=ntriples_line))
+        return iter(sorted(self.triples, key=ntriples_line))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._triples == other._triples
-
-    __hash__ = None  # mutable
-
-    @property
-    def triples(self) -> frozenset[Triple]:
-        return frozenset(self._triples)
+        return self.triples == other.triples
 
     def _indexes(self) -> tuple[_Index, _Index, dict[Term, int]]:
         """SPO, POS and the number of triples of each predicate, built on
@@ -306,7 +288,7 @@ class Graph:
         if self._index is None:
             spo: _Index = {}
             pos: _Index = {}
-            for t in self._triples:
+            for t in self.triples:
                 s, p, o = t
                 spo.setdefault(s, {}).setdefault(p, {})[o] = t
                 pos.setdefault(p, {}).setdefault(o, {})[s] = t
@@ -358,14 +340,11 @@ class Graph:
     ) -> int:
         """Number of triples `match(s, p, o)` would return, read off the index sizes."""
         if s is None and o is None:
-            return len(self._triples) if p is None else self._indexes()[2].get(p, 0)
+            return len(self.triples) if p is None else self._indexes()[2].get(p, 0)
         leaves, key = self._leaves(s, p, o)
         if key is None:
             return sum(map(len, leaves))
         return sum(key in leaf for leaf in leaves)
-
-    def copy(self, name: str | None = None) -> "Graph":
-        return Graph(name if name is not None else self.name, self._triples)
 
     @staticmethod
     def union(graphs: Iterable["Graph"], name: str | None = None) -> "Graph":
@@ -378,11 +357,11 @@ class Graph:
         """
         graphs = list(graphs)
         labels = [
-            {x.value for t in g._triples for x in (t.s, t.o) if x.kind == BLANK} for g in graphs
+            {x.value for t in g.triples for x in (t.s, t.o) if x.kind == BLANK} for g in graphs
         ]
         taken = set().union(*labels)
         seen: set[str] = set()
-        out = Graph(name)
+        triples: set[Triple] = set()
         for g, own in zip(graphs, labels):
             mapping = {}
             for label in sorted(own & seen):
@@ -392,11 +371,11 @@ class Graph:
                 mapping[label] = f"{label}_{n}"
                 taken.add(mapping[label])
             seen |= own
-            out.add_all(
+            triples.update(
                 Triple(_relabel(t.s, mapping), t.p, _relabel(t.o, mapping)) if mapping else t
-                for t in g._triples
+                for t in g.triples
             )
-        return out
+        return Graph(name, triples)
 
 
 # ---------------------------------------------------------------------------
@@ -695,7 +674,7 @@ class _TurtleParser(_TermParser):
     error = TurtleSyntaxError
 
     def __init__(self, text: str, base: str | None):
-        self.graph = Graph()
+        self.triples: set[Triple] = set()
         # one object per distinct term, however often the document repeats it
         self.terms: dict[Term, Term] = {}
         # The term of each IRI, prefixed-name, `a` or blank-node token, by
@@ -733,7 +712,7 @@ class _TurtleParser(_TermParser):
                 self._base_directive()
             else:
                 self._triples_block()
-        return self.graph
+        return Graph(triples=self.triples)
 
     def _prefix_directive(self):
         self._expect("PREFIX_DIR")
@@ -777,7 +756,7 @@ class _TurtleParser(_TermParser):
         return self._share(term)
 
     def _triples_block(self):
-        add = self.graph._triples.add  # the graph is not probed while parsing
+        add = self.triples.add
         subject = self._subject()
         while True:
             predicate = self._predicate()
@@ -841,8 +820,8 @@ def parse_ntriples(text: str) -> Graph:
     into a `Term` once per call, so equal terms are shared.  The graph's
     indexes are left to its first probe.
     """
-    g = Graph()
-    add = g._triples.add  # no index to keep current yet
+    triples: set[Triple] = set()
+    add = triples.add
     terms: dict[str, Term] = {}
     for lineno, raw in enumerate(_nt_lines(text), 1):
         line = raw.strip(" \t")
@@ -872,4 +851,4 @@ def parse_ntriples(text: str) -> Graph:
                 obj = literal(o_lit, language=o_lang, datatype=o_dtype)
             terms[o_text] = obj
         add(Triple(subject, predicate, obj))
-    return g
+    return Graph(triples=triples)

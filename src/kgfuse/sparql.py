@@ -32,6 +32,7 @@ from .rdf import (
     Graph,
     Term,
     _escape_literal,
+    _IRI_FORBIDDEN_RE,
     _TermParser,
     _Token,
     iri,
@@ -551,7 +552,9 @@ def evaluate(q: QueryAST, graphs: Union[Graph, Iterable[Graph]]) -> ResultTable:
     # any other ORDER BY variable.
     records: list[tuple[tuple[Optional[Term], ...], dict[str, Optional[Term]]]] = []
     if q.group_by or any(isinstance(p, CountAgg) for p in q.projection):
-        groups: dict[tuple, list[dict[str, Term]]] = {}
+        # Without GROUP BY the solutions form one group, even when there are
+        # none (SPARQL 1.1 §11.1), so a COUNT over no matches is one row of 0.
+        groups: dict[tuple, list[dict[str, Term]]] = {} if q.group_by else {(): []}
         for mu in solutions:
             key = tuple(mu.get(v) for v in q.group_by)
             groups.setdefault(key, []).append(mu)
@@ -582,7 +585,6 @@ def evaluate(q: QueryAST, graphs: Union[Graph, Iterable[Graph]]) -> ResultTable:
 # ---------------------------------------------------------------------------
 
 _PLACEHOLDER_RE = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
-_IRI_ILLEGAL = set(' <>"{}|^`\\')
 
 
 @dataclass(frozen=True)
@@ -624,7 +626,7 @@ def instantiate(template: QueryTemplate, bindings: Mapping[str, str]) -> str:
         if before == '"' and after == '"':
             out.append(_escape_literal(value))
         elif before == "<" and after == ">":
-            bad = sorted({c for c in value if c in _IRI_ILLEGAL or ord(c) < 0x21})
+            bad = sorted(set(_IRI_FORBIDDEN_RE.findall(value)))
             if bad:
                 raise TemplateError(
                     f"value for {{{m.group(1)}}} is illegal in IRI context: {bad}"

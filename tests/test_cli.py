@@ -608,6 +608,20 @@ def test_a_commit_field_that_is_not_utf8_is_a_one_line_error_before_any_write(
     assert list(store.iterdir()) == []
 
 
+@pytest.mark.parametrize("with_store", [False, True], ids=["no-store", "store"])
+@pytest.mark.parametrize("name", ["urn:a b", "urn:a<b>", "fused"])
+def test_a_graph_name_ntriples_cannot_write_is_one_error_with_or_without_a_store(
+    workdir, capsys, name, with_store
+):
+    store = workdir / "store"
+    extra = ["--store", str(store)] if with_store else []
+    assert run(_fuse_argv(workdir, "--graph-name", name, *extra)) == 1
+    assert capsys.readouterr().err == (
+        f"error: graph name must be an absolute IRI that N-Triples can write: {name!r}\n"
+    )
+    assert not (workdir / "fused.nt").exists() and not store.exists()
+
+
 def _two_commits(store_dir):
     store = ChangeStore(store_dir)
     g1 = parse_turtle('<urn:s:1> <urn:p:1> "a" . <urn:s:1> <urn:p:1> _:x .')

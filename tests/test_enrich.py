@@ -192,9 +192,7 @@ def test_three_gnds_fetched_sequentially_in_order(tmp_path):
     assert [i.triple_count for i in report.items] == [1, 2, 1]
     # politeness delay between consecutive requests only
     assert sleeps == [0.001, 0.001]
-    expected = Graph()
-    for body in BODIES.values():
-        expected.add_all(parse_turtle(body).triples)
+    expected = Graph(triples=(t for body in BODIES.values() for t in parse_turtle(body).triples))
     assert graph == expected
     assert graph.name == "urn:x-extract:dnb"
 

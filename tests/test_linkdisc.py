@@ -120,12 +120,14 @@ def test_full_match_threshold_accepts_nothing():
 
 
 def test_exact_token_match_scores_one():
-    ga = Graph()
-    gb = Graph()
-    ga.add(Triple(iri("urn:a:1"), iri(RDF_TYPE), iri(PERSON_CONFIG.source_class)))
-    ga.add(Triple(iri("urn:a:1"), iri(RDFS_LABEL), literal("Johann Arndt")))
-    gb.add(Triple(iri("urn:b:1"), iri(RDF_TYPE), iri(PERSON_CONFIG.target_class)))
-    gb.add(Triple(iri("urn:b:1"), iri(RDFS_LABEL), literal("Arndt, Johann")))
+    ga = Graph(triples=[
+        Triple(iri("urn:a:1"), iri(RDF_TYPE), iri(PERSON_CONFIG.source_class)),
+        Triple(iri("urn:a:1"), iri(RDFS_LABEL), literal("Johann Arndt")),
+    ])
+    gb = Graph(triples=[
+        Triple(iri("urn:b:1"), iri(RDF_TYPE), iri(PERSON_CONFIG.target_class)),
+        Triple(iri("urn:b:1"), iri(RDFS_LABEL), literal("Arndt, Johann")),
+    ])
     cfg = LinkConfig(
         source_class=PERSON_CONFIG.source_class,
         target_class=PERSON_CONFIG.target_class,
@@ -155,18 +157,18 @@ SURNAMES = [
 
 
 def _synthetic_side(rng: random.Random, ns: str, class_iri: str, n: int) -> Graph:
-    g = Graph()
+    triples = []
     for i in range(n):
         inst = iri(f"{ns}{i:03d}")
-        g.add(Triple(inst, iri(RDF_TYPE), iri(class_iri)))
+        triples.append(Triple(inst, iri(RDF_TYPE), iri(class_iri)))
         forename = " ".join(
             rng.sample(FORENAMES, rng.choice([1, 1, 2]))
         ).title()
         surname = rng.choice(SURNAMES).title()
-        g.add(Triple(inst, iri(ns + "forename"), literal(forename)))
-        g.add(Triple(inst, iri(ns + "surname"), literal(surname)))
-        g.add(Triple(inst, iri(RDFS_LABEL), literal(f"{forename} {surname}")))
-    return g
+        triples.append(Triple(inst, iri(ns + "forename"), literal(forename)))
+        triples.append(Triple(inst, iri(ns + "surname"), literal(surname)))
+        triples.append(Triple(inst, iri(RDFS_LABEL), literal(f"{forename} {surname}")))
+    return Graph(triples=triples)
 
 
 def _synthetic_config(review: float = 0.5, accept: float = 0.8):
@@ -299,12 +301,14 @@ def test_emitted_scores_stay_within_review_band():
 # --- prefix filter: exact at the threshold and against the oracle ------------------
 
 def _single_pair(source_name: str, target_name: str, review: float):
-    ga = Graph()
-    gb = Graph()
-    ga.add(Triple(iri("urn:a:1"), iri(RDF_TYPE), iri("urn:a:Person")))
-    ga.add(Triple(iri("urn:a:1"), iri(RDFS_LABEL), literal(source_name)))
-    gb.add(Triple(iri("urn:b:1"), iri(RDF_TYPE), iri("urn:b:Person")))
-    gb.add(Triple(iri("urn:b:1"), iri(RDFS_LABEL), literal(target_name)))
+    ga = Graph(triples=[
+        Triple(iri("urn:a:1"), iri(RDF_TYPE), iri("urn:a:Person")),
+        Triple(iri("urn:a:1"), iri(RDFS_LABEL), literal(source_name)),
+    ])
+    gb = Graph(triples=[
+        Triple(iri("urn:b:1"), iri(RDF_TYPE), iri("urn:b:Person")),
+        Triple(iri("urn:b:1"), iri(RDFS_LABEL), literal(target_name)),
+    ])
     cfg = LinkConfig(
         source_class="urn:a:Person",
         target_class="urn:b:Person",
@@ -346,14 +350,14 @@ def _name_value(draw):
 
 @st.composite
 def _catalogue(draw, ns: str, props: tuple[str, ...]):
-    g = Graph()
+    triples = []
     for i in range(draw(st.integers(0, 5))):
         inst = iri(f"{ns}{i}")
-        g.add(Triple(inst, iri(RDF_TYPE), iri(ns + "Person")))
+        triples.append(Triple(inst, iri(RDF_TYPE), iri(ns + "Person")))
         for prop in props:
             for value in draw(st.lists(_name_value(), max_size=3)):
-                g.add(Triple(inst, iri(prop), literal(value)))
-    return g
+                triples.append(Triple(inst, iri(prop), literal(value)))
+    return Graph(triples=triples)
 
 
 # exact cosines that land on or next to a threshold, plus arbitrary ones
@@ -400,14 +404,14 @@ def _tied_value(draw):
 
 @st.composite
 def _many_valued_catalogue(draw, ns: str, props: tuple[str, ...]):
-    g = Graph()
+    triples = []
     for i in range(draw(st.integers(1, 4))):
         inst = iri(f"{ns}{i}")
-        g.add(Triple(inst, iri(RDF_TYPE), iri(ns + "Person")))
+        triples.append(Triple(inst, iri(RDF_TYPE), iri(ns + "Person")))
         for prop in props:
             for value in draw(st.lists(_tied_value(), min_size=2, max_size=4, unique=True)):
-                g.add(Triple(inst, iri(prop), literal(value)))
-    return g
+                triples.append(Triple(inst, iri(prop), literal(value)))
+    return Graph(triples=triples)
 
 
 @settings(max_examples=200, deadline=None)
@@ -428,13 +432,13 @@ def test_evidence_is_the_first_top_value_pair_of_each_property_pair(data):
 
 
 def test_a_tie_keeps_the_first_value_pair_in_sorted_order():
-    ga, gb = Graph(), Graph()
-    ga.add(Triple(iri("urn:a:1"), iri(RDF_TYPE), iri("urn:a:Person")))
-    gb.add(Triple(iri("urn:b:1"), iri(RDF_TYPE), iri("urn:b:Person")))
-    for value in ("Maria Anna", "Hans"):
-        ga.add(Triple(iri("urn:a:1"), iri("urn:a:name"), literal(value)))
-    for value in ("Anna Maria", "Anna-Maria", "Hans Georg"):
-        gb.add(Triple(iri("urn:b:1"), iri("urn:b:name"), literal(value)))
+    ga = Graph(triples=[Triple(iri("urn:a:1"), iri(RDF_TYPE), iri("urn:a:Person"))] + [
+        Triple(iri("urn:a:1"), iri("urn:a:name"), literal(value)) for value in ("Maria Anna", "Hans")
+    ])
+    gb = Graph(triples=[Triple(iri("urn:b:1"), iri(RDF_TYPE), iri("urn:b:Person"))] + [
+        Triple(iri("urn:b:1"), iri("urn:b:name"), literal(value))
+        for value in ("Anna Maria", "Anna-Maria", "Hans Georg")
+    ])
     cfg = LinkConfig("urn:a:Person", "urn:b:Person", (("urn:a:name", "urn:b:name"),), 0.8, 0.5)
     [found] = find_links(ga, gb, cfg)
     # "Maria Anna" scores 1.0 against both "Anna Maria" and "Anna-Maria"
@@ -457,16 +461,16 @@ def test_link_records_are_named_tuples_that_equal_plain_tuples():
 
 
 def _many_valued_side(rng: random.Random, ns: str, n: int) -> Graph:
-    g = Graph()
+    triples = []
     for i in range(n):
         inst = iri(f"{ns}{i:02d}")
-        g.add(Triple(inst, iri(RDF_TYPE), iri(ns + "Person")))
+        triples.append(Triple(inst, iri(RDF_TYPE), iri(ns + "Person")))
         for prop in ("name", "alias"):
             for _ in range(rng.randint(2, 3)):
                 tokens = rng.sample(NAME_TOKENS[:5], rng.randint(1, 3))
                 name = rng.choice([" ", ", "]).join(tokens).title()  # a comma is quoted
-                g.add(Triple(inst, iri(ns + prop), literal(name)))
-    return g
+                triples.append(Triple(inst, iri(ns + prop), literal(name)))
+    return Graph(triples=triples)
 
 
 REPORT_ROWS = 144

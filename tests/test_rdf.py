@@ -730,6 +730,22 @@ def test_a_literal_datatype_must_be_an_absolute_iri(datatype):
     assert literal("x", datatype="urn:dt:x").datatype == "urn:dt:x"
 
 
+def test_an_empty_language_tag_is_none_and_an_empty_datatype_is_rejected():
+    assert literal("x", language="") == literal("x") == Term(rdf.LITERAL, "x", "", None)
+    assert literal("x", language="").language is None
+    with pytest.raises(RdfError, match="^datatype IRI is not absolute: ''$"):
+        literal("x", datatype="")
+    with pytest.raises(RdfError, match="^literal cannot have both language and datatype$"):
+        literal("x", language="de", datatype="")
+
+
+@pytest.mark.parametrize("name", ["g", "urn:a b", "urn:a<b>", "urn:x\x00"])
+def test_a_graph_name_is_an_iri_ntriples_can_write(name):
+    with pytest.raises(RdfError, match="^graph name must be an absolute IRI that N-Triples"):
+        Graph(name)
+    assert Graph("urn:a:b").name == "urn:a:b" and Graph().name is None
+
+
 def test_ntriples_rejects_a_relative_datatype_iri():
     doc = '<urn:s:1> <urn:p:1> "x"^^<dt> .'
     with pytest.raises(RdfError, match="IRI is not absolute: 'dt'"):
@@ -790,12 +806,14 @@ def test_terms_have_slots_and_survive_pickling_across_processes():
 
 # --- graph and indexes -------------------------------------------------------
 
-def test_insert_is_idempotent():
-    g = Graph()
+def test_a_graph_holds_each_triple_once_and_has_no_mutators():
     t = Triple(iri("urn:s:1"), iri("urn:p:1"), literal("x"))
-    assert g.add(t) is True
-    assert g.add(t) is False
-    assert len(g) == 1
+    g = Graph("urn:g:1", [t, t])
+    assert len(g) == 1 and t in g
+    assert isinstance(g.triples, frozenset) and g.triples is g.triples
+    assert not any(hasattr(g, name) for name in ("add", "add_all", "copy", "_triples"))
+    with pytest.raises(TypeError):
+        hash(g)
 
 
 def test_match_on_empty_graph():
@@ -816,10 +834,10 @@ def _random_graph(rng: random.Random) -> Graph:
     subjects = [iri(f"urn:s:{i}") for i in range(4)] + [blank(f"n{i}") for i in range(2)]
     predicates = [iri(f"urn:p:{i}") for i in range(3)]
     objects = [literal(str(i)) for i in range(3)] + [iri("urn:o:0"), blank("n0")]
-    g = Graph()
-    for _ in range(rng.randrange(0, 40)):
-        g.add(Triple(rng.choice(subjects), rng.choice(predicates), rng.choice(objects)))
-    return g
+    return Graph(triples=[
+        Triple(rng.choice(subjects), rng.choice(predicates), rng.choice(objects))
+        for _ in range(rng.randrange(0, 40))
+    ])
 
 
 def test_match_equals_linear_scan_on_random_graphs():
@@ -910,12 +928,10 @@ def _triples(subjects=_SUBJECTS, objects=_OBJECTS):
 
 
 _PATTERN = st.tuples(*[st.none() | st.sampled_from(_ALL_TERMS)] * 3)
-# One graph, changed and probed in turn; `copy` and `union` replace it.
+# One graph, probed in turn; `union` replaces it.
 _GRAPH_OPS = st.lists(
     st.one_of(
-        st.tuples(st.just("add"), _triples()),
         st.tuples(st.sampled_from(["match", "count"]), _PATTERN),
-        st.tuples(st.just("copy"), st.none()),
         # the other input holds no blank node, so the merge is the set union
         st.tuples(
             st.just("union"),
@@ -936,12 +952,7 @@ def test_lazily_built_indexes_answer_as_a_linear_scan(initial, ops):
     g = Graph(triples=initial)
     model = set(initial)
     for op, arg in ops:
-        if op == "add":
-            assert g.add(arg) is (arg not in model)
-            model.add(arg)
-        elif op == "copy":
-            g = g.copy()
-        elif op == "union":
+        if op == "union":
             triples, probe_other, other_first = arg
             other = Graph(triples=triples)
             if probe_other:

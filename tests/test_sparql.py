@@ -32,11 +32,12 @@ from kgfuse.prefixes import (
     XSD_BOOLEAN,
     XSD_INTEGER,
 )
-from kgfuse.rdf import Graph, Triple, blank, iri, literal, ntriples_term, parse_turtle
+from kgfuse.rdf import Graph, RdfError, Triple, blank, iri, literal, ntriples_term, parse_turtle
 from kgfuse.sparql import (
     CountAgg,
     QueryTemplate,
     SparqlSyntaxError,
+    TemplateError,
     UnsupportedFeatureError,
     Var,
     evaluate,
@@ -107,7 +108,8 @@ def naive_evaluate(ast, graph: Graph):
     has_agg = any(isinstance(p, CountAgg) for p in ast.projection)
     rows: list[tuple] = []
     if ast.group_by or has_agg:
-        groups: dict[tuple, list[dict]] = {}
+        # without GROUP BY: one group, even of no solutions (SPARQL 1.1 §11.1)
+        groups: dict[tuple, list[dict]] = {} if ast.group_by else {(): []}
         for mu in solutions:
             groups.setdefault(tuple(mu.get(v) for v in ast.group_by), []).append(mu)
         for key, members in groups.items():
@@ -266,11 +268,12 @@ def test_document_corpus_matches_naive_oracle():
 
 def test_ragged_dates_drop_rows_not_queries():
     g = fixtures.qualification_documents()
-    g2 = g.copy()
-    g2.add(Triple(iri(PCP_DATA_NS + "d13"), iri(RDF_TYPE), iri(PCP_NS + "QualificationDocument")))
-    g2.add(Triple(iri(PCP_DATA_NS + "d13"), iri(PCP_NS + "praeses"), iri(PCP_DATA_NS + "arndt")))
-    g2.add(Triple(iri(PCP_DATA_NS + "d13"), iri(PCP_NS + "faculty"), iri(PCP_DATA_NS + "theology")))
-    g2.add(Triple(iri(PCP_DATA_NS + "d13"), iri(PCP_NS + "date"), literal("o. J.")))
+    g2 = Graph(g.name, g.triples | {
+        Triple(iri(PCP_DATA_NS + "d13"), iri(RDF_TYPE), iri(PCP_NS + "QualificationDocument")),
+        Triple(iri(PCP_DATA_NS + "d13"), iri(PCP_NS + "praeses"), iri(PCP_DATA_NS + "arndt")),
+        Triple(iri(PCP_DATA_NS + "d13"), iri(PCP_NS + "faculty"), iri(PCP_DATA_NS + "theology")),
+        Triple(iri(PCP_DATA_NS + "d13"), iri(PCP_NS + "date"), literal("o. J.")),
+    })
     ast = parse_query(GROUPED_QUERY, prefixes=DEFAULT_PREFIXES)
     assert evaluate(ast, g2).rows == EXPECTED_DOCUMENT_ROWS
 
@@ -303,10 +306,10 @@ def _random_graph(rng: random.Random, max_triples: int = 200) -> Graph:
         + [literal("1600-05-02"), literal("x", language="de")]
         + subjects[:3]
     )
-    g = Graph()
-    for _ in range(rng.randrange(0, max_triples + 1)):
-        g.add(Triple(rng.choice(subjects), rng.choice(predicates), rng.choice(objects)))
-    return g
+    return Graph(triples=[
+        Triple(rng.choice(subjects), rng.choice(predicates), rng.choice(objects))
+        for _ in range(rng.randrange(0, max_triples + 1))
+    ])
 
 
 ORACLE_QUERIES = [
@@ -317,6 +320,8 @@ ORACLE_QUERIES = [
     "select ?s where {?s ?p \"1\"}",
     "select (count(?o) as ?n) ?s where {?s <urn:p:0> ?o} group by ?s",
     "select (count(?x) as ?n) ?p where {?s ?p ?x . ?x <urn:p:2> ?y} group by ?p",
+    "select (count(?o) as ?n) where {?s <urn:p:0> ?o}",
+    "select (count(?x) as ?n) (count(?y) as ?m) where {?s ?p ?x . ?x <urn:p:2> ?y}",
 ]
 
 
@@ -350,10 +355,26 @@ def test_order_by_descending_and_limit():
     assert [row[1].value for row in table.rows] == ["1601", "1600"]
 
 
+def test_count_without_group_by_is_one_row_even_over_no_matches():
+    # SPARQL 1.1 §11.1: without GROUP BY the solutions form one group
+    query = parse_query("select (count(?s) as ?n) (count(?o) as ?m) where {?s <urn:p> ?o}")
+    other = Graph(triples=[Triple(iri("urn:s:1"), iri("urn:q"), literal("x"))])
+    for g in (Graph(), other):
+        table = evaluate(query, g)
+        assert table.rows == [(_count_int(0), _count_int(0))]
+        assert table.to_csv().splitlines() == ["n,m", "0,0"]
+    matched = Graph(triples=[Triple(iri("urn:s:1"), iri("urn:p"), literal("x"))])
+    assert evaluate(query, matched).rows == [(_count_int(1), _count_int(1))]
+    # with GROUP BY, no solutions make no groups and so no rows
+    grouped = parse_query("select ?o (count(?s) as ?n) where {?s <urn:p> ?o} group by ?o")
+    assert evaluate(grouped, other).rows == []
+
+
 def test_numeric_order_beats_lexical():
-    g = Graph()
-    g.add(Triple(iri("urn:s:a"), iri("urn:p:v"), literal("999", datatype=XSD_INTEGER)))
-    g.add(Triple(iri("urn:s:b"), iri("urn:p:v"), literal("1700", datatype=XSD_INTEGER)))
+    g = Graph(triples=[
+        Triple(iri("urn:s:a"), iri("urn:p:v"), literal("999", datatype=XSD_INTEGER)),
+        Triple(iri("urn:s:b"), iri("urn:p:v"), literal("1700", datatype=XSD_INTEGER)),
+    ])
     ast = parse_query("select ?s ?v where {?s <urn:p:v> ?v} order by asc(?v)")
     table = evaluate(ast, g)
     assert [row[1].value for row in table.rows] == ["999", "1700"]
@@ -406,7 +427,7 @@ def _reference_order(ast, solutions) -> list[tuple]:
     with ties broken by the rows' N-Triples text."""
     records = []
     if ast.group_by or any(isinstance(p, CountAgg) for p in ast.projection):
-        groups: dict[tuple, list[dict]] = {}
+        groups: dict[tuple, list[dict]] = {} if ast.group_by else {(): []}
         for mu in solutions:
             groups.setdefault(tuple(mu.get(v) for v in ast.group_by), []).append(mu)
         for key, members in groups.items():
@@ -443,12 +464,14 @@ def _ordered_queries(draw) -> str:
     bound = _ORDER_VARS if with_year else _ORDER_VARS[:3]
     where = "?s ?p ?o" + (" . bind (year(?o) as ?y)" if with_year else "")
     if draw(st.booleans()):
-        group_by = draw(st.lists(st.sampled_from(bound), min_size=1, max_size=3, unique=True))
-        shown = draw(st.lists(st.sampled_from(group_by), max_size=len(group_by), unique=True))
+        group_by = draw(st.lists(st.sampled_from(bound), max_size=3, unique=True))
+        shown = []
+        if group_by:
+            shown = draw(st.lists(st.sampled_from(group_by), max_size=len(group_by), unique=True))
         counted = draw(st.sampled_from(bound))
         select = " ".join("?" + v for v in shown) + f" (count(?{counted}) as ?n)"
         visible = group_by + ["n"]
-        tail = " group by " + " ".join("?" + v for v in group_by)
+        tail = " group by " + " ".join("?" + v for v in group_by) if group_by else ""
     else:
         shown = draw(st.lists(st.sampled_from(bound), min_size=1, max_size=len(bound), unique=True))
         select = " ".join("?" + v for v in shown)
@@ -477,9 +500,7 @@ def _ordered_queries(draw) -> str:
     query=_ordered_queries(),
 )
 def test_order_by_matches_a_reference_comparator(triples, query):
-    g = Graph()
-    for s, p, o in triples:
-        g.add(Triple(s, p, o))
+    g = Graph(triples=[Triple(s, p, o) for s, p, o in triples])
     ast = parse_query(query)
     solutions = [{"s": t.s, "p": t.p, "o": t.o} for t in g.triples]
     if ast.binds:
@@ -522,14 +543,16 @@ def test_pattern_order_does_not_change_rows():
 
 
 def _persons_graph(n: int) -> Graph:
-    g = Graph()
+    triples = []
     for i in range(n):
         person = iri(f"{PCP_DATA_NS}person{i}")
-        g.add(Triple(person, iri(RDF_TYPE), iri(PCP_NS + "Person")))
-        g.add(Triple(person, iri(PCP_NS + "faculty"), iri(f"{PCP_DATA_NS}faculty{i % 3}")))
-        g.add(Triple(person, iri(PCP_NS + "birthDate"), literal(f"{1550 + i % 50}-01-01")))
-        g.add(Triple(person, iri(RDFS_LABEL), literal(f"Person {i}")))
-    return g
+        triples += [
+            Triple(person, iri(RDF_TYPE), iri(PCP_NS + "Person")),
+            Triple(person, iri(PCP_NS + "faculty"), iri(f"{PCP_DATA_NS}faculty{i % 3}")),
+            Triple(person, iri(PCP_NS + "birthDate"), literal(f"{1550 + i % 50}-01-01")),
+            Triple(person, iri(RDFS_LABEL), literal(f"Person {i}")),
+        ]
+    return Graph(triples=triples)
 
 
 LOOKUP_QUERY = """\
@@ -614,6 +637,27 @@ def test_iri_context_rejects_illegal_characters():
     assert "<urn:same:118755951>" in instantiate(template, {"gnd": "118755951"})
     with pytest.raises(Exception):
         instantiate(template, {"gnd": "has space"})
+
+
+# Characters that N-Triples forbids in an IRI and ones it allows, then any
+# text without a lone surrogate.
+_IRI_VALUES = st.text(st.sampled_from(' <>"{}|^`\\\x00\x1f\x7f\x85a:/#%\u00e9')) | st.text(
+    st.characters(exclude_categories=("Cs",))
+)
+
+
+@given(_IRI_VALUES)
+def test_an_iri_placeholder_takes_exactly_the_values_that_make_an_iri(value):
+    template = QueryTemplate.from_text("select ?p where { <{x}> ?p ?o }")
+    try:
+        iri("urn:x:" + value)
+    except RdfError:
+        bad = sorted({c for c in value if c in ' <>"{}|^`\\' or ord(c) < 0x21})
+        with pytest.raises(TemplateError) as err:
+            instantiate(template, {"x": value})
+        assert str(err.value) == f"value for {{x}} is illegal in IRI context: {bad}"
+    else:
+        assert instantiate(template, {"x": value}) == f"select ?p where {{ <{value}> ?p ?o }}"
 
 
 def test_placeholders_are_read_off_the_text():

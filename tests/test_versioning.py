@@ -40,10 +40,7 @@ def _lines(triples) -> frozenset[str]:
 
 
 def _graph(*values: str) -> Graph:
-    g = Graph(name=GRAPH_NAME)
-    for v in values:
-        g.add(Triple(iri("urn:s:1"), iri("urn:p:value"), literal(v)))
-    return g
+    return Graph(GRAPH_NAME, [Triple(iri("urn:s:1"), iri("urn:p:value"), literal(v)) for v in values])
 
 
 def test_first_commit_is_root_with_all_triples_added(tmp_path):
@@ -68,7 +65,7 @@ def test_recommitting_same_state_is_rejected(tmp_path):
 def test_rename_fix_changeset_matches_set_difference_oracle(tmp_path):
     store = ChangeStore(tmp_path / "store")
     before = fixtures.quality_vocabulary()
-    before_named = before.copy(name=GRAPH_NAME)
+    before_named = Graph(GRAPH_NAME, before.triples)
     store.commit(GRAPH_NAME, before_named, "historian", "import vocabulary", timestamp=10)
     after = shift_namespace(
         before, PCP_NS, PCP_NS, renames={"surname_lat": "latinSurname", "lecture": "lecturer"}
@@ -238,7 +235,7 @@ def test_messages_with_tabs_and_newlines_round_trip(tmp_path):
 def test_commit_round_trip_for_fixture_graphs(tmp_path):
     for idx, (name, g) in enumerate(fixtures.corpus().items()):
         store = ChangeStore(tmp_path / f"store{idx}")
-        named = g.copy(name=GRAPH_NAME)
+        named = Graph(GRAPH_NAME, g.triples)
         c = store.commit(GRAPH_NAME, named, "t", f"import {name}", timestamp=idx + 1)
         assert store.checkout(c.id) == _lines(named.triples), name
 

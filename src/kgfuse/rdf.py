@@ -256,7 +256,8 @@ class Graph:
     """
 
     def __init__(self, name: str | None = None, triples: Iterable[Triple] = ()):
-        if name is not None and not IRI_RE.match(name):
+        # N-Triples text is UTF-8, which has no form for a lone surrogate
+        if name is not None and (not IRI_RE.match(name) or _SURROGATE_RE.search(name)):
             raise RdfError(
                 f"graph name must be an absolute IRI that N-Triples can write: {name!r}"
             )
@@ -563,8 +564,8 @@ def _lex(text: str) -> list[_Token]:
 
     Never raises: a character no other alternative matches becomes a
     one-character UNKNOWN token, and each parser rejects the tokens it does
-    not accept where it meets them, so the query parser can still name an
-    unsupported keyword that comes first (the FILTER of `FILTER(?o > 3)`).
+    not accept, so the query parser can name an unsupported keyword
+    wherever it stands (the FILTER of `FILTER(?o > 3)`, whose `>` is UNKNOWN).
     """
     tokens = []
     for m in _LEXER_RE.finditer(text):

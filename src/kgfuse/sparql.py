@@ -3,16 +3,20 @@
 Supported surface: SELECT (`*`, variables, `(count(?v) as ?alias)`), a WHERE
 block of dot-separated triple patterns, `bind (year(?v) as ?x)` after the
 patterns, GROUP BY, ORDER BY asc()/desc(), LIMIT, and PREFIX declarations.
-Everything else raises `UnsupportedFeatureError` naming the construct.
+Everything else raises `UnsupportedFeatureError` naming the construct.  The
+parser meets every keyword of the text in one pass before it parses, so an
+unsupported one (DISTINCT, OFFSET, ...) is named wherever it stands, even
+after a syntax error.
 
 Evaluation uses bag semantics before grouping.  A greedy planner orders the
 triple patterns once per query from index cardinalities (`Graph.count`), so
 the order they are written in does not matter; each pattern is then joined
 by probing the graph through its indexes, and `year()` binds run last.
-Rows are put in order once, at the end: first by the canonical N-Triples
-text of the whole row, then by one stable sort per ORDER BY key (last key
-first, `term_sort_key`), so output is byte-deterministic whatever the join
-order.
+Each result row is one tuple: its projected cells, followed for a grouped
+row by its group key, which ORDER BY may also read.  Rows are put in order
+once, at the end: first by the canonical N-Triples text of the projected
+cells, then by one stable sort per ORDER BY key (last key first,
+`term_sort_key`), so output is byte-deterministic whatever the join order.
 """
 
 from __future__ import annotations
@@ -33,8 +37,8 @@ from .rdf import (
     Term,
     _escape_literal,
     _IRI_FORBIDDEN_RE,
+    _STRING,
     _TermParser,
-    _Token,
     iri,
     literal,
     ntriples_term,
@@ -185,19 +189,17 @@ class _QueryParser(_TermParser):
 
     def __init__(self, text: str, prefixes: Mapping[str, str] | None):
         super().__init__(text, dict(prefixes or {}), None)
+        # One gate for the whole text: the first unsupported keyword is the
+        # error, wherever it stands.  Variables, strings, prefixed names and
+        # IRIs are other token types, so `?filter` passes.
+        for tok in self.tokens:
+            if tok.type == "KEYWORD" and tok.value.lower() in _UNSUPPORTED:
+                raise UnsupportedFeatureError(tok.value.upper(), *self._at(tok))
 
-    def _check_supported(self, tok: _Token):
-        if tok.type == "KEYWORD":
-            kw = tok.keyword
-            if kw in _UNSUPPORTED:
-                raise UnsupportedFeatureError(kw.upper(), *self._at(tok))
-
-    def _expect_keyword(self, word: str) -> _Token:
+    def _expect_keyword(self, word: str):
         tok = self._next()
-        self._check_supported(tok)
         if tok.keyword != word:
             self._fail(f"expected {word.upper()}", tok)
-        return tok
 
     def parse(self) -> QueryAST:
         self._prologue()
@@ -209,10 +211,7 @@ class _QueryParser(_TermParser):
         group_by = self._group_by_clause()
         order_by = self._order_by_clause()
         limit = self._limit_clause()
-        tok = self._next()
-        if tok.type != "EOF":
-            self._check_supported(tok)
-            self._fail("unexpected trailing input", tok)
+        self._expect("EOF", "unexpected trailing input")
         if select_all:
             projection = self._expand_star(patterns, binds)
         return _validated(QueryAST(projection, patterns, binds, group_by, order_by, limit))
@@ -247,7 +246,6 @@ class _QueryParser(_TermParser):
 
     def _aggregate(self) -> CountAgg:
         tok = self._next()
-        self._check_supported(tok)
         if tok.keyword != "count":
             self._fail("only count() aggregates are supported", tok)
         self._expect("LPAREN", "expected '(' after count")
@@ -269,7 +267,6 @@ class _QueryParser(_TermParser):
                 break
             if tok.type == "EOF":
                 self._fail("unterminated WHERE block", tok)
-            self._check_supported(tok)
             if tok.keyword == "bind":
                 self._next()
                 bind = self._bind(seen)
@@ -290,7 +287,6 @@ class _QueryParser(_TermParser):
     def _bind(self, seen: set[str]) -> YearBind:
         self._expect("LPAREN", "expected '(' after BIND")
         fn = self._next()
-        self._check_supported(fn)
         if fn.keyword != "year":
             self._fail("only year() is supported in BIND", fn)
         self._expect("LPAREN", "expected '(' after year")
@@ -306,7 +302,6 @@ class _QueryParser(_TermParser):
 
     def _pattern_term(self, position: str) -> Union[Term, Var]:
         tok = self._next()
-        self._check_supported(tok)
         if tok.type == "VAR":
             return Var(tok.value[1:])
         value = self._iri(tok)
@@ -535,49 +530,42 @@ def _solutions(q: QueryAST, g: Graph) -> tuple[list[dict[str, Term]], list[PlanS
 
 def evaluate(q: QueryAST, graphs: Union[Graph, Iterable[Graph]]) -> ResultTable:
     """Evaluate a query over one graph or the RDF merge of several (`Graph.union`)."""
-    if isinstance(graphs, Graph):
-        g = graphs
-    else:
-        graph_list = list(graphs)
-        if not graph_list:
-            g = Graph()
-        elif len(graph_list) == 1:
-            g = graph_list[0]
-        else:
-            g = Graph.union(graph_list)
-    solutions, plan = _solutions(q, g)
+    if not isinstance(graphs, Graph):
+        graphs = list(graphs)
+        graphs = graphs[0] if len(graphs) == 1 else Graph.union(graphs)
+    solutions, plan = _solutions(q, graphs)
     header = q.header
-    # Each row carries the environment its ORDER BY keys read: the projected
-    # cells, and for a grouped row its group key too.  `_validated` rejects
-    # any other ORDER BY variable.
-    records: list[tuple[tuple[Optional[Term], ...], dict[str, Optional[Term]]]] = []
+    rows: list[tuple[Optional[Term], ...]]
     if q.group_by or any(isinstance(p, CountAgg) for p in q.projection):
         # Without GROUP BY the solutions form one group, even when there are
         # none (SPARQL 1.1 §11.1), so a COUNT over no matches is one row of 0.
         groups: dict[tuple, list[dict[str, Term]]] = {} if q.group_by else {(): []}
         for mu in solutions:
-            key = tuple(mu.get(v) for v in q.group_by)
-            groups.setdefault(key, []).append(mu)
+            groups.setdefault(tuple(mu.get(v) for v in q.group_by), []).append(mu)
+        # A grouped row holds its cells, then its group key; `_validated`
+        # puts every projected variable in GROUP BY.
+        rows = []
         for key, members in groups.items():
-            env = dict(zip(q.group_by, key))
-            row = []
+            cells = []
             for p in q.projection:
                 if isinstance(p, CountAgg):
                     count = sum(1 for mu in members if mu.get(p.var) is not None)
-                    row.append(literal(str(count), datatype=XSD_INTEGER))
+                    cells.append(literal(str(count), datatype=XSD_INTEGER))
                 else:
-                    row.append(env.get(p.name))
-            for name, cell in zip(header, row):
-                env.setdefault(name, cell)
-            records.append((tuple(row), env))
+                    cells.append(key[q.group_by.index(p.name)])
+            rows.append((*cells, *key))
     else:
-        for mu in solutions:
-            row = tuple(mu.get(p.name) for p in q.projection)
-            records.append((row, dict(zip(header, row))))
-    records.sort(key=lambda r: tuple("" if t is None else ntriples_term(t) for t in r[0]))
+        rows = [tuple(mu.get(p.name) for p in q.projection) for mu in solutions]
+    # `_validated` lets ORDER BY read only projected and grouped variables.
+    width = len(header)
+    column: dict[str, int] = {}
+    for i, name in enumerate(header + q.group_by):
+        column.setdefault(name, i)
+    rows.sort(key=lambda r: tuple("" if t is None else ntriples_term(t) for t in r[:width]))
     for key in reversed(q.order_by):
-        records.sort(key=lambda r: term_sort_key(r[1].get(key.var)), reverse=not key.ascending)
-    return ResultTable(header, [row for row, _ in records[: q.limit]], plan)
+        i = column[key.var]
+        rows.sort(key=lambda r: term_sort_key(r[i]), reverse=not key.ascending)
+    return ResultTable(header, [r[:width] for r in rows[: q.limit]], plan)
 
 
 # ---------------------------------------------------------------------------
@@ -585,29 +573,51 @@ def evaluate(q: QueryAST, graphs: Union[Graph, Iterable[Graph]]) -> ResultTable:
 # ---------------------------------------------------------------------------
 
 _PLACEHOLDER_RE = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
+# The tokens a placeholder can sit in: a string, or an IRI, whose brackets
+# hold no white space, `"`, `<` or `>`.  Anywhere else it is bare.
+_CONTEXT_RE = re.compile(rf'(?P<literal>{_STRING})|(?P<iri><[^\s"<>]*>)')
+# context -> (the characters a value must not hold there, where that is)
+_VALUE_RULES = {
+    "iri": (_IRI_FORBIDDEN_RE, "in IRI context"),
+    "bare": (re.compile(r'[<>"{}\s]'), "outside quotes"),
+}
 
 
 @dataclass(frozen=True)
 class QueryTemplate:
-    """SPARQL text with `{name}` placeholders, which are read off the text."""
+    """SPARQL text with `{name}` placeholders, which are read off the text
+    along with the context of each occurrence."""
 
     text: str
     placeholders: frozenset[str] = field(init=False)
+    # (start, end, name, context) of each occurrence, in text order
+    _slots: tuple[tuple[int, int, str, str], ...] = field(init=False, repr=False)
 
     @classmethod
     def from_text(cls, text: str) -> "QueryTemplate":
         return cls(text)
 
     def __post_init__(self):
-        object.__setattr__(self, "placeholders", frozenset(_PLACEHOLDER_RE.findall(self.text)))
+        context = {
+            m.start(): token.lastgroup
+            for token in _CONTEXT_RE.finditer(self.text)
+            for m in _PLACEHOLDER_RE.finditer(self.text, token.start(), token.end())
+        }
+        slots = tuple(
+            (m.start(), m.end(), m.group(1), context.get(m.start(), "bare"))
+            for m in _PLACEHOLDER_RE.finditer(self.text)
+        )
+        object.__setattr__(self, "placeholders", frozenset(name for _, _, name, _ in slots))
+        object.__setattr__(self, "_slots", slots)
 
 
 def instantiate(template: QueryTemplate, bindings: Mapping[str, str]) -> str:
-    """Fill placeholders, escaping each occurrence for its context.
+    """Fill placeholders, escaping each occurrence for the token it sits in.
 
-    A placeholder directly wrapped in double quotes is escaped as a literal;
-    one wrapped in angle brackets must stay a legal IRI; anywhere else the
-    value must be free of whitespace and delimiter characters.
+    A placeholder anywhere inside a double-quoted string is escaped as a
+    literal; one inside an IRI's angle brackets must keep the IRI legal;
+    anywhere else the value must be free of white space and delimiter
+    characters.
     """
     missing = template.placeholders - set(bindings)
     if missing:
@@ -617,28 +627,16 @@ def instantiate(template: QueryTemplate, bindings: Mapping[str, str]) -> str:
         raise TemplateError(f"unused binding(s): {', '.join(sorted(unused))}")
     out = []
     last = 0
-    text = template.text
-    for m in _PLACEHOLDER_RE.finditer(text):
-        out.append(text[last : m.start()])
-        value = bindings[m.group(1)]
-        before = text[m.start() - 1] if m.start() > 0 else ""
-        after = text[m.end()] if m.end() < len(text) else ""
-        if before == '"' and after == '"':
-            out.append(_escape_literal(value))
-        elif before == "<" and after == ">":
-            bad = sorted(set(_IRI_FORBIDDEN_RE.findall(value)))
-            if bad:
-                raise TemplateError(
-                    f"value for {{{m.group(1)}}} is illegal in IRI context: {bad}"
-                )
-            out.append(value)
+    for start, end, name, context in template._slots:
+        value = bindings[name]
+        if context == "literal":
+            value = _escape_literal(value)
         else:
-            bad = sorted({c for c in value if c in '<>"{}' or c.isspace()})
+            forbidden, where = _VALUE_RULES[context]
+            bad = sorted(set(forbidden.findall(value)))
             if bad:
-                raise TemplateError(
-                    f"value for {{{m.group(1)}}} is illegal outside quotes: {bad}"
-                )
-            out.append(value)
-        last = m.end()
-    out.append(text[last:])
+                raise TemplateError(f"value for {{{name}}} is illegal {where}: {bad}")
+        out += (template.text[last:start], value)
+        last = end
+    out.append(template.text[last:])
     return "".join(out)

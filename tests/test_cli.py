@@ -622,6 +622,24 @@ def test_a_graph_name_ntriples_cannot_write_is_one_error_with_or_without_a_store
     assert not (workdir / "fused.nt").exists() and not store.exists()
 
 
+@pytest.mark.parametrize("with_store", [False, True], ids=["no-store", "store"])
+def test_a_graph_name_with_a_lone_surrogate_exits_1_before_any_write(
+    workdir, capsys, with_store
+):
+    # A command-line byte that is not UTF-8 reaches Python as a lone surrogate.
+    name = "urn:x\udcff"
+    store = workdir / "store"
+    extra = ["--store", str(store)] if with_store else []
+    assert run(_fuse_argv(workdir, "--graph-name", name, *extra)) == 1
+    err = capsys.readouterr().err
+    if with_store:
+        assert err.startswith("error: commit graph name is not UTF-8 text")
+    else:
+        assert err == f"error: graph name must be an absolute IRI that N-Triples can write: {name!r}\n"
+    assert len(err.splitlines()) == 1
+    assert not (workdir / "fused.nt").exists() and not store.exists()
+
+
 def _two_commits(store_dir):
     store = ChangeStore(store_dir)
     g1 = parse_turtle('<urn:s:1> <urn:p:1> "a" . <urn:s:1> <urn:p:1> _:x .')

@@ -739,7 +739,7 @@ def test_an_empty_language_tag_is_none_and_an_empty_datatype_is_rejected():
         literal("x", language="de", datatype="")
 
 
-@pytest.mark.parametrize("name", ["g", "urn:a b", "urn:a<b>", "urn:x\x00"])
+@pytest.mark.parametrize("name", ["g", "urn:a b", "urn:a<b>", "urn:x\x00", "urn:x\udcff"])
 def test_a_graph_name_is_an_iri_ntriples_can_write(name):
     with pytest.raises(RdfError, match="^graph name must be an absolute IRI that N-Triples"):
         Graph(name)

@@ -40,6 +40,7 @@ from kgfuse.sparql import (
     TemplateError,
     UnsupportedFeatureError,
     Var,
+    _UNSUPPORTED,
     evaluate,
     instantiate,
     parse_query,
@@ -162,6 +163,35 @@ def test_unsupported_features_are_named():
     with pytest.raises(UnsupportedFeatureError) as exc:
         parse_query('select * where {?s ?p ?o . FILTER(?o > 3)}')
     assert "FILTER" in str(exc.value)
+
+
+# Where an unsupported keyword can stand; `{kw}` marks it.
+_GATE_POSITIONS = {
+    "after-select": "select {kw} ?s where { ?s ?p ?o }",
+    "in-where": "select ?s\nwhere {\n  ?s ?p ?o .\n  {kw} }",
+    "after-block": "select ?s where { ?s ?p ?o }\n{kw}",
+    "limit-argument": "select ?s where { ?s ?p ?o } limit {kw}",
+}
+
+
+@pytest.mark.parametrize("position", _GATE_POSITIONS)
+@pytest.mark.parametrize("word", sorted(_UNSUPPORTED))
+def test_an_unsupported_keyword_is_named_wherever_it_stands(word, position):
+    template = _GATE_POSITIONS[position]
+    before = template[: template.index("{kw}")]
+    line, column = before.count("\n") + 1, len(before) - before.rfind("\n")
+    with pytest.raises(UnsupportedFeatureError) as exc:
+        parse_query(template.replace("{kw}", word))
+    assert (exc.value.feature, exc.value.line, exc.value.column) == (word.upper(), line, column)
+    assert str(exc.value) == f"unsupported SPARQL feature: {word.upper()} at {line}:{column}"
+
+
+def test_only_keyword_tokens_meet_the_gate():
+    ast = parse_query(
+        'prefix ex: <urn:x:> select ?filter where { ?filter ex:union "distinct" . '
+        "?filter <urn:x:optional> ?o }"
+    )
+    assert ast.header == ["filter"] and len(ast.patterns) == 2
 
 
 def test_mixed_case_keywords():
@@ -620,23 +650,31 @@ def test_instantiate_unused_binding():
     assert "extra" in str(exc.value)
 
 
+_TRICKY = {
+    "quotes-and-backslashes": 'has "quotes" and \\slashes\\',
+    "c0-controls": "C0 \x01 \x0c \r \x1f controls",
+    "trailing-backslash": "a\\",
+}
+
+
 @pytest.mark.parametrize(
-    "tricky",
-    ['has "quotes" and \\slashes\\', "C0 \x01 \x0c \r \x1f controls"],
-    ids=["quotes-and-backslashes", "c0-controls"],
+    "prefix, tricky",
+    [pytest.param("", value, id=name) for name, value in _TRICKY.items()]
+    + [pytest.param("pre-", value, id=f"pre-{name}") for name, value in _TRICKY.items()],
 )
-def test_literal_escaping_round_trips_through_parser(tricky):
-    text = instantiate(WIKIDATA_TEMPLATE, {"gnd": tricky})
-    ast = parse_query(text)
-    obj = ast.patterns[0].o
-    assert obj == literal(tricky)
+def test_literal_escaping_round_trips_through_parser(prefix, tricky):
+    template = QueryTemplate.from_text(f'select ?s where {{ ?s ?p "{prefix}{{x}}" }}')
+    ast = parse_query(instantiate(template, {"x": tricky}))
+    assert ast.patterns[0].o == literal(prefix + tricky)
 
 
 def test_iri_context_rejects_illegal_characters():
     template = QueryTemplate.from_text("select ?s where { ?s <urn:same:{gnd}> ?o }")
     assert "<urn:same:118755951>" in instantiate(template, {"gnd": "118755951"})
-    with pytest.raises(Exception):
-        instantiate(template, {"gnd": "has space"})
+    for value, bad in (("a|b", ["|"]), ("has space", [" "])):
+        with pytest.raises(TemplateError) as err:
+            instantiate(template, {"gnd": value})
+        assert str(err.value) == f"value for {{gnd}} is illegal in IRI context: {bad}"
 
 
 # Characters that N-Triples forbids in an IRI and ones it allows, then any

@@ -3,7 +3,12 @@
 Every subcommand reads and writes plain files, so a whole run can be
 reproduced from its inputs.  Exit codes: 0 success, 1 domain error (lint
 findings under --strict, empty commit diff, bad data), 2 usage or
-configuration error.
+configuration error, as each error class declares (`KgfuseError`).
+
+Every command is a process of its own, so importing this module loads only
+`prefixes`, `rdf` and `sparql`; each command imports the other modules it
+uses when it runs.  `parse_turtle`, `serialize_canonical`, `parse_query`
+and `evaluate` stay bound here, where the benchmark's tracer wraps them.
 """
 
 from __future__ import annotations
@@ -11,35 +16,21 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import fusion, linkdisc
-from .enrich import (
-    EndpointConfigError,
-    GndError,
-    HttpTransport,
-    MissingRecordingError,
-    RecordedTransport,
-    builtin_endpoint,
-    lazy_extract,
-    normalize_gnd,
-)
-from .fusion import FusionError
-from .linkdisc import LinkConfigError
-from .prefixes import DEFAULT_PREFIXES, PrefixFileError, load_prefix_file, read_text
-from .rdf import (
-    IRI_RE,
-    Graph,
-    RdfError,
-    parse_turtle,
-    serialize_canonical,
-    serialize_canonical_lines,
-)
+from .prefixes import DEFAULT_PREFIXES, KgfuseError, load_prefix_file, read_text
+from .rdf import IRI_RE, Graph, RdfError, parse_turtle, serialize_canonical, serialize_canonical_lines
 from .sparql import QueryTemplate, SparqlError, evaluate, parse_query
-from .versioning import ChangeStore, StoreError, format_log
+
+if TYPE_CHECKING:
+    from .fusion import OverlapStats
+    from .versioning import ChangeStore
 
 
-class UsageError(Exception):
+class UsageError(KgfuseError):
     """Configuration problems that should exit with code 2."""
+
+    exit_code = 2
 
 
 def _check_inputs(args, paths: tuple[str, ...], namespaces: tuple[str, ...] = ()) -> None:
@@ -103,6 +94,8 @@ def _store_to_commit_into(args, graph_name: str) -> ChangeStore | None:
     _check_directory(args, "store")
     if not args.store:
         return None
+    from .versioning import ChangeStore
+
     store = ChangeStore(args.store)
     store.check_commit(graph_name, args.author, args.message)
     return store
@@ -144,6 +137,8 @@ def cmd_query(args) -> int:
 
 
 def cmd_link(args) -> int:
+    from . import linkdisc
+
     _check_inputs(args, ("left", "right", "config", "prefixes"))
     cfg = linkdisc.load_link_config(args.config, prefixes=_load_prefixes(args.prefixes))
     left = _read_graph(args.left)
@@ -162,7 +157,7 @@ def cmd_link(args) -> int:
     return 0
 
 
-def _overlap_text(stats: fusion.OverlapStats) -> str:
+def _overlap_text(stats: OverlapStats) -> str:
     return (
         f"joint {stats.joint}, disjoint {stats.disjoint_a}/{stats.disjoint_b}, "
         f"union {stats.union_a}/{stats.union_b}"
@@ -170,6 +165,8 @@ def _overlap_text(stats: fusion.OverlapStats) -> str:
 
 
 def cmd_fuse(args) -> int:
+    from . import fusion
+
     _check_inputs(args, ("left", "right", "mapping"), ("left_ns", "right_ns", "target_ns"))
     store = _store_to_commit_into(args, args.graph_name)
     left = _read_graph(args.left)
@@ -178,7 +175,7 @@ def cmd_fuse(args) -> int:
     if args.mapping:
         try:
             renames = fusion.load_renames(args.mapping)
-        except FusionError as err:
+        except fusion.FusionError as err:
             raise UsageError(str(err)) from None
     left_vocab = fusion.extract_vocabulary(left)
     right_vocab = fusion.extract_vocabulary(right)
@@ -194,6 +191,8 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_align(args) -> int:
+    from . import fusion
+
     vocabularies = [(name, fusion.extract_vocabulary(g)) for name, g in _read_graphs(args.graphs)]
     report = fusion.vocabulary_report(vocabularies)
     lines = ["graph,properties,classes"]
@@ -214,6 +213,8 @@ def cmd_align(args) -> int:
 
 
 def cmd_lint(args) -> int:
+    from . import fusion
+
     graph = _read_graph(args.graph)
     languages = tuple(lang.strip() for lang in args.languages.split(",") if lang.strip())
     issues = fusion.lint_vocabulary(graph, required_languages=languages)
@@ -229,6 +230,8 @@ def cmd_lint(args) -> int:
 
 
 def cmd_enrich(args) -> int:
+    from . import enrich
+
     _check_inputs(args, ("gnds", "template", "fixtures"))
     _check_directory(args, "fixtures")
     gnds = []
@@ -236,9 +239,9 @@ def cmd_enrich(args) -> int:
         line = line.strip()
         if line and not line.startswith("#"):
             try:
-                gnds.append(normalize_gnd(line))
-            except GndError as err:
-                raise GndError(f"{args.gnds}:{lineno}: {err}") from None
+                gnds.append(enrich.normalize_gnd(line))
+            except enrich.GndError as err:
+                raise enrich.GndError(f"{args.gnds}:{lineno}: {err}") from None
     overrides = {}
     if args.delay is not None:
         overrides["politeness_delay_ms"] = args.delay
@@ -251,15 +254,15 @@ def cmd_enrich(args) -> int:
     if args.template:
         template = read_text(args.template, UsageError)
         overrides["lookup_template"] = QueryTemplate.from_text(template)
-    endpoint = builtin_endpoint(args.endpoint, **overrides)
+    endpoint = enrich.builtin_endpoint(args.endpoint, **overrides)
     store = _store_to_commit_into(args, endpoint.graph)
     if args.fixtures:
-        transport = RecordedTransport(Path(args.fixtures))
+        transport = enrich.RecordedTransport(Path(args.fixtures))
     elif args.live:
-        transport = HttpTransport()
+        transport = enrich.HttpTransport()
     else:
         raise UsageError("choose a transport: --fixtures DIR for recorded runs or --live")
-    graph, report = lazy_extract(gnds, endpoint, transport)
+    graph, report = enrich.lazy_extract(gnds, endpoint, transport)
     _write_text(args.out, serialize_canonical(graph))
     print(
         f"extracted {len(graph)} triple(s) from {endpoint.name} "
@@ -272,6 +275,8 @@ def cmd_enrich(args) -> int:
 
 
 def _open_store(args) -> ChangeStore:
+    from .versioning import ChangeStore
+
     # a missing store is a config error, not an empty history
     _check_inputs(args, ("store",))
     _check_directory(args, "store")
@@ -279,6 +284,8 @@ def _open_store(args) -> ChangeStore:
 
 
 def cmd_log(args) -> int:
+    from .versioning import format_log
+
     store = _open_store(args)
     sys.stdout.write(format_log(store.log()))
     return 0
@@ -394,17 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DOMAIN_ERRORS = (RdfError, SparqlError, FusionError, GndError, StoreError)
-# A missing recording is configuration: the fixtures directory is an input.
-_CONFIG_ERRORS = (
-    UsageError,
-    LinkConfigError,
-    EndpointConfigError,
-    PrefixFileError,
-    MissingRecordingError,
-)
-
-
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -413,12 +409,10 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _CONFIG_ERRORS as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-    except _DOMAIN_ERRORS as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    except KgfuseError as err:
+        label = "config error" if err.exit_code == 2 else "error"
+        print(f"{label}: {err}", file=sys.stderr)
+        return err.exit_code
     except OSError as err:
         # every reader lets an input that cannot be opened raise; it is named here
         where = f"{err.filename}: {err.strerror}" if err.filename else err

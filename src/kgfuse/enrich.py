@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Protocol
 
-from .prefixes import read_text
+from .prefixes import KgfuseError, read_text
 from .rdf import Graph, RdfError
 from .sparql import QueryTemplate, instantiate
 
@@ -34,12 +34,12 @@ _GND_URL_RE = re.compile(r"^https?://d-nb\.info/gnd/([^/?#]+)/?$")
 _ACCEPT_RDF = "text/turtle, application/n-triples;q=0.9"
 
 
-class GndError(ValueError):
+class GndError(KgfuseError, ValueError):
     pass
 
 
-class EndpointConfigError(ValueError):
-    pass
+class EndpointConfigError(KgfuseError, ValueError):
+    exit_code = 2
 
 
 class TransportError(RuntimeError):
@@ -50,9 +50,12 @@ class TransportTimeout(TransportError):
     pass
 
 
-class MissingRecordingError(ValueError):
+class MissingRecordingError(KgfuseError, ValueError):
     """The fixture directory cannot serve a request: it holds no recording of
-    the URL, or the recording is broken."""
+    the URL, or the recording is broken.  The directory is an input, so this
+    is configuration."""
+
+    exit_code = 2
 
 
 @dataclass(frozen=True)

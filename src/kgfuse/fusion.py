@@ -32,6 +32,7 @@ from .prefixes import (
     RDFS_LABEL,
     RDFS_NS,
     XSD_NS,
+    KgfuseError,
     read_text,
 )
 from .rdf import IRI, Graph, Triple, iri
@@ -52,7 +53,7 @@ _CLASS_NAME_RE = re.compile(r"^[A-Z][A-Za-z0-9]*$")
 _LANGUAGE_MARKERS = {"lat": "latin", "ger": "german", "deu": "german", "eng": "english"}
 
 
-class FusionError(ValueError):
+class FusionError(KgfuseError, ValueError):
     pass
 
 

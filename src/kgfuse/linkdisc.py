@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
-from .prefixes import DEFAULT_PREFIXES, OWL_SAMEAS, RDF_TYPE, read_text
+from .prefixes import DEFAULT_PREFIXES, OWL_SAMEAS, RDF_TYPE, KgfuseError, read_text
 from .rdf import IRI, LITERAL, Graph, Triple, iri
 
 ACCEPTED = "accepted"
@@ -29,8 +29,8 @@ REVIEW = "review"
 _TOKEN_SPLIT_RE = re.compile(r"[\s\-,.]+")
 
 
-class LinkConfigError(ValueError):
-    pass
+class LinkConfigError(KgfuseError, ValueError):
+    exit_code = 2
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
-"""Well-known namespaces, the default prefix map, and the input reader.
+"""Well-known namespaces, the default prefix map, the input reader, and the
+base of the errors the CLI reports.
 
 The default prefixes are configuration, not ground truth: query files may
 redeclare any of them, and the CLI accepts a prefix file that overrides
@@ -52,6 +53,13 @@ DEFAULT_PREFIXES: dict[str, str] = {
 }
 
 
+class KgfuseError(Exception):
+    """An error the CLI reports in one line, exiting with `exit_code`: 1 for
+    bad data, 2 for configuration (reported as `config error`)."""
+
+    exit_code = 1
+
+
 def read_text(path: str | Path, error: type[Exception]) -> str:
     """The file's UTF-8 text; a file that is not UTF-8 raises `error` naming it,
     and one that cannot be opened raises its `OSError` for the CLI to report."""
@@ -61,8 +69,10 @@ def read_text(path: str | Path, error: type[Exception]) -> str:
         raise error(f"{path}: not UTF-8: {err}") from None
 
 
-class PrefixFileError(ValueError):
+class PrefixFileError(KgfuseError, ValueError):
     """A prefix file line that is not `prefix namespace`."""
+
+    exit_code = 2
 
 
 def load_prefix_file(path: str | Path) -> dict[str, str]:

@@ -22,6 +22,7 @@ from typing import Collection, Iterable, Iterator, NamedTuple, Optional
 from urllib.parse import urljoin
 
 from .prefixes import RDF_LANGSTRING, RDF_TYPE, XSD_BOOLEAN, XSD_DECIMAL, XSD_INTEGER, XSD_STRING
+from .prefixes import KgfuseError
 
 IRI = "iri"
 BLANK = "blank"
@@ -53,7 +54,7 @@ _BLANK_LABEL_RE = re.compile(_BLANK_LABEL + r"\Z")
 _LANGTAG_BODY_RE = re.compile(_LANGTAG_BODY + r"\Z")
 
 
-class RdfError(ValueError):
+class RdfError(KgfuseError, ValueError):
     """Base class for model and parser errors."""
 
 
@@ -158,6 +159,13 @@ def _iri_error(what: str, text: str) -> RdfError:
     return RdfError(f"{what} is not absolute: {text!r}")
 
 
+def check_graph_name(name: str, error: type[Exception] = RdfError) -> None:
+    """Raise `error` unless `name` is an absolute IRI N-Triples can write; its
+    text is UTF-8, which has no form for a lone surrogate."""
+    if not IRI_RE.match(name) or _SURROGATE_RE.search(name):
+        raise error(f"graph name must be an absolute IRI that N-Triples can write: {name!r}")
+
+
 def iri(value: str) -> Term:
     return Term(IRI, value)
 
@@ -256,11 +264,8 @@ class Graph:
     """
 
     def __init__(self, name: str | None = None, triples: Iterable[Triple] = ()):
-        # N-Triples text is UTF-8, which has no form for a lone surrogate
-        if name is not None and (not IRI_RE.match(name) or _SURROGATE_RE.search(name)):
-            raise RdfError(
-                f"graph name must be an absolute IRI that N-Triples can write: {name!r}"
-            )
+        if name is not None:
+            check_graph_name(name)
         self.name = name
         self.triples: frozenset[Triple] = frozenset(triples)
         # (SPO, POS, triples per predicate), None until the first probe that

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Iterable, Mapping, Optional, Union
 
-from .prefixes import RDF_TYPE, XSD_BOOLEAN, XSD_INTEGER
+from .prefixes import RDF_TYPE, XSD_BOOLEAN, XSD_INTEGER, KgfuseError
 from .rdf import (
     BLANK,
     IRI,
@@ -45,7 +45,7 @@ from .rdf import (
 )
 
 
-class SparqlError(ValueError):
+class SparqlError(KgfuseError, ValueError):
     """Base class for query parse and template errors."""
 
 

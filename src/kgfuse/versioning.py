@@ -33,7 +33,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .rdf import _SURROGATE_RE, IRI_RE, Graph, ntriples_line
+from .prefixes import KgfuseError
+from .rdf import _SURROGATE_RE, Graph, check_graph_name, ntriples_line
 # unused here; bench/tracing.py looks it up in this module
 from .rdf import parse_ntriples  # noqa: F401
 
@@ -56,7 +57,7 @@ _REMOVE_MARK = "\nremove\n"
 _ESCAPED_RE = re.compile(r"\\(.)", re.DOTALL)
 
 
-class StoreError(RuntimeError):
+class StoreError(KgfuseError, RuntimeError):
     pass
 
 
@@ -225,17 +226,14 @@ class ChangeStore:
         """Check the fields of a commit into this store before anything is
         written, and return the head it would go onto.  The head state is
         replayed and checked here too, so a damaged store fails now."""
-        for label, text in (("graph name", graph_name), ("author", author), ("message", message)):
+        # stored as it is: an IRI N-Triples can write holds no line break
+        check_graph_name(graph_name, StoreError)
+        for label, text in (("author", author), ("message", message)):
             if m := _SURROGATE_RE.search(text):
                 raise StoreError(
                     f"commit {label} is not UTF-8 text "
                     f"(lone surrogate U+{ord(m.group()):04X}): {text!r}"
                 )
-        # stored as it is: an IRI N-Triples can write holds no line break
-        if not IRI_RE.match(graph_name):
-            raise StoreError(
-                f"graph name must be an absolute IRI that N-Triples can write: {graph_name!r}"
-            )
         head = self.head_id
         if head is not None:
             lineage_name = self._replay(head)[0].graph_name

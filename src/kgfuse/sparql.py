@@ -24,9 +24,8 @@ from __future__ import annotations
 import csv
 import io
 import re
-from dataclasses import dataclass, field
 from decimal import Decimal
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 from .prefixes import RDF_TYPE, XSD_BOOLEAN, XSD_INTEGER, KgfuseError
 from .rdf import (
@@ -37,6 +36,7 @@ from .rdf import (
     Term,
     _escape_literal,
     _IRI_FORBIDDEN_RE,
+    _lex,
     _STRING,
     _TermParser,
     iri,
@@ -69,58 +69,50 @@ class TemplateError(SparqlError):
     pass
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     name: str
 
     def __repr__(self):
         return f"?{self.name}"
 
 
-@dataclass(frozen=True)
-class CountAgg:
+class CountAgg(NamedTuple):
     """`(count(?var) as ?alias)` in the projection."""
 
     var: str
     alias: str
 
 
-@dataclass(frozen=True)
-class TriplePattern:
+class TriplePattern(NamedTuple):
     s: Union[Term, Var]
     p: Union[Term, Var]
     o: Union[Term, Var]
 
     def variables(self) -> list[str]:
-        return [x.name for x in (self.s, self.p, self.o) if isinstance(x, Var)]
+        return [x.name for x in self if isinstance(x, Var)]
 
     def __str__(self):
-        return " ".join(
-            str(x) if isinstance(x, Var) else ntriples_term(x) for x in (self.s, self.p, self.o)
-        )
+        return " ".join(str(x) if isinstance(x, Var) else ntriples_term(x) for x in self)
 
 
-@dataclass(frozen=True)
-class YearBind:
+class YearBind(NamedTuple):
     """`bind (year(?source) as ?target)`."""
 
     source: str
     target: str
 
 
-@dataclass(frozen=True)
-class OrderKey:
+class OrderKey(NamedTuple):
     var: str
     ascending: bool = True
 
 
-@dataclass
-class QueryAST:
+class QueryAST(NamedTuple):
     projection: list[Union[Var, CountAgg]]
     patterns: list[TriplePattern]
-    binds: list[YearBind] = field(default_factory=list)
-    group_by: list[str] = field(default_factory=list)
-    order_by: list[OrderKey] = field(default_factory=list)
+    binds: list[YearBind]
+    group_by: list[str]
+    order_by: list[OrderKey]
     limit: Optional[int] = None
 
     @property
@@ -128,8 +120,7 @@ class QueryAST:
         return [p.alias if isinstance(p, CountAgg) else p.name for p in self.projection]
 
 
-@dataclass(frozen=True)
-class PlanStep:
+class PlanStep(NamedTuple):
     """One pattern of the join order: its constants-only index count and the
     number of solutions after joining it."""
 
@@ -138,11 +129,10 @@ class PlanStep:
     solutions: int
 
 
-@dataclass
-class ResultTable:
+class ResultTable(NamedTuple):
     header: list[str]
     rows: list[tuple[Optional[Term], ...]]
-    plan: list[PlanStep] = field(default_factory=list, compare=False)
+    plan: list[PlanStep]
 
     def to_csv(self) -> str:
         """RFC 4180 output; IRIs and literal lexical forms are written bare."""
@@ -488,7 +478,7 @@ def _plan(patterns: list[TriplePattern], g: Graph) -> list[tuple[TriplePattern, 
     then the one written first.  Returns each pattern with that count.
     """
     estimates = [
-        g.count(*(None if isinstance(x, Var) else x for x in (pt.s, pt.p, pt.o)))
+        g.count(*(None if isinstance(x, Var) else x for x in pt))
         for pt in patterns
     ]
     variables = [pt.variables() for pt in patterns]  # once per position each holds
@@ -583,32 +573,42 @@ _VALUE_RULES = {
 }
 
 
-@dataclass(frozen=True)
-class QueryTemplate:
-    """SPARQL text with `{name}` placeholders, which are read off the text
-    along with the context of each occurrence."""
-
+class _TemplateFields(NamedTuple):
     text: str
-    placeholders: frozenset[str] = field(init=False)
+    placeholders: frozenset[str]
     # (start, end, name, context) of each occurrence, in text order
-    _slots: tuple[tuple[int, int, str, str], ...] = field(init=False, repr=False)
+    slots: tuple[tuple[int, int, str, str], ...]
+
+
+class QueryTemplate(_TemplateFields):
+    """SPARQL text with `{name}` placeholders, which are read off the text
+    along with the context of each occurrence.  It is built from its text
+    alone: `_make` and `_replace` derive the other fields again."""
+
+    __slots__ = ()
+
+    def __new__(cls, text: str):
+        context = {
+            m.start(): token.lastgroup
+            for token in _CONTEXT_RE.finditer(text)
+            for m in _PLACEHOLDER_RE.finditer(text, token.start(), token.end())
+        }
+        slots = tuple(
+            (m.start(), m.end(), m.group(1), context.get(m.start(), "bare"))
+            for m in _PLACEHOLDER_RE.finditer(text)
+        )
+        return tuple.__new__(cls, (text, frozenset(name for _, _, name, _ in slots), slots))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> "QueryTemplate":
+        return cls(next(iter(fields)))
+
+    def __getnewargs__(self):
+        return (self.text,)
 
     @classmethod
     def from_text(cls, text: str) -> "QueryTemplate":
         return cls(text)
-
-    def __post_init__(self):
-        context = {
-            m.start(): token.lastgroup
-            for token in _CONTEXT_RE.finditer(self.text)
-            for m in _PLACEHOLDER_RE.finditer(self.text, token.start(), token.end())
-        }
-        slots = tuple(
-            (m.start(), m.end(), m.group(1), context.get(m.start(), "bare"))
-            for m in _PLACEHOLDER_RE.finditer(self.text)
-        )
-        object.__setattr__(self, "placeholders", frozenset(name for _, _, name, _ in slots))
-        object.__setattr__(self, "_slots", slots)
 
 
 def instantiate(template: QueryTemplate, bindings: Mapping[str, str]) -> str:
@@ -617,7 +617,8 @@ def instantiate(template: QueryTemplate, bindings: Mapping[str, str]) -> str:
     A placeholder anywhere inside a double-quoted string is escaped as a
     literal; one inside an IRI's angle brackets must keep the IRI legal;
     anywhere else the value must be free of white space and delimiter
-    characters.
+    characters, and lex as exactly one query token, so that it cannot add
+    a pattern or start a comment.
     """
     missing = template.placeholders - set(bindings)
     if missing:
@@ -627,7 +628,7 @@ def instantiate(template: QueryTemplate, bindings: Mapping[str, str]) -> str:
         raise TemplateError(f"unused binding(s): {', '.join(sorted(unused))}")
     out = []
     last = 0
-    for start, end, name, context in template._slots:
+    for start, end, name, context in template.slots:
         value = bindings[name]
         if context == "literal":
             value = _escape_literal(value)
@@ -636,6 +637,10 @@ def instantiate(template: QueryTemplate, bindings: Mapping[str, str]) -> str:
             bad = sorted(set(forbidden.findall(value)))
             if bad:
                 raise TemplateError(f"value for {{{name}}} is illegal {where}: {bad}")
+            if context == "bare":
+                token, *rest = _lex(value)  # `rest` ends in the EOF token
+                if len(rest) != 1 or token.type == "UNKNOWN" or token.value != value:
+                    raise TemplateError(f"value for {{{name}}} is not one query token: {value!r}")
         out += (template.text[last:start], value)
         last = end
     out.append(template.text[last:])

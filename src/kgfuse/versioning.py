@@ -16,8 +16,9 @@ never parses them: `checkout` returns a state as the frozenset of its
 lines, `diff` and `read_changeset` return a `ChangeSet` of lines, and
 replay is set algebra over them.  `read_changeset` is the one reader of a
 commit file: `checkout`, `log` and the head check before a commit all go
-through it, and it rehashes the file, so a file edited after commit is an
-error rather than a silently different history.
+through it.  It rehashes the file, so a file edited after commit is an
+error rather than a silently different history, and it rejects a line both
+added and removed.
 
 A handle keeps one bounded cache: the last `_STATE_CACHE_SIZE` states it
 read or wrote, each with its `Commit`.
@@ -29,9 +30,8 @@ import hashlib
 import os
 import re
 import time
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .prefixes import KgfuseError
 from .rdf import _SURROGATE_RE, Graph, check_graph_name, ntriples_line
@@ -72,8 +72,7 @@ class UnknownCommitError(StoreError):
         super().__init__(f"unknown commit id: {commit_id}")
 
 
-@dataclass(frozen=True)
-class Commit:
+class Commit(NamedTuple):
     id: str
     parent: Optional[str]
     author: str
@@ -86,26 +85,19 @@ class Commit:
         return self.id[:12]
 
 
-@dataclass(frozen=True)
-class ChangeSet:
-    """N-Triples lines added and removed; `commit` is the commit whose file
-    holds them, None for a `diff`."""
+class ChangeSet(NamedTuple):
+    """N-Triples lines added and removed, two disjoint sets; `commit` is the
+    commit whose file holds them, None for a `diff`."""
 
     added: frozenset[str]
     removed: frozenset[str]
     commit: Optional[Commit] = None
 
-    def __post_init__(self):
-        if self.added & self.removed:
-            where = f"commit {self.commit.short_id}: " if self.commit else ""
-            raise StoreError(f"{where}a changeset cannot add and remove the same line")
-
     def apply(self, state: frozenset[str]) -> frozenset[str]:
         return (state - self.removed) | self.added
 
 
-@dataclass(frozen=True)
-class LogEntry:
+class LogEntry(NamedTuple):
     commit: Commit
     added: int
     removed: int
@@ -206,11 +198,15 @@ class ChangeStore:
         split = text.find(_REMOVE_MARK, header.end()) if header else -1
         if split < 0 or _stamp(int(header.group(5))) is None:
             raise StoreError(f"commit {short}: malformed commit: {path}")
+        added = frozenset(filter(None, text[header.end():split].split("\n")))
+        removed = frozenset(filter(None, text[split + len(_REMOVE_MARK):].split("\n")))
+        if not added.isdisjoint(removed):
+            raise StoreError(f"commit {short}: a changeset cannot add and remove the same line")
         parent, graph_name, author, message, timestamp = header.groups()
         return ChangeSet(
-            added=frozenset(filter(None, text[header.end():split].split("\n"))),
-            removed=frozenset(filter(None, text[split + len(_REMOVE_MARK):].split("\n"))),
-            commit=Commit(
+            added,
+            removed,
+            Commit(
                 id=commit_id,
                 parent=None if parent == "-" else parent,
                 author=_unescape(author),

@@ -10,8 +10,8 @@ theology/1601=2, philosophy/1602=3, theology/1602=1.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
+import pickle
 import random
 import re
 from collections import Counter
@@ -568,7 +568,7 @@ def test_pattern_order_does_not_change_rows():
         rows = evaluate(ast, g).rows
         assert Counter(rows) == expected_rows, (round_no, ast)
         for perm in itertools.permutations(ast.patterns):
-            permuted = dataclasses.replace(ast, patterns=list(perm))
+            permuted = ast._replace(patterns=list(perm))
             assert evaluate(permuted, g).rows == rows, (round_no, perm)
 
 
@@ -703,3 +703,33 @@ def test_placeholders_are_read_off_the_text():
     assert QueryTemplate.from_text("select *").placeholders == frozenset()
     with pytest.raises(TypeError):
         QueryTemplate("select {x}", frozenset({"x", "y"}))
+
+
+def test_a_template_is_derived_from_its_text_alone():
+    text = "select {x} where { ?s <urn:{y}> {x} }"
+    template = QueryTemplate(text)
+    assert template == QueryTemplate.from_text(text)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(template, protocol)) == template
+    assert template._make([text, frozenset(), ()]) == template
+    assert template._replace(text="select {z}") == QueryTemplate("select {z}")
+    with pytest.raises(ValueError):
+        template._replace(placeholders=frozenset())
+
+
+BARE_TEMPLATE = QueryTemplate("prefix : <urn:x:> select ?s where { ?s ?p {x} }")
+
+
+@pytest.mark.parametrize("value", [":a.:b:c:d", "?o#", ":a;:q:r"])
+def test_a_bare_value_that_is_not_one_token_is_refused(value):
+    # one would add the pattern <urn:x:b> <urn:x:c> <urn:x:d>, one comments
+    # out the closing brace, one adds a predicate-object pair
+    with pytest.raises(TemplateError) as err:
+        instantiate(BARE_TEMPLATE, {"x": value})
+    assert str(err.value) == f"value for {{x}} is not one query token: {value!r}"
+
+
+@pytest.mark.parametrize("value", [":a", "?o", "42", "1.5", "ex:a.b", "*"])
+def test_a_bare_value_of_one_token_fills_as_before(value):
+    text = instantiate(BARE_TEMPLATE, {"x": value})
+    assert text == f"prefix : <urn:x:> select ?s where {{ ?s ?p {value} }}"

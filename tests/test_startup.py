@@ -26,14 +26,16 @@ from kgfuse.sparql import SparqlError, UnsupportedFeatureError
 from kgfuse.versioning import ChangeStore, EmptyDiffError, StoreError, UnknownCommitError
 
 DEFERRED = {"kgfuse.enrich", "kgfuse.fusion", "kgfuse.linkdisc", "kgfuse.versioning"}
+# Commands whose records are all named tuples, so they load no `dataclasses`.
+NO_DATACLASSES = {"import only", "query", "log", "diff", "checkout"}
 
 # Runs `cli.run(argv)` in a fresh interpreter, then prints its exit code and
-# the kgfuse modules it loaded on the last line.
+# the kgfuse modules it loaded, and `dataclasses` if it did, on the last line.
 _PROBE = (
     "import sys\n"
     "from kgfuse import cli\n"
     "code = cli.run(sys.argv[1:]) if len(sys.argv) > 1 else 0\n"
-    "print(code, *sorted(m for m in sys.modules if m.startswith('kgfuse.')))\n"
+    "print(code, *sorted(m for m in sys.modules if m.startswith('kgfuse.') or m == 'dataclasses'))\n"
 )
 _GND_URL = "https://d-nb.info/gnd/118755951/about/lds"
 
@@ -111,6 +113,7 @@ def test_each_command_loads_only_the_modules_it_runs(workdir):
         code, *modules = done[name].stdout.splitlines()[-1].split()
         assert code == "0", (name, done[name].stderr)
         assert set(modules) & DEFERRED == deferred, name
+        assert name not in NO_DATACLASSES or "dataclasses" not in modules, name
 
 
 # Each error class `run` reports, some subclasses among them, with its exit

@@ -191,24 +191,29 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_align(args) -> int:
+    import csv
+    import io
+
     from . import fusion
 
     vocabularies = [(name, fusion.extract_vocabulary(g)) for name, g in _read_graphs(args.graphs)]
     report = fusion.vocabulary_report(vocabularies)
-    lines = ["graph,properties,classes"]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["graph", "properties", "classes"])
     for name, n_props, n_classes in report.per_graph:
         print(f"{name}: {n_props} properties, {n_classes} classes")
-        lines.append(f"{name},{n_props},{n_classes}")
+        writer.writerow([name, n_props, n_classes])
     print(f"deduplicated union: {report.union_properties} properties, {report.union_classes} classes")
-    lines.append(f"union,{report.union_properties},{report.union_classes}")
+    writer.writerow(["union", report.union_properties, report.union_classes])
     if len(vocabularies) == 2:
         (_, left_vocab), (_, right_vocab) = vocabularies
         for label, a, b in zip(("property", "class"), left_vocab, right_vocab):
             stats = fusion.compute_overlap(a, b)
             print(f"{label} overlap: {_overlap_text(stats)}")
-            lines.append(f"{label}-overlap,{stats.joint},{stats.disjoint_a},{stats.disjoint_b}")
+            writer.writerow([f"{label}-overlap", stats.joint, stats.disjoint_a, stats.disjoint_b])
     if args.out:
-        _write_text(args.out, "\n".join(lines) + "\n")
+        _write_text(args.out, buf.getvalue())
     return 0
 
 

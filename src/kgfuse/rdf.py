@@ -42,7 +42,10 @@ _IRIREF = rf"<({_IRI_TEXT})>"
 _BLANK_LABEL = r"[A-Za-z0-9](?:[A-Za-z0-9_\-.]*[A-Za-z0-9_\-])?"
 # A blank-node label may hold dots but not end in one, as in Turtle.
 _BLANK = rf"_:({_BLANK_LABEL})"
-_STRING = r'"((?:[^"\\\n\r]|\\.)*)"'
+# A string in Friedl's unrolled-loop form: runs of plain characters between
+# escapes.  It matches the same language, with the same group, as
+# `"((?:[^"\\\n\r]|\\.)*)"`, but `re` keeps no save point per character.
+_STRING = r'"([^"\\\n\r]*(?:\\.[^"\\\n\r]*)*)"'
 _LANGTAG_BODY = r"[A-Za-z]+(?:-[A-Za-z0-9]+)*"
 _LANGTAG = rf"@({_LANGTAG_BODY})"
 _DTYPE_SEP = r"\^\^"
@@ -378,7 +381,9 @@ class Graph:
                 taken.add(mapping[label])
             seen |= own
             triples.update(
-                Triple(_relabel(t.s, mapping), t.p, _relabel(t.o, mapping)) if mapping else t
+                Triple(_relabel(t.s, mapping), t.p, _relabel(t.o, mapping))
+                if mapping and (t.s.kind == BLANK or t.o.kind == BLANK)
+                else t
                 for t in g.triples
             )
         return Graph(name, triples)
@@ -426,7 +431,7 @@ def _canonical_text(lines: list[str], triples: frozenset[Triple]) -> str:
     UTF-8 form, which text without lone surrogates does.  Extends `lines`."""
     mapping = _canonical_blank_map(triples)
     for t in triples:
-        if mapping:
+        if mapping and (t.s.kind == BLANK or t.o.kind == BLANK):
             t = Triple(_relabel(t.s, mapping), t.p, _relabel(t.o, mapping))
         lines.append(ntriples_line(t))
     if not lines:
@@ -457,37 +462,41 @@ def serialize_canonical_lines(lines: Collection[str]) -> str:
 # Lexer and term parsing shared by Turtle and the query language
 # ---------------------------------------------------------------------------
 
-# Each match is one token with the white space and comments before it.  The
-# first alternative that matches wins: DECIMAL must precede INTEGER, PNAME
-# precede KEYWORD, and the directives precede LANGTAG.  Right after a closing
-# quote `@base` and `@prefix` are language tags, not directives.  EOF matches
-# only at the end of the text, after its trailing white space.
+# Each match is one token with the white space and comments before it.  `re`
+# tries the alternatives in order and the first that matches wins, so they
+# are ordered by how often they occur in Turtle.  Where two can match at the
+# same place the order must keep: PREFIX_DIR and BASE_DIR before LANGTAG,
+# DECIMAL before INTEGER, PNAME before KEYWORD, and UNKNOWN and EOF last;
+# `test_lexer_order_gives_the_tokens_of_the_reference_order` checks it.
+# Right after a closing quote `@base` and `@prefix` are language tags, not
+# directives.  EOF matches only at the end of the text, after its trailing
+# white space.
 _LEXER_RE = re.compile(
     r"(?:[ \t\r\n]+|#[^\r\n]*)*(?:"
     + "|".join(
         f"(?P<{name}>{pattern})"
         for name, pattern in (
-            ("PREFIX_DIR", r'(?<!")@prefix\b'),
-            ("BASE_DIR", r'(?<!")@base\b'),
-            ("IRIREF", _IRIREF),
-            ("BLANK", _BLANK),
-            ("VAR", r"\?[A-Za-z_][A-Za-z0-9_]*"),
-            ("STRING", _STRING),
-            ("DTYPE_SEP", _DTYPE_SEP),
-            ("LANGTAG", _LANGTAG),
-            ("DECIMAL", r"[+-]?\d+\.\d+"),
-            ("INTEGER", r"[+-]?\d+"),
             # Prefixed name; the local part may contain dots but not end in one.
             ("PNAME", r"(?:[A-Za-z][A-Za-z0-9_\-]*)?:(?:[A-Za-z0-9_](?:[A-Za-z0-9_\-.]*[A-Za-z0-9_\-])?)?"),
+            ("STRING", _STRING),
+            ("SEMI", r";"),
+            ("DOT", r"\."),
+            ("IRIREF", _IRIREF),
+            ("COMMA", r","),
+            ("PREFIX_DIR", r'(?<!")@prefix\b'),
+            ("BASE_DIR", r'(?<!")@base\b'),
+            ("LANGTAG", _LANGTAG),
+            ("BLANK", _BLANK),
+            ("DTYPE_SEP", _DTYPE_SEP),
+            ("DECIMAL", r"[+-]?\d+\.\d+"),
+            ("INTEGER", r"[+-]?\d+"),
+            ("VAR", r"\?[A-Za-z_][A-Za-z0-9_]*"),
             ("KEYWORD", r"[A-Za-z][A-Za-z0-9_]*"),
             ("LBRACE", r"\{"),
             ("RBRACE", r"\}"),
             ("LPAREN", r"\("),
             ("RPAREN", r"\)"),
             ("STAR", r"\*"),
-            ("DOT", r"\."),
-            ("SEMI", r";"),
-            ("COMMA", r","),
             ("UNKNOWN", r"(?s:.)"),
             ("EOF", r"\Z"),
         )
@@ -767,7 +776,8 @@ class _TurtleParser(_TermParser):
         while True:
             predicate = self._predicate()
             while True:
-                add(Triple(subject, predicate, self._object()))
+                # `_subject` and `_predicate` admit only what `Triple` checks for.
+                add(tuple.__new__(Triple, (subject, predicate, self._object())))
                 if self._peek().type == "COMMA":
                     self._next()
                     continue
@@ -856,5 +866,6 @@ def parse_ntriples(text: str) -> Graph:
                     o_lit = _unescape(o_lit, lineno, 1, TurtleSyntaxError)
                 obj = literal(o_lit, language=o_lang, datatype=o_dtype)
             terms[o_text] = obj
-        add(Triple(subject, predicate, obj))
+        # The line pattern admits only what `Triple` checks for.
+        add(tuple.__new__(Triple, (subject, predicate, obj)))
     return Graph(triples=triples)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import csv
 import errno
 import hashlib
 import io
@@ -383,6 +384,22 @@ def test_align_keeps_one_row_per_file_when_stems_repeat(workdir, capsys):
         "x: 5 properties, 1 classes",
         "deduplicated union: 8 properties, 2 classes",
     ]
+
+
+def test_align_quotes_file_stems_in_its_csv(workdir, capsys):
+    # `--graphs` splits on commas, so a stem can hold a quote or a line break
+    # but no comma.
+    stems = ['q"x', "two\nlines"]
+    for stem, name in zip(stems, ("leipzig_persons.ttl", "helmstedt_persons.ttl")):
+        shutil.copy(workdir / name, workdir / f"{stem}.ttl")
+    graphs = ",".join(f"{workdir}/{stem}.ttl" for stem in stems)
+    assert run(["align", "--graphs", graphs, "--out", str(workdir / "stats.csv")]) == 0
+    out = capsys.readouterr().out
+    with open(workdir / "stats.csv", encoding="utf-8", newline="") as f:
+        rows = list(csv.reader(f))
+    assert rows[1:3] == [[stem, "5", "1"] for stem in stems]
+    for stem, n_props, n_classes in rows[1:3]:
+        assert f"{stem}: {n_props} properties, {n_classes} classes\n" in out
 
 
 def test_lint_strict_exits_1_on_findings(workdir, capsys):

@@ -503,6 +503,76 @@ def test_token_positions_count_cr_lf_and_crlf_before_their_offset(text):
     assert tokens[-1].type == "EOF" and end == len(text)
 
 
+# The lexer pattern with each alternative after every one that can match where
+# it does, and strings read one character per repetition: the reference that
+# the frequency-ordered `rdf._LEXER_RE` and the unrolled `rdf._STRING` match.
+_REFERENCE_STRING = r'"((?:[^"\\\n\r]|\\.)*)"'
+_REFERENCE_LEXER_RE = re.compile(
+    r'(?:[ \t\r\n]+|#[^\r\n]*)*(?:(?P<PREFIX_DIR>(?<!")@prefix\b)'
+    r'|(?P<BASE_DIR>(?<!")@base\b)'
+    r'|(?P<IRIREF><([^<>\"{}|^`\\\x00-\x20]*)>)'
+    r'|(?P<BLANK>_:([A-Za-z0-9](?:[A-Za-z0-9_\-.]*[A-Za-z0-9_\-])?))'
+    r'|(?P<VAR>\?[A-Za-z_][A-Za-z0-9_]*)'
+    r'|(?P<STRING>"((?:[^"\\\n\r]|\\.)*)")'
+    r'|(?P<DTYPE_SEP>\^\^)'
+    r'|(?P<LANGTAG>@([A-Za-z]+(?:-[A-Za-z0-9]+)*))'
+    r'|(?P<DECIMAL>[+-]?\d+\.\d+)'
+    r'|(?P<INTEGER>[+-]?\d+)'
+    r'|(?P<PNAME>(?:[A-Za-z][A-Za-z0-9_\-]*)?:(?:[A-Za-z0-9_](?:[A-Za-z0-9_\-.]*[A-Za-z0-9_\-])?)?)'
+    r'|(?P<KEYWORD>[A-Za-z][A-Za-z0-9_]*)'
+    r'|(?P<LBRACE>\{)'
+    r'|(?P<RBRACE>\})'
+    r'|(?P<LPAREN>\()'
+    r'|(?P<RPAREN>\))'
+    r'|(?P<STAR>\*)'
+    r'|(?P<DOT>\.)'
+    r'|(?P<SEMI>;)'
+    r'|(?P<COMMA>,)'
+    r'|(?P<UNKNOWN>(?s:.))'
+    r'|(?P<EOF>\Z))'
+)
+_TOKEN_ALPHABET = [
+    "@prefix", "@base", '"x"@base',
+    "<urn:a>", "_:b1", "?v", "ex:a.b", ":", "a",
+    '"a\\"b"', '"c\\\\d"',
+    "^^", "@en-GB", "1.5", "-2",
+    *"{}()*.;,", "#c", "\r\n",
+    ">", "%", "'", "é",
+    " ", "\n", '"', "\\", "@", "_", "1", "b",
+]
+
+
+def _reference_tokens(text: str) -> list[tuple[str, str, int]]:
+    return [
+        (m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup))
+        for m in _REFERENCE_LEXER_RE.finditer(text)
+    ]
+
+
+@settings(max_examples=500)
+@given(st.lists(st.sampled_from(_TOKEN_ALPHABET), max_size=30).map("".join))
+@example('@prefix ex: <urn:x:> .\nex:s ex:p "x"@base , "y"^^ex:d , 1.5 , -2 ; a ex:C .')
+@example('select ?s where { ?s ex:p* "a\\"b" } # c')
+def test_lexer_order_gives_the_tokens_of_the_reference_order(text):
+    assert [tuple(tok) for tok in rdf._lex(text)] == _reference_tokens(text)
+
+
+def test_lexer_order_gives_the_tokens_of_the_reference_order_on_the_fixtures():
+    for path in sorted(fixtures.fixture_path("documents.ttl").parent.iterdir()):
+        if path.suffix in (".ttl", ".rq"):
+            text = path.read_text(encoding="utf-8")
+            assert [tuple(tok) for tok in rdf._lex(text)] == _reference_tokens(text), path.name
+
+
+@settings(max_examples=500)
+@given(st.text(alphabet='aé\\"\n\rx', max_size=40))
+def test_the_unrolled_string_pattern_matches_as_the_reference_does(body):
+    text = f'"{body}'
+    want = re.match(_REFERENCE_STRING, text)
+    got = re.match(rdf._STRING, text)
+    assert (got and (got.end(), got.group(1))) == (want and (want.end(), want.group(1)))
+
+
 # --- canonical serialization ------------------------------------------------
 
 def test_empty_graph_serializes_to_empty_document():
@@ -630,6 +700,81 @@ def test_parsers_build_one_object_per_distinct_term(parse):
     first, second, third = g  # s1 p1 "v", s1 p2 s2, s2 p1 "v"
     assert first.s is second.s and first.p is third.p and first.o is third.o
     assert second.o is third.s
+
+
+def _assert_built_as_by_triple(g: Graph) -> None:
+    for t in g.triples:
+        assert type(t) is Triple
+        assert t == Triple(*t) and hash(t) == hash(Triple(*t))
+
+
+def test_parsed_fixture_triples_are_those_triple_builds():
+    for path in sorted(fixtures.fixture_path("documents.ttl").parent.glob("*.ttl")):
+        g = parse_turtle(path.read_text(encoding="utf-8"))
+        _assert_built_as_by_triple(g)
+        _assert_built_as_by_triple(parse_ntriples(serialize_canonical(g)))
+
+
+_IRIS = st.text(alphabet=_PLAIN, max_size=6).map(lambda text: iri("urn:x:" + text))
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(
+        st.builds(
+            Triple,
+            _IRIS | st.from_regex(rdf._BLANK_LABEL, fullmatch=True).map(blank),
+            _IRIS,
+            _VALID_TERM_FIELDS.map(lambda fields: Term(*fields)),
+        ),
+        max_size=8,
+    )
+)
+def test_parsed_triples_of_canonical_text_are_those_triple_builds(triples):
+    text = serialize_canonical(Graph(triples=triples))
+    for parse in (parse_ntriples, lambda doc: _TurtleParser(doc, None).parse()):
+        g = parse(text)
+        _assert_built_as_by_triple(g)
+        assert serialize_canonical(g) == text
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_turtle, '"x" <urn:p> <urn:o> .',
+         "expected subject (IRI, prefixed name, or blank node) at 1:1 (near '\"x\"')"),
+        (parse_ntriples, '"x" <urn:p> <urn:o> .',
+         "not an N-Triples statement at 1:1 (near '\"x\" <urn:p> <urn:o> .')"),
+        (parse_turtle, "true <urn:p> <urn:o> .",
+         "expected subject (IRI, prefixed name, or blank node) at 1:1 (near 'true')"),
+        (parse_turtle, "@prefix ex: <urn:x:> .\n1 ex:p ex:o .",
+         "expected subject (IRI, prefixed name, or blank node) at 2:1 (near '1')"),
+        (parse_turtle, "<urn:s> _:p <urn:o> .",
+         "expected predicate (IRI, prefixed name, or 'a') at 1:9 (near '_:p')"),
+        (parse_ntriples, "<urn:s> _:p <urn:o> .",
+         "not an N-Triples statement at 1:1 (near '<urn:s> _:p <urn:o> .')"),
+        (parse_turtle, '<urn:s> "p" <urn:o> .',
+         "expected predicate (IRI, prefixed name, or 'a') at 1:9 (near '\"p\"')"),
+        (parse_ntriples, '<urn:s> "p" <urn:o> .',
+         "not an N-Triples statement at 1:1 (near '<urn:s> \"p\" <urn:o> .')"),
+        (parse_turtle, '_:s "p"@en <urn:o> .',
+         "expected predicate (IRI, prefixed name, or 'a') at 1:5 (near '\"p\"')"),
+        (parse_turtle, "@prefix ex: <urn:x:> .\nex:s ex:p ex:o ;\n  _:q ex:o .",
+         "expected predicate (IRI, prefixed name, or 'a') at 3:3 (near '_:q')"),
+    ],
+)
+def test_a_literal_subject_or_a_blank_or_literal_predicate_is_a_syntax_error(parse, text, message):
+    with pytest.raises(TurtleSyntaxError) as exc:
+        parse(text)
+    assert type(exc.value) is TurtleSyntaxError and str(exc.value) == message
+
+
+def test_a_long_literal_is_read_exactly():
+    value = ('Magister "artium" zu Köln, C:\\Bücher\nπ ' * 8000)[:300_000]
+    escaped = value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+    g = parse_turtle(f'@prefix ex: <urn:x:> .\nex:s ex:note "{escaped}" .\n')
+    assert g.triples == {Triple(iri("urn:x:s"), iri("urn:x:note"), literal(value))}
+    assert parse_ntriples(serialize_canonical(g)) == g
 
 
 @pytest.mark.parametrize("tag", ["base", "prefix", "base-de"])

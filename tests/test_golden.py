@@ -5,9 +5,13 @@ compares its stdout as a table and as CSV, and the `--explain` stderr, with
 the files under `tests/golden/`.  Each command case runs `fuse`, `link`,
 `align` or `lint` over bundled fixtures in an empty directory and compares
 its exit code, its stdout (`golden/<case>/stdout`) and every file it writes
-(`golden/<case>/<file>`).  A change that alters output on purpose rewrites
-them with `PYTHONPATH=src python tests/test_golden.py`, and its diff shows
-which bytes moved.
+(`golden/<case>/<file>`).  Each usage case runs `kgfuse` with help or
+usage-error arguments at a terminal width of 80 columns and compares its
+exit code, stdout and stderr with `golden/usage/<case>.stdout` and
+`.stderr`; argparse writes that text, so another Python version may word
+it differently.  A change that alters output on purpose rewrites them with
+`PYTHONPATH=src python tests/test_golden.py`, and its diff shows which
+bytes moved.
 """
 
 from __future__ import annotations
@@ -65,10 +69,24 @@ COMMANDS = {
              1, ["lint.csv"]),
 }
 
+# usage case -> (argv, exit code); argparse wraps help text to the terminal width
+USAGE = {
+    "help": (["--help"], 0),
+    **{f"{name}-help": ([name, "--help"], 0) for name in (
+        "query", "link", "fuse", "align", "lint", "enrich", "log", "diff", "checkout")},
+    "no-arguments": ([], 2),
+    "unknown-command": (["chekout"], 2),
+    "help-before-command": (["-h", "checkout"], 0),
+    "unrecognized-argument": (["log", "--store", "s", "extra"], 2),
+    "missing-options": (["checkout"], 2),
+    "bad-choice": (["query", "--graphs", "g.ttl", "--query", "q.rq", "--format", "xml"], 2),
+}
+USAGE_COLUMNS = "80"
 
-def _output(case: str, form: str) -> bytes:
+
+def query_argv(case: str, form: str) -> list[str]:
     query, graphs = CASES[case]
-    argv = [
+    return [
         "query",
         "--graphs",
         ",".join(str(fixtures.fixture_path(g)) for g in graphs),
@@ -76,9 +94,12 @@ def _output(case: str, form: str) -> bytes:
         str(query),
         *FORMS[form],
     ]
+
+
+def _output(case: str, form: str) -> bytes:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.run(argv)
+        code = cli.run(query_argv(case, form))
     assert code == 0, err.getvalue()
     return (err if form == "explain" else out).getvalue().encode("utf-8")
 
@@ -111,6 +132,22 @@ def test_command_output_matches_its_golden_files(case, tmp_path, monkeypatch):
         assert data == (GOLDEN / case / name).read_bytes(), name
 
 
+def _usage_output(case: str) -> dict[str, bytes]:
+    """stdout and stderr of a usage case; its exit code is checked here."""
+    argv, code = USAGE[case]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert cli.run(argv) == code, err.getvalue()
+    return {"stdout": out.getvalue().encode("utf-8"), "stderr": err.getvalue().encode("utf-8")}
+
+
+@pytest.mark.parametrize("case", USAGE)
+def test_usage_output_matches_its_golden_files(case, monkeypatch):
+    monkeypatch.setenv("COLUMNS", USAGE_COLUMNS)
+    for stream, data in _usage_output(case).items():
+        assert data == (GOLDEN / "usage" / f"{case}.{stream}").read_bytes(), stream
+
+
 if __name__ == "__main__":
     for case in CASES:
         for form in FORMS:
@@ -126,3 +163,8 @@ if __name__ == "__main__":
                 os.chdir(home)
         for name, data in outputs.items():
             (GOLDEN / case / name).write_bytes(data)
+    os.environ["COLUMNS"] = USAGE_COLUMNS
+    (GOLDEN / "usage").mkdir(exist_ok=True)
+    for case in USAGE:
+        for stream, data in _usage_output(case).items():
+            (GOLDEN / "usage" / f"{case}.{stream}").write_bytes(data)

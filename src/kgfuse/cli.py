@@ -9,6 +9,9 @@ Every command is a process of its own, so importing this module loads only
 `prefixes`, `rdf` and `sparql`; each command imports the other modules it
 uses when it runs.  `parse_turtle`, `serialize_canonical`, `parse_query`
 and `evaluate` stay bound here, where the benchmark's tracer wraps them.
+`run` builds the argument parser of the command it is given alone, and
+finds that command's `cmd_*` handler on this module when it runs, so a
+handler the tracer wraps here is the one called.
 """
 
 from __future__ import annotations
@@ -319,14 +322,7 @@ def cmd_checkout(args) -> int:
 # --- parser ------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="kgfuse",
-        description="Fuse, link, enrich, version and query small RDF catalogues.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("query", help="evaluate a query over one or more graph files")
+def _query_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--graphs", required=True, help="comma-separated graph files, queried as a union")
     p.add_argument("--query", required=True, help="file with the query text")
     p.add_argument("--prefixes", help="prefix file overriding the built-in defaults")
@@ -337,18 +333,18 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the join order with estimated and actual cardinalities to stderr",
     )
-    p.set_defaults(func=cmd_query)
 
-    p = sub.add_parser("link", help="discover same-person candidates between two graphs")
+
+def _link_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, help="link configuration file")
     p.add_argument("--left", required=True, help="source graph file")
     p.add_argument("--right", required=True, help="target graph file")
     p.add_argument("--out", required=True, help="review report CSV")
     p.add_argument("--sameas", help="also write accepted links as owl:sameAs N-Triples")
     p.add_argument("--prefixes", help="prefix file for resolving config names")
-    p.set_defaults(func=cmd_link)
 
-    p = sub.add_parser("fuse", help="shift two catalogues into a shared namespace and merge them")
+
+def _fuse_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     p.add_argument("--left-ns", required=True, help="vocabulary namespace of the left graph")
@@ -358,21 +354,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="fused canonical N-Triples output")
     p.add_argument("--graph-name", default="urn:x-fused:catalogue")
     _add_store_flags(p)
-    p.set_defaults(func=cmd_fuse)
 
-    p = sub.add_parser("align", help="vocabulary statistics for one or more graphs")
+
+def _align_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--graphs", required=True, help="comma-separated graph files")
     p.add_argument("--out", help="statistics CSV")
-    p.set_defaults(func=cmd_align)
 
-    p = sub.add_parser("lint", help="check vocabulary labels, descriptions and naming")
+
+def _lint_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--graph", required=True)
     p.add_argument("--languages", default="de,en", help="required label languages")
     p.add_argument("--out", help="issue report CSV")
     p.add_argument("--strict", action="store_true", help="exit 1 when issues are found")
-    p.set_defaults(func=cmd_lint)
 
-    p = sub.add_parser("enrich", help="extract external data per GND, one request at a time")
+
+def _enrich_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--endpoint", required=True, choices=("dnb", "wikidata", "dbpedia"))
     p.add_argument("--gnds", required=True, help="file with one GND number or DNB URL per line")
     p.add_argument("--out", required=True, help="extracted graph as canonical N-Triples")
@@ -385,31 +381,72 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base-url", help="override the endpoint base URL")
     p.add_argument("--template", help="file with a replacement {gnd} lookup query template")
     _add_store_flags(p)
-    p.set_defaults(func=cmd_enrich)
 
-    p = sub.add_parser("log", help="list commits, newest first")
+
+def _log_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--store", required=True)
-    p.set_defaults(func=cmd_log)
 
-    p = sub.add_parser("diff", help="changeset between two commits")
+
+def _diff_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--store", required=True)
     p.add_argument("commit_a", help="commit id, or a unique prefix of at least 4 hex digits")
     p.add_argument("commit_b", help="commit id, or a unique prefix of at least 4 hex digits")
-    p.set_defaults(func=cmd_diff)
 
-    p = sub.add_parser("checkout", help="materialize the graph at a commit")
+
+def _checkout_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--store", required=True)
     p.add_argument("commit", help="commit id, or a unique prefix of at least 4 hex digits")
     p.add_argument("-o", "--out", required=True, help="output N-Triples file")
-    p.set_defaults(func=cmd_checkout)
 
+
+# name -> (help, argument adder), in the order help lists them; the handler
+# of each command is `cmd_<name>`
+COMMANDS = {
+    "query": ("evaluate a query over one or more graph files", _query_arguments),
+    "link": ("discover same-person candidates between two graphs", _link_arguments),
+    "fuse": ("shift two catalogues into a shared namespace and merge them", _fuse_arguments),
+    "align": ("vocabulary statistics for one or more graphs", _align_arguments),
+    "lint": ("check vocabulary labels, descriptions and naming", _lint_arguments),
+    "enrich": ("extract external data per GND, one request at a time", _enrich_arguments),
+    "log": ("list commits, newest first", _log_arguments),
+    "diff": ("changeset between two commits", _diff_arguments),
+    "checkout": ("materialize the graph at a commit", _checkout_arguments),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `kgfuse` parser with every command, or with `command` alone.
+
+    Handlers are looked up on this module when the parser is built, so a
+    `cmd_*` replaced in place, as the benchmark's tracer does, is the one
+    that runs."""
+    parser = argparse.ArgumentParser(
+        prog="kgfuse",
+        description="Fuse, link, enrich, version and query small RDF catalogues.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments) in COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            add_arguments(p)
+            p.set_defaults(func=globals()[f"cmd_{name}"])
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv parsed by the parser of the command it names alone.  Any other
+    argv, and one with arguments that command does not take, is parsed by
+    the full parser, whose help and usage errors list every command."""
+    if argv and argv[0] in COMMANDS:
+        args, extra = build_parser(argv[0]).parse_known_args(argv)
+        if not extra:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

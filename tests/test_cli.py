@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import errno
+import functools
 import hashlib
 import io
 import os
@@ -16,10 +17,12 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
+import test_golden
+import test_startup
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kgfuse import fixtures, versioning
+from kgfuse import cli, fixtures, versioning
 from kgfuse.cli import run
 from kgfuse.enrich import RecordedTransport
 from kgfuse.linkdisc import load_link_config
@@ -60,6 +63,37 @@ def test_every_subcommand_has_help(command, capsys):
     assert run([command, "--help"]) == 0
     out = capsys.readouterr().out
     assert command in out or "usage" in out.lower()
+
+
+def test_run_dispatches_the_namespace_the_full_parser_gives(tmp_path, monkeypatch):
+    # `run` parses with the named command's parser alone; the full parser is the reference
+    argvs = [argv for argv, _, _ in test_golden.COMMANDS.values()]
+    argvs += [test_golden.query_argv(c, f) for c in test_golden.CASES for f in test_golden.FORMS]
+    argvs += [argv for argv, _ in test_startup._commands(tmp_path, "abcd", "ef01").values() if argv]
+    dispatched = []
+    for name in cli.COMMANDS:
+        monkeypatch.setattr(cli, f"cmd_{name}", lambda args: dispatched.append(args) or 0)
+    for argv in argvs:
+        assert run(argv) == 0
+        assert dispatched.pop() == cli.build_parser().parse_args(argv), argv
+
+
+def test_run_calls_a_handler_wrapped_in_place(workdir, monkeypatch, capsys):
+    # the benchmark's tracer replaces `cli.cmd_*` with wrappers after import
+    store = workdir / "store"
+    _two_commits(store)
+    calls = []
+    original = cli.cmd_log
+
+    @functools.wraps(original)
+    def traced(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "cmd_log", traced)
+    assert run(["log", "--store", str(store)]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out == versioning.format_log(ChangeStore(store).log())
 
 
 def test_query_star_over_two_graphs(workdir, capsys):

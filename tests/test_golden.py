@@ -5,7 +5,12 @@ compares its stdout as a table and as CSV, and the `--explain` stderr, with
 the files under `tests/golden/`.  Each command case runs `fuse`, `link`,
 `align` or `lint` over bundled fixtures in an empty directory and compares
 its exit code, its stdout (`golden/<case>/stdout`) and every file it writes
-(`golden/<case>/<file>`).  Each usage case runs `kgfuse` with help or
+(`golden/<case>/<file>`).  Each store case writes its inputs in an empty
+directory, runs a sequence of `fuse`, `enrich`, `log`, `diff` and
+`checkout` steps there with the commit time pinned, and compares each
+step's exit code, stdout and stderr (`golden/<case>/<step>.stdout` and
+`.stderr`) and every file the steps write, the store's `HEAD` and commit
+files included.  Each usage case runs `kgfuse` with help or
 usage-error arguments at a terminal width of 80 columns and compares its
 exit code, stdout and stderr with `golden/usage/<case>.stdout` and
 `.stderr`; argparse writes that text, so another Python version may word
@@ -19,12 +24,15 @@ from __future__ import annotations
 import contextlib
 import io
 import os
+import shutil
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from kgfuse import cli, fixtures
+from kgfuse.enrich import RecordedTransport
 from kgfuse.prefixes import HELMSTEDT_NS, LEIPZIG_NS, PCP_NS
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -68,6 +76,46 @@ COMMANDS = {
     "lint": (["lint", "--graph", _fixture("quality.ttl"), "--out", "lint.csv", "--strict"],
              1, ["lint.csv"]),
 }
+
+
+def _given_mapping() -> None:
+    Path("given.tsv").write_text("forename\tgivenName\n", encoding="utf-8")
+
+
+def _dnb_recording() -> None:
+    recorded = RecordedTransport("recorded")
+    recorded.record(
+        "https://d-nb.info/gnd/118755951/about/lds",
+        body="<https://d-nb.info/gnd/118755951> <http://www.w3.org/2000/01/rdf-schema#label> \"H\" .\n",
+    )
+    recorded.record("https://d-nb.info/gnd/11875595X/about/lds", status=404)
+    Path("gnds.txt").write_text("118755951\n11875595X\n", encoding="utf-8")
+
+
+_FUSE_INTO_STORE = ["fuse", *_PERSONS, "--left-ns", LEIPZIG_NS, "--right-ns", HELMSTEDT_NS,
+                    "--target-ns", PCP_NS, "--store", "store", "--author", "you"]
+
+# store case -> (writer of its inputs, steps in order: name -> (argv, exit
+# code)); "{0}" and "{1}" in an argument are the ids of the store's first
+# and second commit, "{0:.12}" the 12-digit prefix that `log` prints
+STORES = {
+    "store-fuse": (_given_mapping, {
+        "fuse": ([*_FUSE_INTO_STORE, "--mapping", _fixture("renames.tsv"), "--out", "fused.nt",
+                  "--message", "fuse catalogues"], 0),
+        "fuse-given": ([*_FUSE_INTO_STORE, "--mapping", "given.tsv", "--out", "given.nt",
+                        "--message", "rename forename"], 0),
+        "log": (["log", "--store", "store"], 0),
+        "diff": (["diff", "--store", "store", "{0}", "{1}"], 0),
+        "checkout": (["checkout", "--store", "store", "{0:.12}", "-o", "restored.nt"], 0),
+    }),
+    "store-enrich": (_dnb_recording, {
+        "enrich": (["enrich", "--endpoint", "dnb", "--gnds", "gnds.txt", "--fixtures", "recorded",
+                    "--delay", "1", "--out", "dnb.nt", "--report", "dnb.csv", "--store", "store",
+                    "--author", "you", "--message", "dnb extraction"], 0),
+    }),
+}
+# the time every store case commits at, 2020-01-01T00:00:00Z
+COMMIT_TIME = 1577836800
 
 # usage case -> (argv, exit code); argparse wraps help text to the terminal width
 USAGE = {
@@ -132,6 +180,37 @@ def test_command_output_matches_its_golden_files(case, tmp_path, monkeypatch):
         assert data == (GOLDEN / case / name).read_bytes(), name
 
 
+def _files(root: Path) -> dict[str, bytes]:
+    return {path.relative_to(root).as_posix(): path.read_bytes()
+            for path in root.rglob("*") if path.is_file()}
+
+
+def _store_output(case: str) -> dict[str, bytes]:
+    """stdout and stderr of each step of a store case, run in the current
+    directory, and each file the steps write; exit codes are checked here."""
+    write_inputs, steps = STORES[case]
+    write_inputs()
+    inputs = set(_files(Path.cwd()))
+    outputs, commits = {}, []
+    with mock.patch("time.time", return_value=COMMIT_TIME):
+        for step, (argv, code) in steps.items():
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                assert cli.run([arg.format(*commits) for arg in argv]) == code, err.getvalue()
+            outputs[f"{step}.stdout"] = out.getvalue().encode("utf-8")
+            outputs[f"{step}.stderr"] = err.getvalue().encode("utf-8")
+            head = Path("store", "HEAD")
+            if head.exists() and head.read_text(encoding="utf-8").strip() not in commits:
+                commits.append(head.read_text(encoding="utf-8").strip())
+    return outputs | {name: data for name, data in _files(Path.cwd()).items() if name not in inputs}
+
+
+@pytest.mark.parametrize("case", STORES)
+def test_store_output_matches_its_golden_files(case, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _store_output(case) == _files(GOLDEN / case)
+
+
 def _usage_output(case: str) -> dict[str, bytes]:
     """stdout and stderr of a usage case; its exit code is checked here."""
     argv, code = USAGE[case]
@@ -162,6 +241,18 @@ if __name__ == "__main__":
             finally:
                 os.chdir(home)
         for name, data in outputs.items():
+            (GOLDEN / case / name).write_bytes(data)
+    for case in STORES:
+        # commit ids name files, so a case's old files are removed first
+        shutil.rmtree(GOLDEN / case, ignore_errors=True)
+        with tempfile.TemporaryDirectory() as work:
+            os.chdir(work)
+            try:
+                outputs = _store_output(case)
+            finally:
+                os.chdir(home)
+        for name, data in outputs.items():
+            (GOLDEN / case / name).parent.mkdir(parents=True, exist_ok=True)
             (GOLDEN / case / name).write_bytes(data)
     os.environ["COLUMNS"] = USAGE_COLUMNS
     (GOLDEN / "usage").mkdir(exist_ok=True)

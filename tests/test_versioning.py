@@ -534,6 +534,44 @@ def _cli(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def test_each_command_reads_only_the_commit_files_it_needs(tmp_path, monkeypatch):
+    reads = []
+    read_changeset = ChangeStore.read_changeset
+
+    def counted(self, commit_id):
+        reads.append(commit_id)
+        return read_changeset(self, commit_id)
+
+    monkeypatch.setattr(ChangeStore, "read_changeset", counted)
+    path = tmp_path / "store"
+    ids = [
+        ChangeStore(path).commit(GRAPH_NAME, _graph(*(f"v{i}" for i in range(n + 1))), "t", "m", n).id
+        for n in range(5)
+    ]
+    reads.clear()
+    # the head is replayed once, before the output is written, and the
+    # commit diffs against that state
+    fuse = ["fuse", "--left", fixtures.fixture_path("leipzig_persons.ttl"),
+            "--right", fixtures.fixture_path("helmstedt_persons.ttl"),
+            "--left-ns", "urn:l:", "--right-ns", "urn:r:", "--target-ns", "urn:t:",
+            "--out", tmp_path / "fused.nt", "--graph-name", GRAPH_NAME, "--store", path]
+    assert _cli(list(map(str, fuse)))[0] == 0
+    assert reads == ids[::-1]
+    ids.append(ChangeStore(path).head_id)
+    out = str(tmp_path / "out.nt")
+    for argv, expected in [
+        (["checkout", "--store", path, ids[5], "-o", out], [5, 4, 3, 2, 1, 0]),
+        (["checkout", "--store", path, ids[2], "-o", out], [2, 1, 0]),
+        # the replay of a descendant stops at the state of its ancestor
+        (["diff", "--store", path, ids[1], ids[4]], [1, 0, 4, 3, 2]),
+        (["diff", "--store", path, ids[4], ids[1]], [4, 3, 2, 1, 0, 1, 0]),
+        (["log", "--store", path], [5, 4, 3, 2, 1, 0]),
+    ]:
+        reads.clear()
+        assert _cli(list(map(str, argv)))[0] == 0
+        assert reads == [ids[i] for i in expected], argv
+
+
 def _pinned_history() -> list[tuple[frozenset, str, str]]:
     """`_escaped_history` plus a state with `_:` inside a literal and text on
     both sides of U+FFFF."""

@@ -92,8 +92,8 @@ def _write_text(path: str, text: str) -> None:
 def _store_to_commit_into(args, graph_name: str) -> ChangeStore | None:
     """The `--store` a result is committed into, or None.  The commit's
     fields and the store's head state are checked now, so a bad field or a
-    damaged store fails before any output is written; the commit then finds
-    that state in the store's cache."""
+    damaged store fails before any output is written; the commit then diffs
+    against that state, which the store handle remembers."""
     _check_directory(args, "store")
     if not args.store:
         return None

@@ -20,8 +20,8 @@ through it.  It rehashes the file, so a file edited after commit is an
 error rather than a silently different history, and it rejects a line both
 added and removed.
 
-A handle keeps one bounded cache: the last `_STATE_CACHE_SIZE` states it
-read or wrote, each with its `Commit`.
+A handle remembers one state, the last it read or wrote, with its `Commit`;
+a replay walks back to it or to the root.
 """
 
 from __future__ import annotations
@@ -31,15 +31,12 @@ import os
 import re
 import time
 from pathlib import Path
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .prefixes import KgfuseError
 from .rdf import _SURROGATE_RE, Graph, check_graph_name, ntriples_line
 # unused here; bench/tracing.py looks it up in this module
 from .rdf import parse_ntriples  # noqa: F401
-
-# States a store handle keeps for later reads; older ones are replayed again.
-_STATE_CACHE_SIZE = 4
 
 # A commit id, and a reference shorter than one: at least 4 hex digits.
 _ID_RE = re.compile(r"[0-9a-f]{64}")
@@ -134,8 +131,8 @@ class ChangeStore:
         self.path = Path(path)
         # created by the first commit, so reading a store writes nothing
         self.commits_dir = self.path / "commits"
-        # Committed data is immutable, so the cache never invalidates.
-        self._state_cache: dict[str, tuple[Commit, frozenset[str]]] = {}
+        # Committed data is immutable, so the remembered state never goes stale.
+        self._last: Optional[tuple[Commit, frozenset[str]]] = None
 
     # -- basics --------------------------------------------------------------
 
@@ -152,9 +149,13 @@ class ChangeStore:
             raise StoreError(f"cannot read HEAD: {head}: {reason}") from None
 
     def _write_head(self, commit_id: str) -> None:
-        tmp = self.path / "HEAD.tmp"
-        tmp.write_text(commit_id + "\n", encoding="utf-8")
-        os.replace(tmp, self.path / "HEAD")
+        # a name of this process's own, so that another writer cannot move it
+        tmp = self.path / f".tmp-{os.getpid()}-HEAD"
+        try:
+            tmp.write_text(commit_id + "\n", encoding="utf-8")
+            os.replace(tmp, self.path / "HEAD")
+        except OSError as err:
+            raise StoreError(f"cannot write HEAD: {self.path / 'HEAD'}: {err.strerror}") from None
 
     def resolve(self, ref: str) -> str:
         """The id of the one commit whose id starts with `ref`.  A full id, or
@@ -275,43 +276,34 @@ class ChangeStore:
         os.replace(tmp, self.commits_dir / commit_id)
         self._write_head(commit_id)
         commit = Commit(commit_id, head, author, message, timestamp, graph_name)
-        self._remember(commit, new_lines)
+        self._last = (commit, new_lines)
         return commit
-
-    def _remember(self, commit: Commit, state: frozenset[str]) -> tuple[Commit, frozenset[str]]:
-        entry = self._state_cache[commit.id] = (commit, state)
-        if len(self._state_cache) > _STATE_CACHE_SIZE:
-            del self._state_cache[next(iter(self._state_cache))]
-        return entry
 
     def checkout(self, commit_id: str) -> frozenset[str]:
         """The N-Triples lines of the graph at `commit_id`."""
         return self._replay(commit_id)[1]
 
     def _replay(self, commit_id: str) -> tuple[Commit, frozenset[str]]:
-        """The commit at `commit_id` and its state, from the cache or replayed
-        into it."""
-        cached = self._state_cache.get(commit_id)
-        if cached is not None:
-            return cached
-        # Walk back to the root or to the nearest cached state; each commit
-        # file is checked against its id on the way, so an edited parent
-        # pointer fails before it can lead anywhere.
-        pending = []
-        state: set[str] = set()
-        cursor: Optional[str] = commit_id
-        while cursor is not None:
-            known = self._state_cache.get(cursor)
-            if known is not None:
-                state = set(known[1])
-                break
-            changeset = self.read_changeset(cursor)
-            pending.append(changeset)
-            cursor = changeset.commit.parent
+        """The commit at `commit_id` and its state, remembered by the handle."""
+        last = self._last
+        if last is not None and last[0].id == commit_id:
+            return last
+        pending = list(self._walk(commit_id, last[0].id if last else None))
+        # the walk ended at the remembered commit unless it reached the root
+        state = set(last[1]) if pending[-1].commit.parent is not None else set()
         for changeset in reversed(pending):
             state -= changeset.removed
             state |= changeset.added
-        return self._remember(pending[0].commit, frozenset(state))
+        self._last = (pending[0].commit, frozenset(state))
+        return self._last
+
+    def _walk(self, commit_id: Optional[str], stop: Optional[str] = None) -> Iterator[ChangeSet]:
+        """Changesets from `commit_id` back to the root or to the child of `stop`;
+        each is checked against its id before its parent pointer is followed."""
+        while commit_id is not None and commit_id != stop:
+            changeset = self.read_changeset(commit_id)
+            yield changeset
+            commit_id = changeset.commit.parent
 
     def diff(self, a: str, b: str) -> ChangeSet:
         """The lines that take the state at `a` to the state at `b`."""
@@ -321,14 +313,7 @@ class ChangeStore:
 
     def log(self) -> list[LogEntry]:
         """Head-to-root entries with changeset sizes recounted from disk."""
-        entries = []
-        cursor = self.head_id
-        while cursor is not None:
-            changeset = self.read_changeset(cursor)
-            commit = changeset.commit
-            entries.append(LogEntry(commit, len(changeset.added), len(changeset.removed)))
-            cursor = commit.parent
-        return entries
+        return [LogEntry(c.commit, len(c.added), len(c.removed)) for c in self._walk(self.head_id)]
 
 
 def format_log(entries: Iterable[LogEntry]) -> str:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import os
 import random
 import re
 import shutil
@@ -222,7 +223,7 @@ def test_no_temp_leftovers_after_commits(tmp_path):
     store.commit(GRAPH_NAME, _graph("a", "b"), "t", "two", timestamp=2)
     leftovers = [p for p in store.commits_dir.iterdir() if p.name.startswith(".tmp")]
     assert leftovers == []
-    assert not (store.path / "HEAD.tmp").exists()
+    assert sorted(os.listdir(store.path)) == ["HEAD", "commits"]
 
 
 def test_messages_with_tabs_and_newlines_round_trip(tmp_path):
@@ -502,6 +503,7 @@ def test_line_separators_in_literals_and_metadata_round_trip(tmp_path):
 
 
 def test_state_cache_stays_bounded(tmp_path):
+    # a handle remembers one state, the last it read or wrote
     store = ChangeStore(tmp_path / "store")
     ids = [
         store.commit(GRAPH_NAME, _graph(*(f"v{i}" for i in range(n + 1))), "t", "m", timestamp=n).id
@@ -509,22 +511,22 @@ def test_state_cache_stays_bounded(tmp_path):
     ]
     for n, cid in enumerate(ids):
         assert len(store.checkout(cid)) == n + 1
-    assert len(store._state_cache) <= versioning._STATE_CACHE_SIZE
+        assert store._last[0].id == cid
     # a log reads every commit file and keeps none of them
     assert len(store.log()) == len(ids)
-    assert set(vars(store)) == {"path", "commits_dir", "_state_cache"}
-    assert len(store._state_cache) <= versioning._STATE_CACHE_SIZE
-    # a commit onto a head whose entry was evicted replays it, and writes
-    # the commit a fresh handle writes
-    for cid in ids[: versioning._STATE_CACHE_SIZE]:
-        store.checkout(cid)
-    assert ids[-1] not in store._state_cache
+    assert set(vars(store)) == {"path", "commits_dir", "_last"}
+    assert store._last[0].id == ids[-1]
+    # a commit onto a head the handle no longer remembers replays it, and
+    # writes the commit a fresh handle writes
+    store.checkout(ids[0])
     shutil.copytree(store.path, tmp_path / "copy")
     g = _graph("v0", "w")
     c = store.commit(GRAPH_NAME, g, "t", "m", timestamp=12)
     assert c.parent == ids[-1]
     assert c == ChangeStore(tmp_path / "copy").commit(GRAPH_NAME, g, "t", "m", timestamp=12)
-    assert len(store._state_cache) <= versioning._STATE_CACHE_SIZE
+    assert (tmp_path / "store" / "commits" / c.id).read_bytes() == (
+        tmp_path / "copy" / "commits" / c.id).read_bytes()
+    assert store._last == (c, _lines(g.triples))
 
 
 def _cli(argv: list[str]) -> tuple[int, str, str]:
@@ -570,6 +572,54 @@ def test_each_command_reads_only_the_commit_files_it_needs(tmp_path, monkeypatch
         reads.clear()
         assert _cli(list(map(str, argv)))[0] == 0
         assert reads == [ids[i] for i in expected], argv
+
+
+def test_a_second_writer_between_head_write_and_rename_costs_no_error(tmp_path, monkeypatch):
+    # Another process commits after this writer wrote its new HEAD and
+    # before it renames it into place: each writes HEAD through a name of
+    # its own, so neither rename fails.  The other commit is not on the
+    # log; serializing writers is a lock's work.
+    path = tmp_path / "store"
+    base = ChangeStore(path).commit(GRAPH_NAME, _graph("a"), "t", "base", timestamp=0)
+    replace, getpid = os.replace, os.getpid
+    others = []
+
+    def racing_replace(src, dst):
+        # the other writer, with a pid of its own, renames without a race
+        if Path(dst).name == "HEAD" and os.getpid() == getpid() and not others:
+            monkeypatch.setattr(os, "getpid", lambda: getpid() + 1)
+            others.append(ChangeStore(path).commit(GRAPH_NAME, _graph("b"), "u", "other", timestamp=2))
+            monkeypatch.setattr(os, "getpid", getpid)
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", racing_replace)
+    mine = ChangeStore(path).commit(GRAPH_NAME, _graph("a", "c"), "t", "mine", timestamp=1)
+    assert others[0].parent == mine.parent == base.id
+    assert ChangeStore(path).head_id == mine.id
+    assert sorted(os.listdir(path)) == ["HEAD", "commits"]
+    assert sorted(os.listdir(path / "commits")) == sorted([base.id, mine.id, others[0].id])
+
+
+def test_a_head_that_cannot_be_written_is_a_one_line_error(tmp_path, monkeypatch):
+    path = tmp_path / "store"
+    ChangeStore(path).commit(GRAPH_NAME, _graph("a"), "t", "base", timestamp=0)
+    replace = os.replace
+
+    def failing_replace(src, dst):
+        if Path(dst).name == "HEAD":
+            raise PermissionError(13, "Permission denied")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(StoreError, match=f"^cannot write HEAD: {re.escape(str(path / 'HEAD'))}: "
+                                         "Permission denied$"):
+        ChangeStore(path).commit(GRAPH_NAME, _graph("b"), "t", "next", timestamp=1)
+    fuse = ["fuse", "--left", fixtures.fixture_path("leipzig_persons.ttl"),
+            "--right", fixtures.fixture_path("helmstedt_persons.ttl"),
+            "--left-ns", "urn:l:", "--right-ns", "urn:r:", "--target-ns", "urn:t:",
+            "--out", tmp_path / "fused.nt", "--graph-name", GRAPH_NAME, "--store", path]
+    code, _, err = _cli(list(map(str, fuse)))
+    assert (code, err) == (1, f"error: cannot write HEAD: {path / 'HEAD'}: Permission denied\n")
 
 
 def _pinned_history() -> list[tuple[frozenset, str, str]]:

@@ -14,7 +14,8 @@ files included.  Each usage case runs `kgfuse` with help or
 usage-error arguments at a terminal width of 80 columns and compares its
 exit code, stdout and stderr with `golden/usage/<case>.stdout` and
 `.stderr`; argparse writes that text, and Python 3.13 words three of the
-cases differently, so their files for it are under `golden/usage-3.13/`.  A change that alters output on purpose rewrites them with
+cases differently, so their files for it are under `golden/usage-3.13/`.
+A change that alters output on purpose rewrites them with
 `PYTHONPATH=src python tests/test_golden.py`, and its diff shows which
 bytes moved.
 """
@@ -203,8 +204,8 @@ def _store_output(case: str) -> dict[str, bytes]:
             outputs[f"{step}.stdout"] = out.getvalue().encode("utf-8")
             outputs[f"{step}.stderr"] = err.getvalue().encode("utf-8")
             head = Path("store", "HEAD")
-            if head.exists() and head.read_text(encoding="utf-8").strip() not in commits:
-                commits.append(head.read_text(encoding="utf-8").strip())
+            if head.exists() and (commit := head.read_text(encoding="utf-8").strip()) not in commits:
+                commits.append(commit)
     return outputs | {name: data for name, data in _files(Path.cwd()).items() if name not in inputs}
 
 
@@ -241,28 +242,19 @@ if __name__ == "__main__":
         for form in FORMS:
             (GOLDEN / f"{case}.{form}").write_bytes(_output(case, form))
     home = os.getcwd()
-    for case in COMMANDS:
-        (GOLDEN / case).mkdir(exist_ok=True)
-        with tempfile.TemporaryDirectory() as work:
-            os.chdir(work)
-            try:
-                outputs = _command_output(case)
-            finally:
-                os.chdir(home)
-        for name, data in outputs.items():
-            (GOLDEN / case / name).write_bytes(data)
-    for case in STORES:
-        # commit ids name files, so a case's old files are removed first
-        shutil.rmtree(GOLDEN / case, ignore_errors=True)
-        with tempfile.TemporaryDirectory() as work:
-            os.chdir(work)
-            try:
-                outputs = _store_output(case)
-            finally:
-                os.chdir(home)
-        for name, data in outputs.items():
-            (GOLDEN / case / name).parent.mkdir(parents=True, exist_ok=True)
-            (GOLDEN / case / name).write_bytes(data)
+    for cases, output in ((COMMANDS, _command_output), (STORES, _store_output)):
+        for case in cases:
+            with tempfile.TemporaryDirectory() as work:
+                os.chdir(work)
+                try:
+                    outputs = output(case)
+                finally:
+                    os.chdir(home)
+            # commit ids name store files, so a case's old files go first
+            shutil.rmtree(GOLDEN / case, ignore_errors=True)
+            for name, data in outputs.items():
+                (GOLDEN / case / name).parent.mkdir(parents=True, exist_ok=True)
+                (GOLDEN / case / name).write_bytes(data)
     os.environ["COLUMNS"] = USAGE_COLUMNS
     for case in USAGE:
         for stream, data in _usage_output(case).items():

@@ -536,6 +536,15 @@ def _cli(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def _fuse_into(store: Path, out: Path) -> list[str]:
+    """`kgfuse fuse` of the bundled person fixtures, committed into `store`
+    under GRAPH_NAME."""
+    return ["fuse", "--left", str(fixtures.fixture_path("leipzig_persons.ttl")),
+            "--right", str(fixtures.fixture_path("helmstedt_persons.ttl")),
+            "--left-ns", "urn:l:", "--right-ns", "urn:r:", "--target-ns", "urn:t:",
+            "--out", str(out), "--graph-name", GRAPH_NAME, "--store", str(store)]
+
+
 def test_each_command_reads_only_the_commit_files_it_needs(tmp_path, monkeypatch):
     reads = []
     read_changeset = ChangeStore.read_changeset
@@ -553,11 +562,7 @@ def test_each_command_reads_only_the_commit_files_it_needs(tmp_path, monkeypatch
     reads.clear()
     # the head is replayed once, before the output is written, and the
     # commit diffs against that state
-    fuse = ["fuse", "--left", fixtures.fixture_path("leipzig_persons.ttl"),
-            "--right", fixtures.fixture_path("helmstedt_persons.ttl"),
-            "--left-ns", "urn:l:", "--right-ns", "urn:r:", "--target-ns", "urn:t:",
-            "--out", tmp_path / "fused.nt", "--graph-name", GRAPH_NAME, "--store", path]
-    assert _cli(list(map(str, fuse)))[0] == 0
+    assert _cli(_fuse_into(path, tmp_path / "fused.nt"))[0] == 0
     assert reads == ids[::-1]
     ids.append(ChangeStore(path).head_id)
     out = str(tmp_path / "out.nt")
@@ -614,11 +619,7 @@ def test_a_head_that_cannot_be_written_is_a_one_line_error(tmp_path, monkeypatch
     with pytest.raises(StoreError, match=f"^cannot write HEAD: {re.escape(str(path / 'HEAD'))}: "
                                          "Permission denied$"):
         ChangeStore(path).commit(GRAPH_NAME, _graph("b"), "t", "next", timestamp=1)
-    fuse = ["fuse", "--left", fixtures.fixture_path("leipzig_persons.ttl"),
-            "--right", fixtures.fixture_path("helmstedt_persons.ttl"),
-            "--left-ns", "urn:l:", "--right-ns", "urn:r:", "--target-ns", "urn:t:",
-            "--out", tmp_path / "fused.nt", "--graph-name", GRAPH_NAME, "--store", path]
-    code, _, err = _cli(list(map(str, fuse)))
+    code, _, err = _cli(_fuse_into(path, tmp_path / "fused.nt"))
     assert (code, err) == (1, f"error: cannot write HEAD: {path / 'HEAD'}: Permission denied\n")
 
 

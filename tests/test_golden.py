@@ -49,6 +49,7 @@ CASES = {
     "faculty_desc_professor_asc": (GOLDEN / "faculty_desc_professor_asc.rq", ["documents.ttl"]),
     "count_by_unprojected_key": (GOLDEN / "count_by_unprojected_key.rq", ["documents.ttl"]),
     "count_no_matches": (GOLDEN / "count_no_matches.rq", ["documents.ttl"]),
+    "faculty_pairs": (GOLDEN / "faculty_pairs.rq", ["documents.ttl"]),
     "labels_limit": (
         GOLDEN / "labels_limit.rq",
         ["documents.ttl", "leipzig_persons.ttl", "helmstedt_persons.ttl"],

@@ -10,8 +10,10 @@ after a syntax error.
 
 Evaluation uses bag semantics before grouping.  A greedy planner orders the
 triple patterns once per query from index cardinalities (`Graph.count`), so
-the order they are written in does not matter; each pattern is then joined
-by probing the graph through its indexes, and `year()` binds run last.
+the order they are written in does not matter.  They are joined depth first
+from one stack, probing the graph's indexes; each complete solution gets its
+`year()` binds and is projected or counted into its group, which keeps only
+its count, so memory follows the matches per pattern and the answer.
 Each result row is one tuple: its projected cells, followed for a grouped
 row by its group key, which ORDER BY may also read.  Rows are put in order
 once, at the end: first by the canonical N-Triples text of the projected
@@ -25,7 +27,7 @@ import csv
 import io
 import re
 from decimal import Decimal
-from typing import Iterable, Mapping, NamedTuple, Optional, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
 from .prefixes import RDF_TYPE, XSD_BOOLEAN, XSD_INTEGER, KgfuseError
 from .rdf import (
@@ -444,31 +446,6 @@ def term_sort_key(t: Optional[Term]) -> tuple:
     return (_KIND_RANK[t.kind], 1, 0, t.value, t.language or "", t.datatype or "")
 
 
-def _resolve(pos: Union[Term, Var], mu: dict[str, Term]) -> Optional[Term]:
-    if isinstance(pos, Var):
-        return mu.get(pos.name)
-    return pos
-
-
-def _join_pattern(g: Graph, pattern: TriplePattern, mu: dict[str, Term]) -> list[dict[str, Term]]:
-    s = _resolve(pattern.s, mu)
-    p = _resolve(pattern.p, mu)
-    o = _resolve(pattern.o, mu)
-    out = []
-    for t in g.match(s, p, o):
-        ext = dict(mu)
-        ok = True
-        for pos, term in ((pattern.s, t.s), (pattern.p, t.p), (pattern.o, t.o)):
-            if isinstance(pos, Var):
-                if pos.name in ext and ext[pos.name] != term:
-                    ok = False
-                    break
-                ext[pos.name] = term
-        if ok:
-            out.append(ext)
-    return out
-
-
 def _plan(patterns: list[TriplePattern], g: Graph) -> list[tuple[TriplePattern, int]]:
     """Greedy join order from index cardinalities (Stocker et al., WWW 2008).
 
@@ -486,7 +463,7 @@ def _plan(patterns: list[TriplePattern], g: Graph) -> list[tuple[TriplePattern, 
 
     def rank(i: int):
         names = variables[i]
-        n_bound = 3 - len(names) + sum(name in bound for name in names)
+        n_bound = 3 - len(names) + sum(map(bound.__contains__, names))
         return (bound.isdisjoint(names), -n_bound, estimates[i], i)
 
     remaining = list(range(len(patterns)))
@@ -499,23 +476,38 @@ def _plan(patterns: list[TriplePattern], g: Graph) -> list[tuple[TriplePattern, 
     return order
 
 
-def _solutions(q: QueryAST, g: Graph) -> tuple[list[dict[str, Term]], list[PlanStep]]:
-    solutions: list[dict[str, Term]] = [{}]
-    plan = []
-    for pattern, estimate in _plan(q.patterns, g):
-        solutions = [ext for mu in solutions for ext in _join_pattern(g, pattern, mu)]
-        plan.append(PlanStep(pattern, estimate, len(solutions)))
-    for bind in q.binds:
-        kept = []
-        for mu in solutions:
-            year = extract_year(mu.get(bind.source))
-            if year is None:
-                continue  # ragged date: the row is dropped, not the query
-            mu = dict(mu)
-            mu[bind.target] = literal(str(year), datatype=XSD_INTEGER)
-            kept.append(mu)
-        solutions = kept
-    return solutions, plan
+def _solutions(
+    patterns: tuple[TriplePattern, ...], binds: list[YearBind], g: Graph, kept: list[int]
+) -> Iterator[dict[str, Term]]:
+    """Join `patterns` in that order, depth first from one stack of (step,
+    partial solution) pairs, and yield each solution with its `year()` binds.
+    `kept[i]` counts the partial solutions after pattern `i`, before binds."""
+    last = len(patterns) - 1
+    # the (position, name) of each variable of each pattern
+    slots = [[(k, x.name) for k, x in enumerate(pt) if isinstance(x, Var)] for pt in patterns]
+    stack = [(0, {})]
+    while stack:
+        i, mu = stack.pop()
+        probe = list(patterns[i])
+        for k, name in slots[i]:
+            probe[k] = mu.get(name)  # None while unbound
+        for t in g.match(*probe):
+            ext = mu.copy()
+            for k, name in slots[i]:
+                if ext.setdefault(name, t[k]) != t[k]:
+                    break  # a variable repeated in the pattern meets two terms
+            else:
+                kept[i] += 1
+                if i < last:
+                    stack.append((i + 1, ext))
+                    continue
+                for bind in binds:
+                    year = extract_year(ext.get(bind.source))
+                    if year is None:
+                        break  # ragged date: the row is dropped, not the query
+                    ext[bind.target] = literal(str(year), datatype=XSD_INTEGER)
+                else:
+                    yield ext
 
 
 def evaluate(q: QueryAST, graphs: Union[Graph, Iterable[Graph]]) -> ResultTable:
@@ -523,29 +515,33 @@ def evaluate(q: QueryAST, graphs: Union[Graph, Iterable[Graph]]) -> ResultTable:
     if not isinstance(graphs, Graph):
         graphs = list(graphs)
         graphs = graphs[0] if len(graphs) == 1 else Graph.union(graphs)
-    solutions, plan = _solutions(q, graphs)
+    patterns, estimates = zip(*_plan(q.patterns, graphs))
+    kept = [0] * len(patterns)
+    solutions = _solutions(patterns, q.binds, graphs, kept)
     header = q.header
     rows: list[tuple[Optional[Term], ...]]
     if q.group_by or any(isinstance(p, CountAgg) for p in q.projection):
         # Without GROUP BY the solutions form one group, even when there are
         # none (SPARQL 1.1 §11.1), so a COUNT over no matches is one row of 0.
-        groups: dict[tuple, list[dict[str, Term]]] = {} if q.group_by else {(): []}
+        # Every solution binds the same variables, so a group keeps its size.
+        sizes: dict[tuple, int] = {} if q.group_by else {(): 0}
         for mu in solutions:
-            groups.setdefault(tuple(mu.get(v) for v in q.group_by), []).append(mu)
+            key = tuple([mu.get(v) for v in q.group_by])
+            sizes[key] = sizes.get(key, 0) + 1
+        bound = {v for p in q.patterns for v in p.variables()} | {b.target for b in q.binds}
         # A grouped row holds its cells, then its group key; `_validated`
         # puts every projected variable in GROUP BY.
         rows = []
-        for key, members in groups.items():
-            cells = []
-            for p in q.projection:
-                if isinstance(p, CountAgg):
-                    count = sum(1 for mu in members if mu.get(p.var) is not None)
-                    cells.append(literal(str(count), datatype=XSD_INTEGER))
-                else:
-                    cells.append(key[q.group_by.index(p.name)])
+        for key, size in sizes.items():
+            cells = [
+                literal(str(size if p.var in bound else 0), datatype=XSD_INTEGER)
+                if isinstance(p, CountAgg) else key[q.group_by.index(p.name)]
+                for p in q.projection
+            ]
             rows.append((*cells, *key))
     else:
         rows = [tuple(mu.get(p.name) for p in q.projection) for mu in solutions]
+    plan = list(map(PlanStep, patterns, estimates, kept))
     # `_validated` lets ORDER BY read only projected and grouped variables.
     width = len(header)
     column: dict[str, int] = {}

@@ -26,6 +26,7 @@ a replay walks back to it or to the root.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 import re
@@ -148,14 +149,20 @@ class ChangeStore:
             reason = err.strerror if isinstance(err, OSError) else err
             raise StoreError(f"cannot read HEAD: {head}: {reason}") from None
 
-    def _write_head(self, commit_id: str) -> None:
-        # a name of this process's own, so that another writer cannot move it
-        tmp = self.path / f".tmp-{os.getpid()}-HEAD"
+    @staticmethod
+    def _write(path: Path, data: bytes, what: str) -> None:
+        """Write `path` through a temporary file of this process's own, renamed
+        into place; a failure removes it and is one `cannot write <what>`."""
+        tmp = path.with_name(f".tmp-{os.getpid()}-{path.name[:12]}")
         try:
-            tmp.write_text(commit_id + "\n", encoding="utf-8")
-            os.replace(tmp, self.path / "HEAD")
+            path.parent.mkdir(parents=True, exist_ok=True)
+            with open(tmp, "wb") as f:
+                f.write(data)
+            os.replace(tmp, path)
         except OSError as err:
-            raise StoreError(f"cannot write HEAD: {self.path / 'HEAD'}: {err.strerror}") from None
+            with contextlib.suppress(OSError):
+                tmp.unlink(missing_ok=True)
+            raise StoreError(f"cannot write {what}: {path}: {err.strerror}") from None
 
     def resolve(self, ref: str) -> str:
         """The id of the one commit whose id starts with `ref`.  A full id, or
@@ -269,12 +276,8 @@ class ChangeStore:
             for part in (header, _lines_to_text(added), _REMOVE_MARK, _lines_to_text(removed))
         )
         commit_id = hashlib.sha256(data).hexdigest()
-        self.commits_dir.mkdir(parents=True, exist_ok=True)
-        tmp = self.commits_dir / f".tmp-{os.getpid()}-{commit_id[:12]}"
-        with open(tmp, "wb") as f:
-            f.write(data)
-        os.replace(tmp, self.commits_dir / commit_id)
-        self._write_head(commit_id)
+        self._write(self.commits_dir / commit_id, data, f"commit {commit_id[:12]}")
+        self._write(self.path / "HEAD", f"{commit_id}\n".encode(), "HEAD")
         commit = Commit(commit_id, head, author, message, timestamp, graph_name)
         self._last = (commit, new_lines)
         return commit

@@ -621,6 +621,56 @@ def test_a_head_that_cannot_be_written_is_a_one_line_error(tmp_path, monkeypatch
         ChangeStore(path).commit(GRAPH_NAME, _graph("b"), "t", "next", timestamp=1)
     code, _, err = _cli(_fuse_into(path, tmp_path / "fused.nt"))
     assert (code, err) == (1, f"error: cannot write HEAD: {path / 'HEAD'}: Permission denied\n")
+    assert sorted(os.listdir(path)) == ["HEAD", "commits"]
+
+
+def _opened_then_full(file, *args, **kwargs):
+    """`open` that creates the file, then fails as a full disk would."""
+    open(file, *args, **kwargs).close()
+    raise OSError(28, "No space left on device")
+
+
+def _refused(src, dst):
+    raise PermissionError(13, "Permission denied")
+
+
+# the store's own `open`, so that the command still reads its inputs
+@pytest.mark.parametrize("module, name, real, failing, reason", [
+    (versioning, "open", open, _opened_then_full, "No space left on device"),
+    (os, "replace", os.replace, _refused, "Permission denied"),
+], ids=["open", "replace"])
+def test_a_commit_file_that_cannot_be_written_is_a_one_line_error(
+    tmp_path, monkeypatch, module, name, real, failing, reason
+):
+    path = tmp_path / "store"
+    base = ChangeStore(path).commit(GRAPH_NAME, _graph("a"), "t", "base", timestamp=0)
+
+    def failing_for_the_commit_temp(file, *args, **kwargs):
+        if Path(file).parent.name == "commits" and Path(file).name.startswith(".tmp-"):
+            return failing(file, *args, **kwargs)
+        return real(file, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, failing_for_the_commit_temp, raising=False)
+    error = (rf"cannot write commit ([0-9a-f]{{12}}): {re.escape(str(path / 'commits') + os.sep)}"
+             rf"\1[0-9a-f]{{52}}: {reason}")
+    with pytest.raises(StoreError, match=f"^{error}$"):
+        ChangeStore(path).commit(GRAPH_NAME, _graph("b"), "t", "next", timestamp=1)
+    code, _, err = _cli(_fuse_into(path, tmp_path / "fused.nt"))
+    assert code == 1
+    assert re.fullmatch(f"error: {error}\n", err), err
+    assert sorted(os.listdir(path)) == ["HEAD", "commits"]
+    assert os.listdir(path / "commits") == [base.id]
+    assert ChangeStore(path).head_id == base.id
+
+
+def test_a_commits_folder_that_cannot_be_made_is_a_one_line_error(tmp_path):
+    path = tmp_path / "store"
+    path.mkdir()
+    (path / "commits").touch()
+    code, _, err = _cli(_fuse_into(path, tmp_path / "fused.nt"))
+    assert code == 1
+    assert re.fullmatch(r"error: cannot write commit [0-9a-f]{12}: .*: File exists\n", err), err
+    assert os.listdir(path) == ["commits"]
 
 
 def _pinned_history() -> list[tuple[frozenset, str, str]]:

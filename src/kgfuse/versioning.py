@@ -9,7 +9,8 @@ single graph name.
 
 A commit file is written under a temporary name and renamed into place
 before HEAD moves, so a crash leaves either the previous head or the new
-one, never a half-written commit.
+one, never a half-written commit.  A failed write removes its temporary
+file and is one `StoreError`.
 
 The store works on N-Triples lines as `ntriples_line` writes them and
 never parses them: `checkout` returns a state as the frozenset of its
@@ -151,8 +152,8 @@ class ChangeStore:
 
     @staticmethod
     def _write(path: Path, data: bytes, what: str) -> None:
-        """Write `path` through a temporary file of this process's own, renamed
-        into place; a failure removes it and is one `cannot write <what>`."""
+        """Write `path` via a temporary name that no other process writes, then
+        rename it into place; a failure removes it and is `cannot write <what>`."""
         tmp = path.with_name(f".tmp-{os.getpid()}-{path.name[:12]}")
         try:
             path.parent.mkdir(parents=True, exist_ok=True)

@@ -356,6 +356,7 @@ ORACLE_QUERIES = [
     "select (count(?x) as ?n) (count(?y) as ?m) where {?s ?p ?x . ?x <urn:p:2> ?y}",
     "select ?s ?y where {?s <urn:p:0> ?o . bind (year(?o) as ?y)}",
     "select ?y (count(?s) as ?n) where {?s ?p ?o . bind (year(?o) as ?y)} group by ?y",
+    "select ?s (count(?z) as ?n) where {?s <urn:p:0> ?o} group by ?s",
 ]
 
 

@@ -10,7 +10,10 @@ directory, runs a sequence of `fuse`, `enrich`, `log`, `diff` and
 `checkout` steps there with the commit time pinned, and compares each
 step's exit code, stdout and stderr (`golden/<case>/<step>.stdout` and
 `.stderr`) and every file the steps write, the store's `HEAD` and commit
-files included.  Each usage case runs `kgfuse` with help or
+files included.  The generated case runs `fuse`, `link` and a `query` per
+report over the catalogues under `golden/generated/input/`, which
+`bench/gen.py` wrote once, and compares the same (`golden/generated/`).
+Each usage case runs `kgfuse` with help or
 usage-error arguments at a terminal width of 80 columns and compares its
 exit code, stdout and stderr with `golden/usage/<case>.stdout` and
 `.stderr`; argparse writes that text, and Python 3.13 words three of the
@@ -25,7 +28,6 @@ from __future__ import annotations
 import contextlib
 import io
 import os
-import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -120,6 +122,33 @@ STORES = {
 # the time every store case commits at, 2020-01-01T00:00:00Z
 COMMIT_TIME = 1577836800
 
+# Written once by `bench/gen.py`: `gen.catalogues(random.Random("30:golden"),
+# 20, 20, 10)` as Turtle exports, `gen.RENAMES`, `gen.LINK_CONFIG` and the
+# four `gen.REPORTS` queries.  Both exports hold `_:b0` and `_:b1`, so the
+# fuse exercises the merge and the canonical relabeling.  They are files, so
+# tier-1 does not import `bench/`.
+GENERATED_INPUT = GOLDEN / "generated" / "input"
+REPORTS = ("qualification_by_faculty_year", "persons_per_faculty", "births_per_year",
+           "documents_per_praeses")
+
+
+def _generated(name: str) -> str:
+    return str(GENERATED_INPUT / name)
+
+
+_GENERATED_PERSONS = ["--left", _generated("leipzig.ttl"), "--right", _generated("helmstedt.ttl")]
+
+# steps of the generated case in order: name -> (argv, exit code)
+GENERATED = {
+    "fuse": (["fuse", *_GENERATED_PERSONS, "--left-ns", LEIPZIG_NS, "--right-ns", HELMSTEDT_NS,
+              "--target-ns", PCP_NS, "--mapping", _generated("renames.tsv"), "--out", "fused.nt"],
+             0),
+    "link": (["link", "--config", _generated("link.cfg"), *_GENERATED_PERSONS,
+              "--out", "report.csv", "--sameas", "links.nt"], 0),
+    **{report: (["query", "--graphs", "fused.nt", "--query", _generated(f"{report}.rq"),
+                 "--format", "csv", "--out", f"{report}.csv"], 0) for report in REPORTS},
+}
+
 # usage case -> (argv, exit code); argparse wraps help text to the terminal width
 USAGE = {
     "help": (["--help"], 0),
@@ -190,11 +219,25 @@ def _files(root: Path) -> dict[str, bytes]:
             for path in root.rglob("*") if path.is_file()}
 
 
+def _golden_outputs(case: str) -> dict[str, bytes]:
+    """The golden files of a case, less the inputs kept under `input/`."""
+    return {name: data for name, data in _files(GOLDEN / case).items()
+            if not name.startswith("input/")}
+
+
 def _store_output(case: str) -> dict[str, bytes]:
-    """stdout and stderr of each step of a store case, run in the current
-    directory, and each file the steps write; exit codes are checked here."""
     write_inputs, steps = STORES[case]
     write_inputs()
+    return _steps_output(steps)
+
+
+def _generated_output(case: str) -> dict[str, bytes]:
+    return _steps_output(GENERATED)
+
+
+def _steps_output(steps: dict[str, tuple[list[str], int]]) -> dict[str, bytes]:
+    """stdout and stderr of each step, run in order in the current directory,
+    and each file the steps write; exit codes are checked here."""
     inputs = set(_files(Path.cwd()))
     outputs, commits = {}, []
     with mock.patch("time.time", return_value=COMMIT_TIME):
@@ -213,7 +256,12 @@ def _store_output(case: str) -> dict[str, bytes]:
 @pytest.mark.parametrize("case", STORES)
 def test_store_output_matches_its_golden_files(case, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    assert _store_output(case) == _files(GOLDEN / case)
+    assert _store_output(case) == _golden_outputs(case)
+
+
+def test_generated_output_matches_its_golden_files(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _generated_output("generated") == _golden_outputs("generated")
 
 
 def _usage_golden(case: str, stream: str) -> Path:
@@ -243,7 +291,8 @@ if __name__ == "__main__":
         for form in FORMS:
             (GOLDEN / f"{case}.{form}").write_bytes(_output(case, form))
     home = os.getcwd()
-    for cases, output in ((COMMANDS, _command_output), (STORES, _store_output)):
+    for cases, output in ((COMMANDS, _command_output), (STORES, _store_output),
+                          (["generated"], _generated_output)):
         for case in cases:
             with tempfile.TemporaryDirectory() as work:
                 os.chdir(work)
@@ -252,7 +301,8 @@ if __name__ == "__main__":
                 finally:
                     os.chdir(home)
             # commit ids name store files, so a case's old files go first
-            shutil.rmtree(GOLDEN / case, ignore_errors=True)
+            for name in _golden_outputs(case):
+                (GOLDEN / case / name).unlink()
             for name, data in outputs.items():
                 (GOLDEN / case / name).parent.mkdir(parents=True, exist_ok=True)
                 (GOLDEN / case / name).write_bytes(data)

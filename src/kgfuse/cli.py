@@ -92,8 +92,9 @@ def _write_text(path: str, text: str) -> None:
 def _store_to_commit_into(args, graph_name: str) -> ChangeStore | None:
     """The `--store` a result is committed into, or None.  The commit's
     fields and the store's head state are checked now, so a bad field or a
-    damaged store fails before any output is written; the commit then diffs
-    against that state, which the store handle remembers."""
+    damaged store fails before the graph is built and before `enrich`'s first
+    request; the commit then diffs against that state, which the store handle
+    remembers."""
     _check_directory(args, "store")
     if not args.store:
         return None
@@ -104,10 +105,14 @@ def _store_to_commit_into(args, graph_name: str) -> ChangeStore | None:
     return store
 
 
-def _maybe_commit(args, store: ChangeStore | None, graph: Graph) -> None:
-    if store is not None:
-        commit = store.commit(graph.name, graph, args.author, args.message)
-        print(f"committed {commit.short_id} to {args.store}")
+def _commit(args, store: ChangeStore | None, graph: Graph) -> str | None:
+    """Commit `graph` into the `--store`, if one was given, before any output
+    is written, so a refused commit leaves no output behind; the line that
+    reports it, which the command prints last."""
+    if store is None:
+        return None
+    commit = store.commit(graph.name, graph, args.author, args.message)
+    return f"committed {commit.short_id} to {args.store}"
 
 
 def _add_store_flags(parser: argparse.ArgumentParser) -> None:
@@ -185,11 +190,13 @@ def cmd_fuse(args) -> int:
     shifted_left = fusion.shift_namespace(left, args.left_ns, args.target_ns, renames)
     shifted_right = fusion.shift_namespace(right, args.right_ns, args.target_ns, renames)
     fused = Graph.union([shifted_left, shifted_right], name=args.graph_name)
+    committed = _commit(args, store, fused)
     _write_text(args.out, serialize_canonical(fused))
     print(f"fused {len(left)} + {len(right)} triples into {len(fused)} -> {args.out}")
     for label, a, b in zip(("properties", "classes"), left_vocab, right_vocab):
         print(f"{label}: {_overlap_text(fusion.compute_overlap(a, b))}")
-    _maybe_commit(args, store, fused)
+    if committed:
+        print(committed)
     return 0
 
 
@@ -271,6 +278,7 @@ def cmd_enrich(args) -> int:
     else:
         raise UsageError("choose a transport: --fixtures DIR for recorded runs or --live")
     graph, report = enrich.lazy_extract(gnds, endpoint, transport)
+    committed = _commit(args, store, graph)
     _write_text(args.out, serialize_canonical(graph))
     print(
         f"extracted {len(graph)} triple(s) from {endpoint.name} "
@@ -278,7 +286,8 @@ def cmd_enrich(args) -> int:
     )
     if args.report:
         _write_text(args.report, report.to_csv())
-    _maybe_commit(args, store, graph)
+    if committed:
+        print(committed)
     return 0
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Protocol
 
-from .prefixes import KgfuseError, read_text
+from .prefixes import KgfuseError, csv_text, read_text
 from .rdf import Graph, RdfError
 from .sparql import QueryTemplate, instantiate
 
@@ -290,23 +290,9 @@ class ExtractionReport:
     def to_csv(self) -> str:
         """Deterministic artifact: elapsed times stay on the report object
         so identical runs produce byte-identical files."""
-        import csv
-        import io
-
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["gnd", "outcome", "triples", "error", "attempts"])
-        for item in self.items:
-            writer.writerow(
-                [
-                    item.gnd,
-                    item.outcome,
-                    item.triple_count,
-                    item.error_class or "",
-                    item.attempts,
-                ]
-            )
-        return buf.getvalue()
+        rows = ((i.gnd, i.outcome, i.triple_count, i.error_class or "", i.attempts)
+                for i in self.items)
+        return csv_text(("gnd", "outcome", "triples", "error", "attempts"), rows)
 
 
 def _extract_one(

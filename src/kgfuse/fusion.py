@@ -11,8 +11,6 @@ not use is ignored.
 
 from __future__ import annotations
 
-import csv
-import io
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,6 +31,7 @@ from .prefixes import (
     RDFS_NS,
     XSD_NS,
     KgfuseError,
+    csv_text,
     read_text,
 )
 from .rdf import IRI, Graph, Triple, iri
@@ -256,12 +255,8 @@ def lint_vocabulary(
 
 
 def lint_report_csv(issues: Iterable[LintIssue]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["subject", "kind", "detail", "suggested-fix"])
-    for issue in issues:
-        writer.writerow([issue.subject, issue.kind, issue.detail, issue.suggested_fix or ""])
-    return buf.getvalue()
+    rows = ((i.subject, i.kind, i.detail, i.suggested_fix or "") for i in issues)
+    return csv_text(("subject", "kind", "detail", "suggested-fix"), rows)
 
 
 # ---------------------------------------------------------------------------

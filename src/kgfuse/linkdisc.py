@@ -10,8 +10,6 @@ shortest round-trip formatting.
 from __future__ import annotations
 
 import configparser
-import csv
-import io
 import itertools
 import math
 import re
@@ -20,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
-from .prefixes import DEFAULT_PREFIXES, OWL_SAMEAS, RDF_TYPE, KgfuseError, read_text
+from .prefixes import DEFAULT_PREFIXES, OWL_SAMEAS, RDF_TYPE, KgfuseError, csv_text, read_text
 from .rdf import IRI, LITERAL, Graph, Triple, iri
 
 ACCEPTED = "accepted"
@@ -218,17 +216,9 @@ def find_links(ga: Graph, gb: Graph, cfg: LinkConfig) -> list[LinkCandidate]:
 
 def emit_review_report(candidates: Iterable[LinkCandidate]) -> str:
     """CSV for the human pass: both IRIs, compared values, score, status."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(
-        [
-            "source", "target", "score", "status",
-            "best_source_property", "best_target_property",
-            "source_values", "target_values",
-        ]
-    )
-    writer.writerows(_report_row(c) for c in candidates)
-    return buf.getvalue()
+    header = ("source", "target", "score", "status", "best_source_property",
+              "best_target_property", "source_values", "target_values")
+    return csv_text(header, map(_report_row, candidates))
 
 
 def _report_row(c: LinkCandidate) -> tuple[str, ...]:

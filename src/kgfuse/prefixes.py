@@ -1,14 +1,16 @@
-"""Well-known namespaces, the default prefix map, the input reader, and the
-base of the errors the CLI reports.
+"""Well-known namespaces, the default prefix map, the input reader, the CSV
+writer, and the base of the errors the CLI reports.
 
 The default prefixes are configuration, not ground truth: query files may
 redeclare any of them, and the CLI accepts a prefix file that overrides
-this table (see `load_prefix_file`).  `read_text` reads every input file.
+this table (see `load_prefix_file`).  `read_text` reads every input file,
+and `csv_text` writes every CSV report but `align`'s.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Iterable
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 RDFS_NS = "http://www.w3.org/2000/01/rdf-schema#"
@@ -67,6 +69,18 @@ def read_text(path: str | Path, error: type[Exception]) -> str:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as err:
         raise error(f"{path}: not UTF-8: {err}") from None
+
+
+def csv_text(header: Iterable, rows: Iterable[Iterable]) -> str:
+    """`header` and `rows` as RFC 4180 CSV, each record ended by CRLF."""
+    import csv
+    import io
+
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 class PrefixFileError(KgfuseError, ValueError):

@@ -10,7 +10,8 @@ nested-dict indexes (SPO and POS) whose leaves hold the stored triples, so
 every pattern with a bound subject or predicate is answered without a full
 scan and without building a triple; a graph that is only parsed, merged
 and written never pays for them.  `Graph.match` returns triples in index
-order; canonical order is decided only where output is written.
+order and iterating a graph returns them in set order; canonical order is
+decided only where output is written, by `sorted_lines_text`.
 Everything here is deliberately syntactic: literals compare by exact
 lexical form, which keeps diffs and version changesets reversible.
 """
@@ -283,8 +284,8 @@ class Graph:
         return triple in self.triples
 
     def __iter__(self) -> Iterator[Triple]:
-        """The triples in canonical order, sorted on each call."""
-        return iter(sorted(self.triples, key=ntriples_line))
+        """The triples in no set order: order is decided where output is written."""
+        return iter(self.triples)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -425,19 +426,24 @@ def _relabel(term: Term, mapping: dict[str, str]) -> Term:
     return term
 
 
+def sorted_lines_text(lines: Iterable[str]) -> str:
+    """`lines` sorted by code point, each ended by LF; "" for none.  Code-point
+    order is UTF-8 byte order for all text that has a UTF-8 form, which text
+    without lone surrogates does.  Canonical N-Triples and the sections of a
+    changeset file are written with it."""
+    ordered = sorted(lines)
+    return "\n".join(ordered) + "\n" if ordered else ""
+
+
 def _canonical_text(lines: list[str], triples: frozenset[Triple]) -> str:
-    """`lines` as they are plus `triples` with their blank nodes relabeled,
-    sorted by code point.  That is UTF-8 byte order for all text that has a
-    UTF-8 form, which text without lone surrogates does.  Extends `lines`."""
+    """`sorted_lines_text` of `lines` as they are plus `triples` with their
+    blank nodes relabeled.  Extends `lines`."""
     mapping = _canonical_blank_map(triples)
     for t in triples:
         if mapping and (t.s.kind == BLANK or t.o.kind == BLANK):
             t = Triple(_relabel(t.s, mapping), t.p, _relabel(t.o, mapping))
         lines.append(ntriples_line(t))
-    if not lines:
-        return ""
-    lines.sort()
-    return "\n".join(lines) + "\n"
+    return sorted_lines_text(lines)
 
 
 def serialize_canonical(g: Graph) -> str:

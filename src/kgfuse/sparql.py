@@ -23,13 +23,11 @@ cells, then by one stable sort per ORDER BY key (last key first,
 
 from __future__ import annotations
 
-import csv
-import io
 import re
 from decimal import Decimal
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
-from .prefixes import RDF_TYPE, XSD_BOOLEAN, XSD_INTEGER, KgfuseError
+from .prefixes import RDF_TYPE, XSD_BOOLEAN, XSD_INTEGER, KgfuseError, csv_text
 from .rdf import (
     BLANK,
     IRI,
@@ -138,12 +136,8 @@ class ResultTable(NamedTuple):
 
     def to_csv(self) -> str:
         """RFC 4180 output; IRIs and literal lexical forms are written bare."""
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(self.header)
-        for row in self.rows:
-            writer.writerow(["" if t is None else _csv_cell(t) for t in row])
-        return buf.getvalue()
+        rows = (["" if t is None else _csv_cell(t) for t in row] for row in self.rows)
+        return csv_text(self.header, rows)
 
     def to_text(self) -> str:
         """Aligned text table with unambiguous term rendering."""

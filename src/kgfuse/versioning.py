@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .prefixes import KgfuseError
-from .rdf import _SURROGATE_RE, Graph, check_graph_name, ntriples_line
+from .rdf import _SURROGATE_RE, Graph, check_graph_name, ntriples_line, sorted_lines_text
 # unused here; bench/tracing.py looks it up in this module
 from .rdf import parse_ntriples  # noqa: F401
 
@@ -100,11 +100,6 @@ class LogEntry(NamedTuple):
     commit: Commit
     added: int
     removed: int
-
-
-def _lines_to_text(lines: Iterable[str]) -> str:
-    ordered = sorted(lines)
-    return "\n".join(ordered) + ("\n" if ordered else "")
 
 
 def _escape(value: str) -> str:
@@ -274,7 +269,7 @@ class ChangeStore:
         # (CPython 3.11, glibc malloc).
         data = b"".join(
             part.encode("utf-8")
-            for part in (header, _lines_to_text(added), _REMOVE_MARK, _lines_to_text(removed))
+            for part in (header, sorted_lines_text(added), _REMOVE_MARK, sorted_lines_text(removed))
         )
         commit_id = hashlib.sha256(data).hexdigest()
         self._write(self.commits_dir / commit_id, data, f"commit {commit_id[:12]}")

@@ -586,9 +586,11 @@ def test_empty_commit_via_store_flag_is_domain_error(workdir, capsys):
         "--store", str(store),
     ]
     assert run(args) == 0
-    # same fuse again: identical graph, empty changeset
-    assert run(args) == 1
+    # same fuse again: identical graph, empty changeset, so no output
+    again = workdir / "again.nt"
+    assert run([*args, "--out", str(again)]) == 1
     assert "nothing to commit" in capsys.readouterr().err
+    assert not again.exists()
 
 
 def test_log_on_missing_store_is_config_error(workdir):
@@ -641,6 +643,30 @@ def test_a_store_that_is_not_a_directory_is_a_config_error_before_any_output(
     assert capsys.readouterr().err == f"config error: --store is not a directory: {store}\n"
     assert not out.exists()
     assert store.read_text() == "not a store\n"
+
+
+@pytest.mark.parametrize("command", ["fuse", "enrich"])
+def test_a_commit_that_cannot_be_written_leaves_no_output(workdir, capsys, command):
+    store = workdir / "store"
+    store.mkdir()
+    (store / "commits").write_text("not a directory\n")
+    RecordedTransport(workdir / "recorded").record(
+        "https://d-nb.info/gnd/118755951/about/lds",
+        body='<https://d-nb.info/gnd/118755951> <http://www.w3.org/2000/01/rdf-schema#label> "H" .\n',
+    )
+    gnds = workdir / "gnds.txt"
+    gnds.write_text("118755951\n")
+    out, report = workdir / "out.nt", workdir / "report.csv"
+    argv = {
+        "fuse": _fuse_argv(workdir, "--out", str(out)),
+        "enrich": ["enrich", "--endpoint", "dnb", "--gnds", str(gnds), "--fixtures",
+                   str(workdir / "recorded"), "--delay", "1", "--out", str(out),
+                   "--report", str(report)],
+    }[command]
+    assert run(argv + ["--store", str(store)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write commit ") and len(err.splitlines()) == 1
+    assert not out.exists() and not report.exists()
 
 
 @pytest.mark.parametrize(

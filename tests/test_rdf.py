@@ -697,7 +697,7 @@ def test_parse_ntriples_rejects_turtle_shorthand():
 )
 def test_parsers_build_one_object_per_distinct_term(parse):
     g = parse('<urn:s:1> <urn:p:1> "v" .\n<urn:s:2> <urn:p:1> "v" .\n<urn:s:1> <urn:p:2> <urn:s:2> .')
-    first, second, third = g  # s1 p1 "v", s1 p2 s2, s2 p1 "v"
+    first, second, third = sorted(g, key=ntriples_line)  # s1 p1 "v", s1 p2 s2, s2 p1 "v"
     assert first.s is second.s and first.p is third.p and first.o is third.o
     assert second.o is third.s
 

@@ -28,14 +28,19 @@ from kgfuse.versioning import ChangeStore, EmptyDiffError, StoreError, UnknownCo
 DEFERRED = {"kgfuse.enrich", "kgfuse.fusion", "kgfuse.linkdisc", "kgfuse.versioning"}
 # Commands whose records are all named tuples, so they load no `dataclasses`.
 NO_DATACLASSES = {"import only", "query", "log", "diff", "checkout"}
+# Commands that write no CSV here, so they load no `csv`.
+NO_CSV = {"import only", "query", "log", "diff", "checkout", "fuse", "fuse --store", "lint",
+          "enrich"}
 
 # Runs `cli.run(argv)` in a fresh interpreter, then prints its exit code and
-# the kgfuse modules it loaded, and `dataclasses` if it did, on the last line.
+# the kgfuse modules it loaded, and `dataclasses` and `csv` if it did, on the
+# last line.
 _PROBE = (
     "import sys\n"
     "from kgfuse import cli\n"
     "code = cli.run(sys.argv[1:]) if len(sys.argv) > 1 else 0\n"
-    "print(code, *sorted(m for m in sys.modules if m.startswith('kgfuse.') or m == 'dataclasses'))\n"
+    "print(code, *sorted(m for m in sys.modules\n"
+    "                    if m.startswith('kgfuse.') or m in ('dataclasses', 'csv')))\n"
 )
 _GND_URL = "https://d-nb.info/gnd/118755951/about/lds"
 
@@ -114,6 +119,7 @@ def test_each_command_loads_only_the_modules_it_runs(workdir):
         assert code == "0", (name, done[name].stderr)
         assert set(modules) & DEFERRED == deferred, name
         assert name not in NO_DATACLASSES or "dataclasses" not in modules, name
+        assert name not in NO_CSV or "csv" not in modules, name
 
 
 # Each error class `run` reports, some subclasses among them, with its exit

@@ -191,6 +191,9 @@ def cmd_fuse(args) -> int:
     shifted_right = fusion.shift_namespace(right, args.right_ns, args.target_ns, renames)
     fused = Graph.union([shifted_left, shifted_right], name=args.graph_name)
     committed = _commit(args, store, fused)
+    # the handle remembers the committed lines: dropped, they are freed before
+    # the output text is built, so the two are never held at once
+    del store
     _write_text(args.out, serialize_canonical(fused))
     print(f"fused {len(left)} + {len(right)} triples into {len(fused)} -> {args.out}")
     for label, a, b in zip(("properties", "classes"), left_vocab, right_vocab):

@@ -669,6 +669,16 @@ def test_a_commit_that_cannot_be_written_leaves_no_output(workdir, capsys, comma
     assert not out.exists() and not report.exists()
 
 
+def test_an_output_that_cannot_be_written_after_the_commit_keeps_it(workdir, capsys):
+    store, target = workdir / "store", workdir / "missing-dir" / "fused.nt"
+    assert run(_fuse_argv(workdir, "--out", str(target), "--store", str(store))) == 2
+    assert capsys.readouterr().err.startswith(f"config error: cannot write {target}: ")
+    head = (store / "HEAD").read_text().strip()
+    assert run(["checkout", "--store", str(store), head, "-o", str(workdir / "restored.nt")]) == 0
+    assert run(_fuse_argv(workdir)) == 0
+    assert (workdir / "restored.nt").read_bytes() == (workdir / "fused.nt").read_bytes()
+
+
 @pytest.mark.parametrize(
     "flag, value", [("--author", "x\udcff"), ("--message", "x\udcff"), ("--graph-name", "urn:x\udcff")]
 )

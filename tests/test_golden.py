@@ -231,10 +231,6 @@ def _store_output(case: str) -> dict[str, bytes]:
     return _steps_output(steps)
 
 
-def _generated_output(case: str) -> dict[str, bytes]:
-    return _steps_output(GENERATED)
-
-
 def _steps_output(steps: dict[str, tuple[list[str], int]]) -> dict[str, bytes]:
     """stdout and stderr of each step, run in order in the current directory,
     and each file the steps write; exit codes are checked here."""
@@ -261,7 +257,7 @@ def test_store_output_matches_its_golden_files(case, tmp_path, monkeypatch):
 
 def test_generated_output_matches_its_golden_files(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    assert _generated_output("generated") == _golden_outputs("generated")
+    assert _steps_output(GENERATED) == _golden_outputs("generated")
 
 
 def _usage_golden(case: str, stream: str) -> Path:
@@ -292,7 +288,7 @@ if __name__ == "__main__":
             (GOLDEN / f"{case}.{form}").write_bytes(_output(case, form))
     home = os.getcwd()
     for cases, output in ((COMMANDS, _command_output), (STORES, _store_output),
-                          (["generated"], _generated_output)):
+                          (["generated"], lambda case: _steps_output(GENERATED))):
         for case in cases:
             with tempfile.TemporaryDirectory() as work:
                 os.chdir(work)
@@ -300,7 +296,7 @@ if __name__ == "__main__":
                     outputs = output(case)
                 finally:
                     os.chdir(home)
-            # commit ids name store files, so a case's old files go first
+            # commit ids name store files, so a case's old outputs go first; inputs stay
             for name in _golden_outputs(case):
                 (GOLDEN / case / name).unlink()
             for name, data in outputs.items():

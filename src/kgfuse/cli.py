@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .prefixes import DEFAULT_PREFIXES, KgfuseError, load_prefix_file, read_text
+from .prefixes import DEFAULT_PREFIXES, KgfuseError, csv_text, load_prefix_file, read_text
 from .rdf import IRI_RE, Graph, RdfError, parse_turtle, serialize_canonical, serialize_canonical_lines
 from .sparql import QueryTemplate, SparqlError, evaluate, parse_query
 
@@ -82,11 +82,14 @@ def _check_directory(args, name: str) -> None:
         raise UsageError(f"--{name} is not a directory: {path}")
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(path: str, text: str, committed: str | None = None) -> None:
+    """Write an output; one that cannot be written is a config error, which
+    names the commit made before it, if any, so that commit is not lost."""
     try:
         Path(path).write_text(text, encoding="utf-8", newline="")
     except OSError as err:
-        raise UsageError(f"cannot write {path}: {err.strerror}") from None
+        note = f" ({committed})" if committed else ""
+        raise UsageError(f"cannot write {path}: {err.strerror}{note}") from None
 
 
 def _store_to_commit_into(args, graph_name: str) -> ChangeStore | None:
@@ -194,7 +197,7 @@ def cmd_fuse(args) -> int:
     # the handle remembers the committed lines: dropped, they are freed before
     # the output text is built, so the two are never held at once
     del store
-    _write_text(args.out, serialize_canonical(fused))
+    _write_text(args.out, serialize_canonical(fused), committed)
     print(f"fused {len(left)} + {len(right)} triples into {len(fused)} -> {args.out}")
     for label, a, b in zip(("properties", "classes"), left_vocab, right_vocab):
         print(f"{label}: {_overlap_text(fusion.compute_overlap(a, b))}")
@@ -204,29 +207,27 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_align(args) -> int:
-    import csv
-    import io
-
     from . import fusion
 
     vocabularies = [(name, fusion.extract_vocabulary(g)) for name, g in _read_graphs(args.graphs)]
     report = fusion.vocabulary_report(vocabularies)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["graph", "properties", "classes"])
+    # the first column says what a row is, so a graph file named `union` is a
+    # `graph` row; the columns a row does not use are empty
+    rows = []
     for name, n_props, n_classes in report.per_graph:
         print(f"{name}: {n_props} properties, {n_classes} classes")
-        writer.writerow([name, n_props, n_classes])
+        rows.append(("graph", name, n_props, n_classes, "", "", ""))
     print(f"deduplicated union: {report.union_properties} properties, {report.union_classes} classes")
-    writer.writerow(["union", report.union_properties, report.union_classes])
+    rows.append(("union", "", report.union_properties, report.union_classes, "", "", ""))
     if len(vocabularies) == 2:
         (_, left_vocab), (_, right_vocab) = vocabularies
         for label, a, b in zip(("property", "class"), left_vocab, right_vocab):
             stats = fusion.compute_overlap(a, b)
             print(f"{label} overlap: {_overlap_text(stats)}")
-            writer.writerow([f"{label}-overlap", stats.joint, stats.disjoint_a, stats.disjoint_b])
+            rows.append((f"{label}-overlap", "", "", "", stats.joint, stats.disjoint_a, stats.disjoint_b))
     if args.out:
-        _write_text(args.out, buf.getvalue())
+        header = ("row", "graph", "properties", "classes", "joint", "left_only", "right_only")
+        _write_text(args.out, csv_text(header, rows))
     return 0
 
 
@@ -247,7 +248,13 @@ def cmd_lint(args) -> int:
     return 0
 
 
+def _no_wait(seconds: float) -> None:
+    """The `sleep` of a replay: recordings have no server to be polite to."""
+
+
 def cmd_enrich(args) -> int:
+    import time
+
     from . import enrich
 
     _check_inputs(args, ("gnds", "template", "fixtures"))
@@ -275,20 +282,20 @@ def cmd_enrich(args) -> int:
     endpoint = enrich.builtin_endpoint(args.endpoint, **overrides)
     store = _store_to_commit_into(args, endpoint.graph)
     if args.fixtures:
-        transport = enrich.RecordedTransport(Path(args.fixtures))
+        transport, sleep = enrich.RecordedTransport(Path(args.fixtures)), _no_wait
     elif args.live:
-        transport = enrich.HttpTransport()
+        transport, sleep = enrich.HttpTransport(), time.sleep
     else:
         raise UsageError("choose a transport: --fixtures DIR for recorded runs or --live")
-    graph, report = enrich.lazy_extract(gnds, endpoint, transport)
+    graph, report = enrich.lazy_extract(gnds, endpoint, transport, sleep)
     committed = _commit(args, store, graph)
-    _write_text(args.out, serialize_canonical(graph))
+    _write_text(args.out, serialize_canonical(graph), committed)
     print(
         f"extracted {len(graph)} triple(s) from {endpoint.name} "
         f"({report.ok_count}/{len(report.items)} ok) -> {args.out}"
     )
     if args.report:
-        _write_text(args.report, report.to_csv())
+        _write_text(args.report, report.to_csv(), committed)
     if committed:
         print(committed)
     return 0

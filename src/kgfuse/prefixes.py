@@ -4,7 +4,7 @@ writer, and the base of the errors the CLI reports.
 The default prefixes are configuration, not ground truth: query files may
 redeclare any of them, and the CLI accepts a prefix file that overrides
 this table (see `load_prefix_file`).  `read_text` reads every input file,
-and `csv_text` writes every CSV report but `align`'s.
+and `csv_text` writes every CSV report.
 """
 
 from __future__ import annotations

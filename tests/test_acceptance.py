@@ -14,6 +14,7 @@ import tempfile
 import time
 from collections import Counter
 
+import catalogues
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -58,7 +59,7 @@ def test_criterion_1_similarity_reproduction():
     assert repr(score) == "0.8164965809277261"
     assert score == 2 / math.sqrt(6)
     candidates = find_links(
-        fixtures.persons_leipzig(), fixtures.persons_helmstedt(), PERSON_CONFIG
+        fixtures.load("leipzig_persons.ttl"), fixtures.load("helmstedt_persons.ttl"), PERSON_CONFIG
     )
     accepted = [c for c in candidates if c.status == ACCEPTED]
     assert len(candidates) == 1 and accepted == candidates
@@ -80,7 +81,7 @@ def test_criterion_2_exact_match_emptiness():
         accept_threshold=1.0,
         review_threshold=0.5,
     )
-    candidates = find_links(fixtures.persons_leipzig(), fixtures.persons_helmstedt(), cfg)
+    candidates = find_links(fixtures.load("leipzig_persons.ttl"), fixtures.load("helmstedt_persons.ttl"), cfg)
     assert [c for c in candidates if c.status == ACCEPTED] == []
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
@@ -111,8 +112,8 @@ def test_criterion_4_overlap_identity_property(names_a, names_b):
 
 
 def test_criterion_4_overlap_table_values():
-    props_a, classes_a = extract_vocabulary(fixtures.leipzig_catalogue())
-    props_b, classes_b = extract_vocabulary(fixtures.helmstedt_catalogue())
+    props_a, classes_a = extract_vocabulary(catalogues.leipzig_catalogue())
+    props_b, classes_b = extract_vocabulary(catalogues.helmstedt_catalogue())
     prop_stats = compute_overlap(props_a, props_b)
     assert (prop_stats.joint, prop_stats.disjoint_a, prop_stats.disjoint_b) == (21, 51, 35)
     assert (prop_stats.union_a, prop_stats.union_b) == (72, 56)
@@ -180,7 +181,7 @@ def test_criterion_5_query_evaluation_oracle():
 
 
 def test_criterion_6_roundtrip_and_determinism():
-    corpus = fixtures.corpus()
+    corpus = catalogues.corpus()
     for name, g in corpus.items():
         assert parse_turtle(serialize_canonical(g)).triples == g.triples, name
     for name, g in corpus.items():

@@ -13,6 +13,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -22,7 +23,7 @@ import test_startup
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kgfuse import cli, fixtures, versioning
+from kgfuse import cli, enrich, fixtures, versioning
 from kgfuse.cli import run
 from kgfuse.enrich import RecordedTransport
 from kgfuse.linkdisc import load_link_config
@@ -397,12 +398,12 @@ def test_align_prints_overlap_for_two_graphs(workdir, capsys):
         "class overlap: joint 1, disjoint 0/0, union 1/1\n"
     )
     assert (workdir / "stats.csv").read_bytes() == (
-        b"graph,properties,classes\n"
-        b"leipzig_persons,5,1\n"
-        b"helmstedt_persons,5,1\n"
-        b"union,8,2\n"
-        b"property-overlap,5,0,0\n"
-        b"class-overlap,1,0,0\n"
+        b"row,graph,properties,classes,joint,left_only,right_only\r\n"
+        b"graph,leipzig_persons,5,1,,,\r\n"
+        b"graph,helmstedt_persons,5,1,,,\r\n"
+        b"union,,8,2,,,\r\n"
+        b"property-overlap,,,,5,0,0\r\n"
+        b"class-overlap,,,,1,0,0\r\n"
     )
 
 
@@ -422,17 +423,20 @@ def test_align_keeps_one_row_per_file_when_stems_repeat(workdir, capsys):
 
 def test_align_quotes_file_stems_in_its_csv(workdir, capsys):
     # `--graphs` splits on commas, so a stem can hold a quote or a line break
-    # but no comma.
-    stems = ['q"x', "two\nlines"]
-    for stem, name in zip(stems, ("leipzig_persons.ttl", "helmstedt_persons.ttl")):
+    # but no comma.  A graph named `union` is a graph row, not the union row.
+    stems = ['q"x', "two\nlines", "union"]
+    for stem, name in zip(stems, ("leipzig_persons.ttl", "helmstedt_persons.ttl",
+                                  "leipzig_persons.ttl")):
         shutil.copy(workdir / name, workdir / f"{stem}.ttl")
     graphs = ",".join(f"{workdir}/{stem}.ttl" for stem in stems)
     assert run(["align", "--graphs", graphs, "--out", str(workdir / "stats.csv")]) == 0
     out = capsys.readouterr().out
     with open(workdir / "stats.csv", encoding="utf-8", newline="") as f:
         rows = list(csv.reader(f))
-    assert rows[1:3] == [[stem, "5", "1"] for stem in stems]
-    for stem, n_props, n_classes in rows[1:3]:
+    assert all(len(row) == len(rows[0]) for row in rows)
+    assert rows[1:4] == [["graph", stem, "5", "1", "", "", ""] for stem in stems]
+    assert [row[0] for row in rows[4:]] == ["union"]
+    for _, stem, n_props, n_classes, *_ in rows[1:4]:
         assert f"{stem}: {n_props} properties, {n_classes} classes\n" in out
 
 
@@ -669,14 +673,67 @@ def test_a_commit_that_cannot_be_written_leaves_no_output(workdir, capsys, comma
     assert not out.exists() and not report.exists()
 
 
+def _unwritten_after_commit(target, store) -> str:
+    """The error line of an output that cannot be written after its commit."""
+    head = ChangeStore(store).log()[0].commit.short_id
+    return (f"config error: cannot write {target}: {os.strerror(errno.ENOENT)} "
+            f"(committed {head} to {store})\n")
+
+
 def test_an_output_that_cannot_be_written_after_the_commit_keeps_it(workdir, capsys):
     store, target = workdir / "store", workdir / "missing-dir" / "fused.nt"
     assert run(_fuse_argv(workdir, "--out", str(target), "--store", str(store))) == 2
-    assert capsys.readouterr().err.startswith(f"config error: cannot write {target}: ")
+    assert capsys.readouterr().err == _unwritten_after_commit(target, store)
     head = (store / "HEAD").read_text().strip()
     assert run(["checkout", "--store", str(store), head, "-o", str(workdir / "restored.nt")]) == 0
     assert run(_fuse_argv(workdir)) == 0
     assert (workdir / "restored.nt").read_bytes() == (workdir / "fused.nt").read_bytes()
+
+
+@pytest.mark.parametrize("flag", ["--out", "--report"])
+def test_an_enrich_output_that_cannot_be_written_after_the_commit_names_it(workdir, capsys, flag):
+    RecordedTransport(workdir / "recorded").record(
+        "https://d-nb.info/gnd/118755951/about/lds",
+        body='<https://d-nb.info/gnd/118755951> <http://www.w3.org/2000/01/rdf-schema#label> "H" .\n',
+    )
+    gnds = workdir / "gnds.txt"
+    gnds.write_text("118755951\n")
+    store, target = workdir / "store", workdir / "missing-dir" / "out"
+    outputs = {"--out": str(workdir / "dnb.nt"), "--report": str(workdir / "dnb.csv"),
+               flag: str(target)}
+    argv = ["enrich", "--endpoint", "dnb", "--gnds", str(gnds), "--fixtures",
+            str(workdir / "recorded"), "--store", str(store)]
+    assert run(argv + [arg for item in outputs.items() for arg in item]) == 2
+    assert capsys.readouterr().err == _unwritten_after_commit(target, store)
+
+
+def test_enrich_replays_recordings_without_waiting(workdir, monkeypatch):
+    recorded = RecordedTransport(workdir / "recorded")
+    gnds = ["118755951", "118535794", "4000001-1"]
+    for gnd in gnds[:2]:
+        url = f"https://d-nb.info/gnd/{gnd}"
+        recorded.record(f"{url}/about/lds",
+                        body=f'<{url}> <http://www.w3.org/2000/01/rdf-schema#label> "{gnd}" .\n')
+    recorded.record(f"https://d-nb.info/gnd/{gnds[2]}/about/lds", timeout=True)
+    (workdir / "gnds.txt").write_text("\n".join(gnds) + "\n")
+
+    def replay(name, *extra):
+        argv = ["enrich", "--endpoint", "dnb", "--gnds", str(workdir / "gnds.txt"), "--fixtures",
+                str(recorded.directory), "--out", str(workdir / f"{name}.nt"),
+                "--report", str(workdir / f"{name}.csv"), *extra]
+        assert run(argv) == 0
+        return [(workdir / f"{name}.{ext}").read_bytes() for ext in ("nt", "csv")]
+
+    short = replay("short", "--delay", "1")
+
+    def fail(seconds):
+        raise AssertionError(f"a replay waited {seconds} s")
+
+    # the library's default `sleep` is `time.sleep` as it was bound at import
+    monkeypatch.setattr(time, "sleep", fail)
+    monkeypatch.setattr(enrich.lazy_extract, "__defaults__", (fail,))
+    assert replay("default") == short
+    assert short[1].endswith(b"4000001-1,failed,0,timeout,3\r\n")
 
 
 @pytest.mark.parametrize(

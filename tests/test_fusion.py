@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 
+import catalogues
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -49,9 +50,9 @@ def test_extract_vocabulary_on_snippet():
 
 
 def test_catalogue_counts_match_subset_statistics():
-    props, classes = extract_vocabulary(fixtures.helmstedt_catalogue())
+    props, classes = extract_vocabulary(catalogues.helmstedt_catalogue())
     assert (len(props), len(classes)) == (56, 21)
-    props, classes = extract_vocabulary(fixtures.leipzig_catalogue())
+    props, classes = extract_vocabulary(catalogues.leipzig_catalogue())
     assert (len(props), len(classes)) == (72, 39)
 
 
@@ -82,15 +83,15 @@ def test_identical_vocabularies_are_fully_joint():
 
 
 def test_property_overlap_matches_catalogue_design():
-    props_a, _ = extract_vocabulary(fixtures.leipzig_catalogue())
-    props_b, _ = extract_vocabulary(fixtures.helmstedt_catalogue())
+    props_a, _ = extract_vocabulary(catalogues.leipzig_catalogue())
+    props_b, _ = extract_vocabulary(catalogues.helmstedt_catalogue())
     stats = compute_overlap(props_a, props_b)
     assert stats == OverlapStats(21, 51, 35, 72, 56)
 
 
 def test_class_overlap_matches_catalogue_design():
-    _, classes_a = extract_vocabulary(fixtures.leipzig_catalogue())
-    _, classes_b = extract_vocabulary(fixtures.helmstedt_catalogue())
+    _, classes_a = extract_vocabulary(catalogues.leipzig_catalogue())
+    _, classes_b = extract_vocabulary(catalogues.helmstedt_catalogue())
     stats = compute_overlap(classes_a, classes_b)
     assert stats == OverlapStats(16, 23, 5, 39, 21)
 
@@ -146,7 +147,7 @@ def test_rename_entries_rewrite_accordingly():
 
 
 def test_shift_preserves_triple_count_and_literals():
-    g = fixtures.leipzig_catalogue()
+    g = catalogues.leipzig_catalogue()
     shifted = shift_namespace(g, LEIPZIG_NS, PCP_NS, renames={"surname": "familyName"})
     assert len(shifted) == len(g)
     literals = Counter(t.o for t in g.triples if t.o.kind == "literal")
@@ -155,7 +156,7 @@ def test_shift_preserves_triple_count_and_literals():
 
 
 def test_shift_is_idempotent():
-    g = fixtures.helmstedt_catalogue()
+    g = catalogues.helmstedt_catalogue()
     once = shift_namespace(g, HELMSTEDT_NS, PCP_NS)
     twice = shift_namespace(once, HELMSTEDT_NS, PCP_NS)
     assert once == twice
@@ -165,7 +166,7 @@ def test_shift_is_idempotent():
 
 
 def test_shift_builds_one_term_per_rewritten_iri():
-    g = fixtures.leipzig_catalogue()
+    g = catalogues.leipzig_catalogue()
     before = {term.value for t in g.triples for term in (t.s, t.p, t.o)}
     shifted = shift_namespace(g, LEIPZIG_NS, PCP_NS, renames={"surname": "familyName"})
     objects: dict[str, set[int]] = {}
@@ -207,8 +208,8 @@ def test_rename_onto_existing_term_is_rejected():
 
 
 def test_fused_union_vocabulary_size():
-    left = shift_namespace(fixtures.leipzig_catalogue(), LEIPZIG_NS, PCP_NS)
-    right = shift_namespace(fixtures.helmstedt_catalogue(), HELMSTEDT_NS, PCP_NS)
+    left = shift_namespace(catalogues.leipzig_catalogue(), LEIPZIG_NS, PCP_NS)
+    right = shift_namespace(catalogues.helmstedt_catalogue(), HELMSTEDT_NS, PCP_NS)
     fused = Graph.union([left, right])
     props, classes = extract_vocabulary(fused)
     # 72 + 56 - 21 properties, 39 + 21 - 16 classes after fusing
@@ -233,7 +234,7 @@ def test_clean_bilingual_term_has_no_issues():
 
 
 def test_quality_fixture_issue_inventory():
-    issues = lint_vocabulary(fixtures.quality_vocabulary())
+    issues = lint_vocabulary(fixtures.load("quality.ttl"))
     by_subject_kind = {(i.subject, i.kind) for i in issues}
     assert (PCP_NS + "hasMatrikel", "multilingual-label") in by_subject_kind
     assert (PCP_NS + "surname_lat", "naming-pattern") in by_subject_kind
@@ -251,13 +252,13 @@ def test_quality_fixture_issue_inventory():
 
 
 def test_multilingual_label_detail_quotes_the_label():
-    issues = lint_vocabulary(fixtures.quality_vocabulary())
+    issues = lint_vocabulary(fixtures.load("quality.ttl"))
     issue = next(i for i in issues if i.kind == "multilingual-label")
     assert "Matrikel / matriculation" in issue.detail
 
 
 def test_lint_report_csv_shape():
-    issues = lint_vocabulary(fixtures.quality_vocabulary())
+    issues = lint_vocabulary(fixtures.load("quality.ttl"))
     report = lint_report_csv(issues)
     lines = report.splitlines()
     assert lines[0] == "subject,kind,detail,suggested-fix"
@@ -294,8 +295,8 @@ def test_bundled_renames_file_parses():
 def test_vocabulary_report_deduplicates_union():
     report = vocabulary_report(
         [
-            ("leipzig", extract_vocabulary(fixtures.leipzig_catalogue())),
-            ("helmstedt", extract_vocabulary(fixtures.helmstedt_catalogue())),
+            ("leipzig", extract_vocabulary(catalogues.leipzig_catalogue())),
+            ("helmstedt", extract_vocabulary(catalogues.helmstedt_catalogue())),
         ]
     )
     assert report.per_graph == [("leipzig", 72, 39), ("helmstedt", 56, 21)]

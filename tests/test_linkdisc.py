@@ -89,8 +89,8 @@ def test_cosine_bounds_and_symmetry(a, b):
 # --- the two-person fixture --------------------------------------------------------
 
 def test_two_person_fixture_accepts_exactly_the_near_match():
-    ga = fixtures.persons_leipzig()
-    gb = fixtures.persons_helmstedt()
+    ga = fixtures.load("leipzig_persons.ttl")
+    gb = fixtures.load("helmstedt_persons.ttl")
     candidates = find_links(ga, gb, PERSON_CONFIG)
     accepted = [c for c in candidates if c.status == ACCEPTED]
     assert len(accepted) == 1
@@ -104,8 +104,8 @@ def test_two_person_fixture_accepts_exactly_the_near_match():
 
 
 def test_full_match_threshold_accepts_nothing():
-    ga = fixtures.persons_leipzig()
-    gb = fixtures.persons_helmstedt()
+    ga = fixtures.load("leipzig_persons.ttl")
+    gb = fixtures.load("helmstedt_persons.ttl")
     cfg = LinkConfig(
         source_class=PERSON_CONFIG.source_class,
         target_class=PERSON_CONFIG.target_class,
@@ -274,8 +274,8 @@ def test_accept_threshold_monotonicity():
 
 
 def test_scores_are_symmetric_under_swap():
-    ga = fixtures.persons_leipzig()
-    gb = fixtures.persons_helmstedt()
+    ga = fixtures.load("leipzig_persons.ttl")
+    gb = fixtures.load("helmstedt_persons.ttl")
     forward = find_links(ga, gb, PERSON_CONFIG)
     swapped_cfg = LinkConfig(
         source_class=PERSON_CONFIG.target_class,
@@ -327,7 +327,7 @@ def test_pair_scoring_exactly_the_review_threshold_is_emitted():
 
 def test_paper_pair_survives_review_at_its_own_score():
     cfg = dataclasses.replace(PERSON_CONFIG, accept_threshold=1.0, review_threshold=PAPER_SCORE)
-    candidates = find_links(fixtures.persons_leipzig(), fixtures.persons_helmstedt(), cfg)
+    candidates = find_links(fixtures.load("leipzig_persons.ttl"), fixtures.load("helmstedt_persons.ttl"), cfg)
     assert [(c.source, c.target, repr(c.score)) for c in candidates] == [
         (LEIPZIG_NS + "heinrichmatthiasheinrichs", HELMSTEDT_NS + "13084", "0.8164965809277261")
     ]
@@ -448,7 +448,7 @@ def test_a_tie_keeps_the_first_value_pair_in_sorted_order():
 def test_link_records_are_named_tuples_that_equal_plain_tuples():
     [found] = [
         c
-        for c in find_links(fixtures.persons_leipzig(), fixtures.persons_helmstedt(), PERSON_CONFIG)
+        for c in find_links(fixtures.load("leipzig_persons.ttl"), fixtures.load("helmstedt_persons.ttl"), PERSON_CONFIG)
         if c.status == ACCEPTED
     ]
     assert not hasattr(found, "__dict__") and not hasattr(found.evidence[0], "__dict__")
@@ -502,7 +502,7 @@ def test_empty_candidates_give_header_only_csv():
 
 
 def test_report_contains_full_precision_score():
-    candidates = find_links(fixtures.persons_leipzig(), fixtures.persons_helmstedt(), PERSON_CONFIG)
+    candidates = find_links(fixtures.load("leipzig_persons.ttl"), fixtures.load("helmstedt_persons.ttl"), PERSON_CONFIG)
     report = emit_review_report(candidates)
     lines = report.splitlines()
     assert len(lines) == 1 + len(candidates)
@@ -520,7 +520,7 @@ def test_report_row_count_matches_oracle():
 
 
 def test_sameas_triples_only_for_accepted():
-    candidates = find_links(fixtures.persons_leipzig(), fixtures.persons_helmstedt(), PERSON_CONFIG)
+    candidates = find_links(fixtures.load("leipzig_persons.ttl"), fixtures.load("helmstedt_persons.ttl"), PERSON_CONFIG)
     links = sameas_triples(candidates)
     assert len(links) == 1
     assert links[0].p == iri(OWL_SAMEAS)

@@ -16,6 +16,7 @@ import subprocess
 import sys
 import tracemalloc
 
+import catalogues
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -632,7 +633,7 @@ def test_unicode_escapes_decode():
 
 
 def test_roundtrip_over_fixture_corpus():
-    for name, g in fixtures.corpus().items():
+    for name, g in catalogues.corpus().items():
         got = parse_turtle(serialize_canonical(g))
         assert got.triples == g.triples, f"round-trip failed for fixture {name}"
 
@@ -678,7 +679,7 @@ def test_canonical_output_relabels_to_itself_under_tied_blank_nodes(items):
 
 
 def test_parse_ntriples_reads_canonical_output():
-    for g in fixtures.corpus().values():
+    for g in catalogues.corpus().values():
         assert parse_ntriples(serialize_canonical(g)).triples == parse_turtle(
             serialize_canonical(g)
         ).triples
@@ -919,7 +920,7 @@ def test_a_blank_node_label_cannot_end_in_a_dot():
 
 
 def test_ntriples_documents_never_reach_the_lexer(monkeypatch):
-    graphs = list(fixtures.corpus().values())
+    graphs = list(catalogues.corpus().values())
     lexed = []
     lex = rdf._lex
     monkeypatch.setattr(rdf, "_lex", lambda text: lexed.append(text) or lex(text))

@@ -273,7 +273,7 @@ def test_any_query_over_empty_graph_has_zero_rows():
 
 
 def test_star_query_over_three_statement_snippet_yields_three_rows():
-    g = fixtures.persons_helmstedt()
+    g = fixtures.load("helmstedt_persons.ttl")
     snippet = Graph(
         triples=[t for t in g.triples if t.o.kind == "literal" and t.p.value != "http://example.org/catalogus/helmstedt/gnd"]
     )

@@ -29,8 +29,8 @@ DEFERRED = {"kgfuse.enrich", "kgfuse.fusion", "kgfuse.linkdisc", "kgfuse.version
 # Commands whose records are all named tuples, so they load no `dataclasses`.
 NO_DATACLASSES = {"import only", "query", "log", "diff", "checkout"}
 # Commands that write no CSV here, so they load no `csv`.
-NO_CSV = {"import only", "query", "log", "diff", "checkout", "fuse", "fuse --store", "lint",
-          "enrich"}
+NO_CSV = {"import only", "query", "log", "diff", "checkout", "fuse", "fuse --store", "align",
+          "lint", "enrich"}
 
 # Runs `cli.run(argv)` in a fresh interpreter, then prints its exit code and
 # the kgfuse modules it loaded, and `dataclasses` and `csv` if it did, on the

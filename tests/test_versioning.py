@@ -16,6 +16,7 @@ import shutil
 import tempfile
 from pathlib import Path
 
+import catalogues
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -65,7 +66,7 @@ def test_recommitting_same_state_is_rejected(tmp_path):
 
 def test_rename_fix_changeset_matches_set_difference_oracle(tmp_path):
     store = ChangeStore(tmp_path / "store")
-    before = fixtures.quality_vocabulary()
+    before = fixtures.load("quality.ttl")
     before_named = Graph(GRAPH_NAME, before.triples)
     store.commit(GRAPH_NAME, before_named, "historian", "import vocabulary", timestamp=10)
     after = shift_namespace(
@@ -234,7 +235,7 @@ def test_messages_with_tabs_and_newlines_round_trip(tmp_path):
 
 
 def test_commit_round_trip_for_fixture_graphs(tmp_path):
-    for idx, (name, g) in enumerate(fixtures.corpus().items()):
+    for idx, (name, g) in enumerate(catalogues.corpus().items()):
         store = ChangeStore(tmp_path / f"store{idx}")
         named = Graph(GRAPH_NAME, g.triples)
         c = store.commit(GRAPH_NAME, named, "t", f"import {name}", timestamp=idx + 1)

@@ -189,6 +189,9 @@ def find_links(ga: Graph, gb: Graph, cfg: LinkConfig) -> list[LinkCandidate]:
     scolumns = [tuple(p.get(s, ()) for s, _ in props) for p in sprofiles]
     tcolumns = [tuple(p.get(t, ()) for _, t in props) for p in tprofiles]
     review, accept = cfg.review_threshold, cfg.accept_threshold
+    # The records check nothing, so `tuple.__new__` builds them as their
+    # constructors would, without a Python-level call per record.
+    new = tuple.__new__
     candidates = []
     for i, j in pairs:
         best = 0.0
@@ -204,12 +207,14 @@ def find_links(ga: Graph, gb: Graph, cfg: LinkConfig) -> list[LinkCandidate]:
                     score = cosine(stoks, ttoks)
                     if score > top:
                         top, stop, ttop = score, sval, tval
-            evidence.append(PairEvidence(sprop, tprop, stop, ttop, top))
+            evidence.append(new(PairEvidence, (sprop, tprop, stop, ttop, top)))
             if top > best:
                 best = top
         if best >= review:
             status = ACCEPTED if best >= accept else REVIEW
-            candidates.append(LinkCandidate(sources[i], targets[j], best, tuple(evidence), status))
+            candidates.append(
+                new(LinkCandidate, (sources[i], targets[j], best, tuple(evidence), status))
+            )
     candidates.sort(key=lambda c: (-c.score, c.source, c.target))
     return candidates
 

@@ -587,10 +587,16 @@ def _lex(text: str) -> list[_Token]:
     not accept, so the query parser can name an unsupported keyword
     wherever it stands (the FILTER of `FILTER(?o > 3)`, whose `>` is UNKNOWN).
     """
+    new = tuple.__new__
     tokens = []
     for m in _LEXER_RE.finditer(text):
         kind = m.lastgroup
-        tokens.append(_Token(kind, m.group(kind), m.start(kind)))
+        tokens.append(new(_Token, (kind, m.group(kind), m.start(kind))))
+    # An EOF match that takes trailing white space or a comment is not
+    # empty, so `finditer` then matches the empty string at the end as well:
+    # a second EOF, dropped here.
+    if len(tokens) > 1 and tokens[-2].type == "EOF":
+        tokens.pop()
     return tokens
 
 

@@ -137,6 +137,34 @@ def test_query_grouped_to_csv_file(workdir, capsys):
     assert lines[1].strip().startswith("1,")
 
 
+# A graph whose literals hold each character that makes a CSV field quoted,
+# and U+2028 and U+0000, which do not; the CI quick tour writes the same graph.
+CSV_QUOTING_TTL = r"""<urn:s:1> <urn:p:v> "plain" .
+<urn:s:2> <urn:p:v> "a,b" .
+<urn:s:3> <urn:p:v> "say \"hi\", twice" .
+<urn:s:4> <urn:p:v> "cr\rlf\ncrlf\r\nend" .
+<urn:s:5> <urn:p:v> "line\u2028separator" .
+<urn:s:6> <urn:p:v> "nul\u0000cell" .
+<urn:s:7> <urn:p:v> "" .
+<urn:s:a,b> <urn:p:v> "\"" .
+"""
+
+
+def test_query_csv_quotes_each_cell_as_the_golden_file_with_no_traceback(tmp_path):
+    # Python 3.10's `csv` module cannot write U+0000 without an escape
+    # character; the CSV writer gives every Python the same bytes.
+    (tmp_path / "quoting.ttl").write_text(CSV_QUOTING_TTL, encoding="ascii")
+    (tmp_path / "quoting.rq").write_text("select ?s ?v where { ?s <urn:p:v> ?v } order by ?s\n")
+    done = subprocess.run(
+        [sys.executable, "-m", "kgfuse.cli", "query", "--graphs", "quoting.ttl",
+         "--query", "quoting.rq", "--format", "csv"],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        capture_output=True, timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == (test_golden.GOLDEN / "csv-quoting.csv").read_bytes()
+
+
 def test_query_missing_graph_file_is_config_error(workdir, capsys):
     query = workdir / "star.rq"
     query.write_text("select * where {?s ?p ?o}")

@@ -20,7 +20,9 @@ exit code, stdout and stderr with `golden/usage/<case>.stdout` and
 cases differently, so their files for it are under `golden/usage-3.13/`.
 A change that alters output on purpose rewrites them with
 `PYTHONPATH=src python tests/test_golden.py`, and its diff shows which
-bytes moved.
+bytes moved.  `golden/csv-quoting.csv`, the CSV of a query over literals
+that need quoting, is compared by `test_cli.py` and by CI's quick tour, and
+is not rewritten here.
 """
 
 from __future__ import annotations
